@@ -17,6 +17,11 @@ cargo test -q --offline
 echo "== workspace tests =="
 cargo test --workspace -q --offline
 
+echo "== benchmark smoke (perfbench builds and runs every workload) =="
+# perfbench/ is a Cargo package of its own, so the workspace build above
+# never compiles it; this short run catches API changes that break it.
+python3 perfbench/smoke_test.py --seconds 2
+
 echo "== chaos suite (pinned seed 99) =="
 cargo test -q --offline --test chaos_fleet
 tmpdir="$(mktemp -d)"

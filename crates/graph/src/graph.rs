@@ -6,8 +6,9 @@
 
 use crate::ops::{OpAux, OpKind};
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node in its graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -81,13 +82,38 @@ impl std::error::Error for GraphError {}
 ///
 /// Construction is append-only: dependencies must reference already-added
 /// nodes, which makes every constructed graph acyclic by construction.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// A graph is a handle to one shared body. Cloning bumps a reference count,
+/// and [`Self::add`] copies the body only when another handle still shares
+/// it (copy-on-write), so a graph built once can be held by many jobs.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataflowGraph {
+    body: Arc<Body>,
+}
+
+/// The nodes and edges every clone of a [`DataflowGraph`] shares. It owns
+/// the serialized form, so sharing leaves graph bytes unchanged.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct Body {
     nodes: Vec<OpInstance>,
     /// Predecessors of each node.
     preds: Vec<Vec<NodeId>>,
     /// Successors of each node (derived, kept for frontier updates).
     succs: Vec<Vec<NodeId>>,
+}
+
+impl Serialize for DataflowGraph {
+    fn to_json_value(&self) -> Value {
+        self.body.to_json_value()
+    }
+}
+
+impl Deserialize for DataflowGraph {
+    fn from_json_value(v: &Value) -> Result<Self, serde::Error> {
+        Body::from_json_value(v).map(|body| DataflowGraph {
+            body: Arc::new(body),
+        })
+    }
 }
 
 impl DataflowGraph {
@@ -102,19 +128,20 @@ impl DataflowGraph {
     /// Panics if any dependency id is not already in the graph (append-only
     /// construction keeps graphs acyclic).
     pub fn add(&mut self, op: OpInstance, deps: &[NodeId]) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+        let body = Arc::make_mut(&mut self.body);
+        let id = NodeId(body.nodes.len() as u32);
         for &d in deps {
             assert!(
-                (d.0 as usize) < self.nodes.len(),
+                (d.0 as usize) < body.nodes.len(),
                 "dependency {} of new node {} does not exist yet",
                 d.0,
                 id.0
             );
-            self.succs[d.0 as usize].push(id);
+            body.succs[d.0 as usize].push(id);
         }
-        self.nodes.push(op);
-        self.preds.push(deps.to_vec());
-        self.succs.push(Vec::new());
+        body.nodes.push(op);
+        body.preds.push(deps.to_vec());
+        body.succs.push(Vec::new());
         id
     }
 
@@ -125,32 +152,33 @@ impl DataflowGraph {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.body.nodes.len()
     }
 
     /// Whether the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.body.nodes.is_empty()
     }
 
     /// The op instance at `id`.
     pub fn op(&self, id: NodeId) -> &OpInstance {
-        &self.nodes[id.0 as usize]
+        &self.body.nodes[id.0 as usize]
     }
 
     /// Predecessors of `id`.
     pub fn preds(&self, id: NodeId) -> &[NodeId] {
-        &self.preds[id.0 as usize]
+        &self.body.preds[id.0 as usize]
     }
 
     /// Successors of `id`.
     pub fn succs(&self, id: NodeId) -> &[NodeId] {
-        &self.succs[id.0 as usize]
+        &self.body.succs[id.0 as usize]
     }
 
     /// Iterator over `(id, op)` pairs in insertion (= topological) order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &OpInstance)> {
-        self.nodes
+        self.body
+            .nodes
             .iter()
             .enumerate()
             .map(|(i, op)| (NodeId(i as u32), op))
@@ -175,12 +203,17 @@ impl DataflowGraph {
     /// Checks structural invariants. Graphs built through [`Self::add`] always
     /// pass; deserialized graphs may not.
     pub fn validate(&self) -> Result<(), GraphError> {
-        if self.preds.len() != self.nodes.len() || self.succs.len() != self.nodes.len() {
+        let Body {
+            nodes,
+            preds,
+            succs,
+        } = &*self.body;
+        if preds.len() != nodes.len() || succs.len() != nodes.len() {
             return Err(GraphError::Cyclic);
         }
-        for (i, deps) in self.preds.iter().enumerate() {
+        for (i, deps) in preds.iter().enumerate() {
             for &d in deps {
-                if d.0 as usize >= self.nodes.len() {
+                if d.0 as usize >= nodes.len() {
                     return Err(GraphError::DanglingEdge {
                         node: i as u32,
                         target: d.0,
@@ -418,6 +451,27 @@ mod tests {
         v["preds"][0] = serde_json::json!([0]);
         g = serde_json::from_value(v).unwrap();
         assert_eq!(g.validate(), Err(GraphError::SelfLoop(0)));
+    }
+
+    #[test]
+    fn clone_shares_the_body() {
+        let g = diamond();
+        let c = g.clone();
+        assert!(Arc::ptr_eq(&g.body, &c.body));
+    }
+
+    #[test]
+    fn add_on_a_clone_leaves_the_original_untouched() {
+        let g = diamond();
+        let mut c = g.clone();
+        let sink = c.add_op(OpKind::Relu, Shape::nhwc(1, 8, 8, 16), &[NodeId(3)]);
+        assert!(!Arc::ptr_eq(&g.body, &c.body));
+        assert_eq!(g.len(), 4);
+        assert_eq!(g.sinks(), vec![NodeId(3)]);
+        assert!(g.succs(NodeId(3)).is_empty());
+        assert_eq!(c.len(), 5);
+        assert_eq!(c.sinks(), vec![sink]);
+        assert_eq!(g, diamond());
     }
 
     #[test]

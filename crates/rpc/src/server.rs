@@ -649,7 +649,9 @@ struct ServiceLoop {
     stop: Arc<AtomicBool>,
     final_report: Arc<Mutex<Option<String>>>,
     /// `(model, batch)` → built graph, so repeated submissions of one model
-    /// family do not rebuild multi-thousand-op graphs per request.
+    /// family do not rebuild multi-thousand-op graphs per request. Graph
+    /// clones share one body, so every job admitted from the cache holds
+    /// the cached graph itself, not a copy.
     graphs: HashMap<(String, u64), DataflowGraph>,
     /// Wall-clock origin for RPC event timestamps.
     epoch: Instant,

@@ -629,6 +629,33 @@ pub struct JobStatus {
     pub durability_disabled: bool,
 }
 
+/// A borrowed [`JobStatus`], so scans over the fleet's jobs copy the name
+/// and model only of the jobs they report.
+struct JobView<'a> {
+    id: u64,
+    name: &'a str,
+    model: &'a str,
+    phase: JobPhase,
+    steps_done: u32,
+    steps: u32,
+    node: Option<u32>,
+}
+
+impl JobView<'_> {
+    fn status(&self, durability_disabled: bool) -> JobStatus {
+        JobStatus {
+            id: self.id,
+            name: self.name.to_string(),
+            model: self.model.to_string(),
+            phase: self.phase,
+            steps_done: self.steps_done,
+            steps: self.steps,
+            node: self.node,
+            durability_disabled,
+        }
+    }
+}
+
 /// The multi-tenant training-job service.
 pub struct Fleet {
     config: FleetConfig,
@@ -1041,76 +1068,83 @@ impl Fleet {
     /// A point-in-time view of one job, or `None` for an id this fleet
     /// never admitted (rejected submissions have no id).
     pub fn job_status(&self, id: JobId) -> Option<JobStatus> {
-        if let Some(j) = self.completed.iter().find(|j| j.id == id.0) {
-            return Some(JobStatus {
-                id: j.id,
-                name: j.name.clone(),
-                model: j.model.clone(),
-                phase: JobPhase::Completed,
-                steps_done: j.steps,
-                steps: j.steps,
-                node: Some(j.node),
-                durability_disabled: self.durability_disabled,
-            });
-        }
-        if let Some(p) = self.prior_completed.iter().find(|p| p.id == id.0) {
-            return Some(JobStatus {
-                id: p.id,
-                name: p.name.clone(),
-                model: p.model.clone(),
-                phase: JobPhase::Completed,
-                steps_done: p.steps,
-                steps: p.steps,
-                node: Some(p.node),
-                durability_disabled: self.durability_disabled,
-            });
-        }
-        for (node_idx, node) in self.nodes.iter().enumerate() {
-            if let Some(j) = node.residents.iter().find(|j| j.id == id) {
-                return Some(JobStatus {
-                    id: j.id.0,
-                    name: j.spec.name.clone(),
-                    model: j.spec.model.clone(),
-                    phase: JobPhase::Running,
-                    steps_done: j.steps_done,
-                    steps: j.spec.steps,
-                    node: Some(node_idx as u32),
-                    durability_disabled: self.durability_disabled,
-                });
-            }
-        }
-        if let Some(r) = self.retries.iter().find(|r| r.job.id == id) {
-            return Some(JobStatus {
-                id: r.job.id.0,
-                name: r.job.spec.name.clone(),
-                model: r.job.spec.model.clone(),
-                phase: JobPhase::Retrying,
-                steps_done: r.job.steps_done,
-                steps: r.job.spec.steps,
-                node: None,
-                durability_disabled: self.durability_disabled,
-            });
-        }
-        self.queue.iter().find(|q| q.id == id).map(|q| JobStatus {
+        self.job_views()
+            .find(|v| v.id == id.0)
+            .map(|v| v.status(self.durability_disabled))
+    }
+
+    /// Point-in-time views of every job the fleet has admitted — queued,
+    /// running, awaiting re-admission, or completed — sorted by id. One pass
+    /// over the fleet's job lists, with [`Self::job_status`]'s precedence.
+    pub fn list_jobs(&self) -> Vec<JobStatus> {
+        let mut views: Vec<JobView<'_>> =
+            self.job_views().filter(|v| v.id < self.next_id).collect();
+        // The sort is stable, so an id held in several lists keeps its
+        // first (highest-precedence) view.
+        views.sort_by_key(|v| v.id);
+        views.dedup_by_key(|v| v.id);
+        views
+            .into_iter()
+            .map(|v| v.status(self.durability_disabled))
+            .collect()
+    }
+
+    /// Every job the fleet holds, in status precedence order: completed,
+    /// completed in a prior incarnation, resident, awaiting re-admission,
+    /// queued.
+    fn job_views(&self) -> impl Iterator<Item = JobView<'_>> {
+        let completed = self.completed.iter().map(|j| JobView {
+            id: j.id,
+            name: &j.name,
+            model: &j.model,
+            phase: JobPhase::Completed,
+            steps_done: j.steps,
+            steps: j.steps,
+            node: Some(j.node),
+        });
+        let prior = self.prior_completed.iter().map(|p| JobView {
+            id: p.id,
+            name: &p.name,
+            model: &p.model,
+            phase: JobPhase::Completed,
+            steps_done: p.steps,
+            steps: p.steps,
+            node: Some(p.node),
+        });
+        let running = self.nodes.iter().enumerate().flat_map(|(node_idx, node)| {
+            node.residents.iter().map(move |j| JobView {
+                id: j.id.0,
+                name: &j.spec.name,
+                model: &j.spec.model,
+                phase: JobPhase::Running,
+                steps_done: j.steps_done,
+                steps: j.spec.steps,
+                node: Some(node_idx as u32),
+            })
+        });
+        let retrying = self.retries.iter().map(|r| JobView {
+            id: r.job.id.0,
+            name: &r.job.spec.name,
+            model: &r.job.spec.model,
+            phase: JobPhase::Retrying,
+            steps_done: r.job.steps_done,
+            steps: r.job.spec.steps,
+            node: None,
+        });
+        let queued = self.queue.iter().map(|q| JobView {
             id: q.id.0,
-            name: q.spec.name.clone(),
-            model: q.spec.model.clone(),
+            name: &q.spec.name,
+            model: &q.spec.model,
             phase: JobPhase::Queued,
             steps_done: 0,
             steps: q.spec.steps,
             node: None,
-            durability_disabled: self.durability_disabled,
-        })
-    }
-
-    /// Point-in-time views of every job the fleet has admitted — queued,
-    /// running, awaiting re-admission, or completed — sorted by id.
-    pub fn list_jobs(&self) -> Vec<JobStatus> {
-        let mut jobs: Vec<JobStatus> = (0..self.next_id)
-            .filter_map(|id| self.job_status(JobId(id)))
-            .collect();
-        jobs.sort_by_key(|j| j.id);
-        jobs
+        });
+        completed
+            .chain(prior)
+            .chain(running)
+            .chain(retrying)
+            .chain(queued)
     }
 
     /// Submits a job. Queued jobs are placed when `run` executes; a full
@@ -2320,6 +2354,91 @@ mod tests {
             priority: 0,
             weight: 1.0,
         }
+    }
+
+    /// Steps `fleet` one tick at a time, checking after every tick that
+    /// `list_jobs` equals the per-id `job_status` scan. A node crash is armed
+    /// once the first job completes, so the walk passes through states with
+    /// queued, running, retrying and completed jobs at once.
+    #[test]
+    fn list_jobs_matches_per_id_job_status_in_every_phase() {
+        let mut fleet = Fleet::new(FleetConfig {
+            node_count: 2,
+            max_jobs_per_node: 1,
+            ..FleetConfig::default()
+        });
+        let mut graph = DataflowGraph::new();
+        graph.add_op(
+            nnrt_graph::OpKind::MatMul,
+            nnrt_graph::Shape(vec![8, 8]),
+            &[],
+        );
+        for i in 0..8 {
+            fleet
+                .submit(JobSpec {
+                    name: format!("tiny-{i}"),
+                    model: "tiny".to_string(),
+                    graph: graph.clone(),
+                    steps: 3 + i,
+                    priority: 0,
+                    weight: 1.0,
+                })
+                .unwrap();
+        }
+        let mut armed = false;
+        let mut seen_all_phases = false;
+        loop {
+            let per_id: Vec<JobStatus> = (0..fleet.next_job_id())
+                .filter_map(|id| fleet.job_status(JobId(id)))
+                .collect();
+            let listed = fleet.list_jobs();
+            assert_eq!(listed, per_id);
+            // Both paths share one scan, so also pin it to the fleet's lists.
+            for j in &listed {
+                let id = JobId(j.id);
+                let resident_on = fleet
+                    .nodes
+                    .iter()
+                    .position(|n| n.residents.iter().any(|r| r.id == id));
+                let (phase, node) = if let Some(c) = fleet.completed.iter().find(|c| c.id == j.id) {
+                    (JobPhase::Completed, Some(c.node))
+                } else if let Some(n) = resident_on {
+                    (JobPhase::Running, Some(n as u32))
+                } else if fleet.retries.iter().any(|r| r.job.id == id) {
+                    (JobPhase::Retrying, None)
+                } else {
+                    assert!(fleet.queue.iter().any(|q| q.id == id));
+                    (JobPhase::Queued, None)
+                };
+                assert_eq!((j.phase, j.node), (phase, node), "job {}", j.id);
+            }
+            let phases: Vec<JobPhase> = listed.iter().map(|j| j.phase).collect();
+            seen_all_phases |= [
+                JobPhase::Queued,
+                JobPhase::Running,
+                JobPhase::Retrying,
+                JobPhase::Completed,
+            ]
+            .iter()
+            .all(|p| phases.contains(p));
+            if !armed && phases.contains(&JobPhase::Completed) {
+                let node = fleet.nodes.iter().position(|n| !n.residents.is_empty());
+                fleet.set_fault_plan(FaultPlan {
+                    events: vec![FaultEvent::NodeCrash {
+                        node: node.expect("a resident job") as u32,
+                        at: fleet.now(),
+                        down_secs: 1.0,
+                    }],
+                    ..FaultPlan::none()
+                });
+                armed = true;
+            }
+            if !fleet.tick() {
+                break;
+            }
+        }
+        assert!(seen_all_phases, "the walk never held every phase at once");
+        assert_eq!(fleet.list_jobs().len(), 8);
     }
 
     fn gpu_config() -> FleetConfig {

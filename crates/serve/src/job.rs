@@ -161,18 +161,19 @@ impl AdmissionQueue {
             submitted_at: now,
         };
         self.next_seq += 1;
-        // Insert before the first strictly-lower-ranked job; equal ranks
-        // keep submission order (stable FIFO within a class).
-        let rank = |j: &QueuedJob| (j.spec.priority, j.spec.weight);
+        // The queue is sorted by rank, descending, so inserting after the
+        // last job not ranked strictly lower keeps equal ranks in submission
+        // order (stable FIFO within a class). Scanning from the back finds
+        // that spot at once in the common case of equal ranks.
+        let (np, nw) = (job.spec.priority, job.spec.weight);
         let pos = self
             .jobs
             .iter()
-            .position(|queued| {
-                let (qp, qw) = rank(queued);
-                let (np, nw) = rank(&job);
-                qp < np || (qp == np && qw < nw)
+            .rposition(|queued| {
+                let (qp, qw) = (queued.spec.priority, queued.spec.weight);
+                !(qp < np || (qp == np && qw < nw))
             })
-            .unwrap_or(self.jobs.len());
+            .map_or(0, |i| i + 1);
         self.jobs.insert(pos, job);
         Ok(())
     }
@@ -197,6 +198,7 @@ impl AdmissionQueue {
 mod tests {
     use super::*;
     use nnrt_graph::{DataflowGraph, OpInstance, OpKind, Shape};
+    use proptest::prelude::*;
 
     fn tiny_graph() -> DataflowGraph {
         let mut g = DataflowGraph::new();
@@ -285,5 +287,49 @@ mod tests {
             q.submit(JobId(1), empty, 0.0, 0.0),
             Err(AdmitError::EmptyJob { .. })
         ));
+    }
+
+    /// Reference insert rule, scanning from the front: before the first
+    /// strictly-lower-ranked job.
+    fn front_scan_insert(queue: &mut Vec<(u64, u8, f64)>, job: (u64, u8, f64)) {
+        let (_, np, nw) = job;
+        let pos = queue
+            .iter()
+            .position(|&(_, qp, qw)| qp < np || (qp == np && qw < nw))
+            .unwrap_or(queue.len());
+        queue.insert(pos, job);
+    }
+
+    fn arb_op() -> impl Strategy<Value = Option<(u8, f64)>> {
+        // Few distinct ranks, so ties are common; `None` pops.
+        let weight = proptest::sample::select(vec![-1.5, -0.0, 0.0, 0.5, 1.0, 2.0, 1e9]);
+        (0u8..5, 0u8..3, weight).prop_map(|(op, p, w)| (op != 0).then_some((p, w)))
+    }
+
+    proptest! {
+        #[test]
+        fn back_scan_pops_in_the_front_scan_order(
+            ops in proptest::collection::vec(arb_op(), 0..80)
+        ) {
+            let mut q = AdmissionQueue::new(usize::MAX);
+            let mut model: Vec<(u64, u8, f64)> = Vec::new();
+            let mut popped = (Vec::new(), Vec::new());
+            for (id, op) in ops.into_iter().enumerate() {
+                let id = id as u64;
+                match op {
+                    Some((p, w)) => {
+                        q.submit(JobId(id), spec("j", p, w), 0.0, 0.0).unwrap();
+                        front_scan_insert(&mut model, (id, p, w));
+                    }
+                    None => {
+                        popped.0.push(q.pop().map(|j| j.id.0));
+                        popped.1.push((!model.is_empty()).then(|| model.remove(0).0));
+                    }
+                }
+            }
+            popped.0.extend(std::iter::from_fn(|| q.pop()).map(|j| Some(j.id.0)));
+            popped.1.extend(model.into_iter().map(|(id, _, _)| Some(id)));
+            prop_assert_eq!(popped.0, popped.1);
+        }
     }
 }
