@@ -22,10 +22,24 @@ echo "== benchmark smoke (perfbench builds and runs every workload) =="
 # never compiles it; this short run catches API changes that break it.
 python3 perfbench/smoke_test.py --seconds 2
 
-echo "== chaos suite (pinned seed 99) =="
-cargo test -q --offline --test chaos_fleet
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
+
+echo "== paper records (sim-domain results pinned across commits) =="
+# The benches rewrite experiments/<id>.json; each regenerated record must
+# equal the committed one byte for byte.
+paper_records="fig3 fig4 table3 table6"
+for id in $paper_records; do cp "experiments/$id.json" "$tmpdir/$id.json"; done
+cargo bench -q --offline -p nnrt-bench --bench fig3_ablation --bench fig4_corun_events \
+  --bench table3_corun_strategies --bench table6_top_ops > "$tmpdir/paper-records.out"
+for id in $paper_records; do
+  cmp "$tmpdir/$id.json" "experiments/$id.json" \
+    || { echo "experiments/$id.json changed: the paper's simulated results moved" >&2; exit 1; }
+done
+echo "paper records unchanged ($paper_records)"
+
+echo "== chaos suite (pinned seed 99) =="
+cargo test -q --offline --test chaos_fleet
 ./target/release/nnrt serve 8 2 7 --chaos 99 --json > "$tmpdir/chaos-a.json"
 ./target/release/nnrt serve 8 2 7 --chaos 99 --json > "$tmpdir/chaos-b.json"
 cmp "$tmpdir/chaos-a.json" "$tmpdir/chaos-b.json" \

@@ -1,0 +1,149 @@
+//! Pins the exact bits of one simulated training step for every model of
+//! the `nnrt serve` mix, under each strategy set and under the TensorFlow
+//! baseline executor. A step's report is a pure function of the graph and
+//! the configuration, so any change to the engine or the scheduler that
+//! moves a single floating-point bit shows up here, named by model and
+//! configuration.
+//!
+//! The digests in `fixtures/step_golden.txt` are FNV-1a over the bit
+//! patterns of `total_secs`, every `NodeTiming` and every `per_kind` row.
+//! On a mismatch the failure message prints the full recomputed table.
+
+use nnrt_graph::DataflowGraph;
+use nnrt_manycore::KnlCostModel;
+use nnrt_sched::{OpCatalog, Runtime, RuntimeConfig, StepReport, TfExecutor, TfExecutorConfig};
+
+const GOLDEN: &str = include_str!("fixtures/step_golden.txt");
+
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+}
+
+fn digest(report: &StepReport) -> u64 {
+    let mut h = Fnv::new();
+    h.f64(report.total_secs);
+    h.u64(report.timings.len() as u64);
+    for t in &report.timings {
+        h.u64(t.node as u64);
+        h.f64(t.start);
+        h.f64(t.finish);
+        h.f64(t.predicted);
+        h.f64(t.nominal);
+    }
+    // Kinds with exactly equal busy time are listed in hash-map order, so
+    // the rows are hashed in kind order.
+    let mut per_kind = report.per_kind.clone();
+    per_kind.sort_by_key(|&(kind, _, _)| kind);
+    h.u64(per_kind.len() as u64);
+    for &(kind, secs, count) in &per_kind {
+        h.bytes(format!("{kind:?}").as_bytes());
+        h.f64(secs);
+        h.u64(count as u64);
+    }
+    h.0
+}
+
+/// The `nnrt serve` job mix: each model at the batch size the fleet runs.
+fn serve_mix() -> Vec<(&'static str, DataflowGraph)> {
+    vec![
+        ("resnet50/16", nnrt_models::resnet50(16).graph),
+        ("dcgan/16", nnrt_models::dcgan(16).graph),
+        ("inception/4", nnrt_models::inception_v3(4).graph),
+        ("lstm/8", nnrt_models::lstm(8).graph),
+        ("transformer/4", nnrt_models::transformer(4).graph),
+    ]
+}
+
+/// `(model, config, digest)` for every model and configuration.
+fn computed() -> Vec<(String, String, u64)> {
+    let cost = KnlCostModel::knl();
+    let mut rows = Vec::new();
+    for (model, graph) in serve_mix() {
+        for (name, config) in [
+            ("default", RuntimeConfig::default()),
+            ("s12", RuntimeConfig::s12_only()),
+            ("s123", RuntimeConfig::s123()),
+        ] {
+            let rt = Runtime::prepare(&graph, cost.clone(), config);
+            rows.push((
+                model.to_string(),
+                name.to_string(),
+                digest(&rt.run_step(&graph)),
+            ));
+        }
+        let catalog = OpCatalog::new(&graph);
+        // The recommendation runs one op at a time; the 4 x 34 pool puts
+        // several `Shared` placements on the same cores at once.
+        for (name, cfg) in [
+            ("tf-recommendation", TfExecutorConfig::recommendation()),
+            (
+                "tf-inter4-intra34",
+                TfExecutorConfig {
+                    inter_op: 4,
+                    intra_op: 34,
+                },
+            ),
+        ] {
+            let report = TfExecutor::new(cfg).run_step(&graph, &catalog, &cost);
+            rows.push((model.to_string(), name.to_string(), digest(&report)));
+        }
+    }
+    rows
+}
+
+#[test]
+fn step_reports_match_the_golden_digests() {
+    let golden: Vec<(String, String, u64)> = GOLDEN
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let f: Vec<&str> = l.split_whitespace().collect();
+            assert_eq!(f.len(), 3, "malformed fixture line: {l:?}");
+            let d = u64::from_str_radix(f[2], 16).expect("hex digest");
+            (f[0].to_string(), f[1].to_string(), d)
+        })
+        .collect();
+    let rows = computed();
+    let table: String = rows
+        .iter()
+        .map(|(m, c, d)| format!("{m} {c} {d:016x}\n"))
+        .collect();
+    assert_eq!(
+        golden.len(),
+        rows.len(),
+        "fixture has {} rows, computed {}; recomputed table:\n{table}",
+        golden.len(),
+        rows.len()
+    );
+    let mismatched: Vec<String> = rows
+        .iter()
+        .zip(&golden)
+        .filter(|(r, g)| r != g)
+        .map(|((m, c, d), (_, _, want))| format!("{m} under {c}: got {d:016x}, want {want:016x}"))
+        .collect();
+    assert!(
+        mismatched.is_empty(),
+        "step reports changed:\n{}\nrecomputed table:\n{table}",
+        mismatched.join("\n")
+    );
+}
