@@ -60,10 +60,23 @@ fn bench_profiler_and_runtime(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    let rt = Runtime::prepare(&spec.graph, KnlCostModel::knl(), RuntimeConfig::default());
-    c.bench_function("runtime_step_dcgan", |b| {
-        b.iter(|| rt.run_step(black_box(&spec.graph)))
-    });
+    // One simulated training step of every model in the `nnrt serve` mix,
+    // at the batch size the fleet runs it.
+    for spec in [
+        nnrt_models::resnet50(16),
+        nnrt_models::dcgan(16),
+        nnrt_models::inception_v3(4),
+        nnrt_models::lstm(8),
+        nnrt_models::transformer(4),
+    ] {
+        let rt = Runtime::prepare(&spec.graph, KnlCostModel::knl(), RuntimeConfig::default());
+        let name = format!(
+            "runtime_step_{}_{}",
+            spec.name.to_lowercase().replace('-', ""),
+            spec.batch
+        );
+        c.bench_function(&name, |b| b.iter(|| rt.run_step(black_box(&spec.graph))));
+    }
 }
 
 fn bench_kernels(c: &mut Criterion) {

@@ -12,7 +12,7 @@ use crate::hillclimb::{FitOutcome, HillClimbConfig, HillClimbModel};
 use crate::measure::{Measurer, OpCatalog};
 use crate::plan::{PlanPolicy, ThreadPlan};
 use crate::profiler::ProfilerPool;
-use crate::scheduler::{next_launch, SchedulerConfig};
+use crate::scheduler::{SchedulerConfig, StepScheduler};
 use nnrt_graph::{DataflowGraph, OpKind};
 use nnrt_manycore::{EngineEvent, KnlCostModel, NoiseModel};
 use serde::{Deserialize, Serialize};
@@ -331,14 +331,15 @@ impl Runtime {
             prefer_fewest_threads: self.config.prefer_fewest_threads,
         };
         let mut ctx = ExecContext::new(graph, &catalog, &self.cost, self.record_trace);
+        let scheduler = StepScheduler::new(
+            &ctx,
+            &self.plan,
+            self.perf_model.as_ref(),
+            &sched,
+            &self.feedback,
+        );
         loop {
-            while let Some(decision) = next_launch(
-                &ctx,
-                &self.plan,
-                self.perf_model.as_ref(),
-                &sched,
-                &self.feedback,
-            ) {
+            while let Some(decision) = scheduler.next_launch(&ctx) {
                 ctx.launch(decision.launch, decision.predicted);
             }
             if !ctx.advance() {

@@ -23,9 +23,11 @@
 use crate::exec::{ExecContext, Launch};
 use crate::feedback::InterferenceLog;
 use crate::plan::{PerfModel, ThreadPlan};
-use nnrt_graph::{op_key, NodeId};
+use nnrt_graph::{op_key, NodeId, OpAux, OpKey, OpKind, Shape};
 use nnrt_manycore::{CostModel, SharingMode, SlotPreference};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// Scheduler knobs (paper values by default).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,63 +66,82 @@ pub(crate) struct Decision {
     pub predicted: f64,
 }
 
-/// Picks the next launch, or `None` to wait for a completion. `deny` is the
+/// A `(threads, mode, predicted seconds)` launch configuration.
+type Config = (u32, SharingMode, f64);
+
+/// What the scheduler needs to know about one operation — a kind, input
+/// shape and attributes — during a step.
+struct OpPlan {
+    key: OpKey,
+    /// The Strategy-2 planned configuration.
+    planned: Config,
+    /// Predicted serial (1-thread) time — Strategy 4's "small operation"
+    /// metric.
+    serial: f64,
+    /// Where this operation's Strategy-3 candidates sit in
+    /// [`StepScheduler::candidates`], in the order they are tried.
+    candidates: Range<usize>,
+}
+
+/// The co-run scheduler for one training step. `deny` is the
 /// interference-feedback log (§III-D discussion): a ready op never co-runs
 /// with a kind it has been observed to clash with.
-pub(crate) fn next_launch(
-    ctx: &ExecContext<'_>,
-    plan: &ThreadPlan,
-    model: &dyn PerfModel,
-    cfg: &SchedulerConfig,
-    deny: &InterferenceLog,
-) -> Option<Decision> {
-    let ready: Vec<NodeId> = ctx.tracker.ready().collect();
-    if ready.is_empty() {
-        return None;
-    }
-    let running_kinds: Vec<nnrt_graph::OpKind> = ctx
-        .engine
-        .running()
-        .map(|(_, tag)| ctx.graph.op(NodeId(tag as u32)).kind)
-        .collect();
-    let allowed = |kind: nnrt_graph::OpKind| -> bool {
-        running_kinds.iter().all(|&r| !deny.is_denied(kind, r))
-    };
+///
+/// The plan, the model and the graph are fixed while a step runs, and every
+/// node is ready at some point of it, so each node's planned configuration,
+/// candidates and serial time are derived once, up front, rather than on
+/// every poll while the node waits — and once per distinct operation, since
+/// nodes running the same operation get the same answers.
+pub(crate) struct StepScheduler<'a> {
+    plan: &'a ThreadPlan,
+    model: &'a dyn PerfModel,
+    cfg: &'a SchedulerConfig,
+    deny: &'a InterferenceLog,
+    /// Per node: its operation's index in `ops`.
+    op_of: Vec<usize>,
+    ops: Vec<OpPlan>,
+    candidates: Vec<Config>,
+}
 
-    if !cfg.corun {
-        // Serial discipline (inter-op = 1): FIFO with planned thread counts.
-        if ctx.engine.num_running() > 0 {
-            return None;
-        }
-        let node = ready[0];
-        return Some(planned_decision(ctx, plan, model, node));
-    }
-
-    let free = ctx.engine.free_cores();
-    if ctx.engine.num_running() == 0 {
-        // Idle machine: run the most time-consuming ready op (fallback rule).
-        let node = ready
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                let ta = predicted_planned_time(ctx, plan, model, a);
-                let tb = predicted_planned_time(ctx, plan, model, b);
-                ta.partial_cmp(&tb).unwrap()
-            })
-            .expect("ready non-empty");
-        return Some(planned_decision(ctx, plan, model, node));
-    }
-
-    // Strategy 3: find a candidate that fits the idle cores and does not
-    // outlast the ongoing ops.
-    if free > 0 {
-        let max_remaining = ctx.predicted_max_remaining().unwrap_or(0.0);
-        for &node in &ready {
-            if !allowed(ctx.graph.op(node).kind) {
+impl<'a> StepScheduler<'a> {
+    /// Derives every node's scheduling inputs for a step over `ctx`'s graph.
+    pub fn new(
+        ctx: &ExecContext<'_>,
+        plan: &'a ThreadPlan,
+        model: &'a dyn PerfModel,
+        cfg: &'a SchedulerConfig,
+        deny: &'a InterferenceLog,
+    ) -> Self {
+        let mut sched = StepScheduler {
+            plan,
+            model,
+            cfg,
+            deny,
+            op_of: Vec::with_capacity(ctx.graph.len()),
+            ops: Vec::new(),
+            candidates: Vec::new(),
+        };
+        let topo = ctx.engine.topology();
+        let max_threads = topo.num_cores() * topo.smt_per_core;
+        let mut seen: HashMap<(OpKind, &Shape, OpAux), usize> = HashMap::new();
+        for (node, op) in ctx.graph.iter() {
+            let next = sched.ops.len();
+            let index = *seen.entry((op.kind, &op.shape, op.aux)).or_insert(next);
+            sched.op_of.push(index);
+            if index < next {
                 continue;
             }
-            let key = op_key(ctx.graph.op(node).kind, &ctx.graph.op(node).shape);
-            let mut cands = candidate_set(ctx, plan, model, node, cfg);
+            let key = op_key(op.kind, &op.shape);
+            let profile = ctx.catalog.profile(node);
+            let (threads, mode) = plan.threads_for(&key);
+            let threads = threads.min(max_threads).max(1);
+            let predicted = model
+                .predict(&key, threads, mode)
+                .unwrap_or_else(|| ctx.cost.solo_time(profile, threads, mode));
+            let serial = model
+                .predict(&key, 1, SharingMode::Compact)
+                .unwrap_or_else(|| ctx.cost.solo_time(profile, 1, SharingMode::Compact));
+            let mut cands = sched.candidate_set(ctx, node, &key);
             if cfg.prefer_fewest_threads {
                 // Fewest threads first: maximize room for further co-runs
                 // (the paper picks 18 threads over the faster 20).
@@ -128,171 +149,190 @@ pub(crate) fn next_launch(
             } else {
                 cands.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
             }
-            for (threads, mode, predicted) in cands {
-                if threads <= free && predicted <= max_remaining {
-                    let _ = &key;
-                    return Some(Decision {
-                        launch: Launch {
-                            node,
-                            threads,
-                            mode,
-                            slot: SlotPreference::Primary,
-                        },
-                        predicted,
-                    });
+            let start = sched.candidates.len();
+            sched.candidates.extend(cands);
+            sched.ops.push(OpPlan {
+                key,
+                planned: (threads, mode, predicted),
+                serial,
+                candidates: start..sched.candidates.len(),
+            });
+        }
+        sched
+    }
+
+    fn op(&self, node: NodeId) -> &OpPlan {
+        &self.ops[self.op_of[node.0 as usize]]
+    }
+
+    /// Picks the next launch, or `None` to wait for a completion.
+    pub fn next_launch(&self, ctx: &ExecContext<'_>) -> Option<Decision> {
+        let mut ready = ctx.tracker.ready().peekable();
+        let first = *ready.peek()?;
+        let running_kinds: Vec<OpKind> = ctx
+            .engine
+            .running()
+            .map(|(_, tag)| ctx.graph.op(NodeId(tag as u32)).kind)
+            .collect();
+        let allowed =
+            |kind: OpKind| -> bool { running_kinds.iter().all(|&r| !self.deny.is_denied(kind, r)) };
+
+        if !self.cfg.corun {
+            // Serial discipline (inter-op = 1): FIFO with planned thread counts.
+            if ctx.engine.num_running() > 0 {
+                return None;
+            }
+            return Some(self.planned_decision(first));
+        }
+
+        let free = ctx.engine.free_cores();
+        if ctx.engine.num_running() == 0 {
+            // Idle machine: run the most time-consuming ready op (fallback rule).
+            let node = ready
+                .max_by(|&a, &b| {
+                    let ta = self.op(a).planned.2;
+                    let tb = self.op(b).planned.2;
+                    ta.partial_cmp(&tb).unwrap()
+                })
+                .expect("ready non-empty");
+            return Some(self.planned_decision(node));
+        }
+
+        // Strategy 3: find a candidate that fits the idle cores and does not
+        // outlast the ongoing ops.
+        if free > 0 {
+            let max_remaining = ctx.predicted_max_remaining().unwrap_or(0.0);
+            for node in ctx.tracker.ready() {
+                if !allowed(ctx.graph.op(node).kind) {
+                    continue;
+                }
+                for &(threads, mode, predicted) in
+                    &self.candidates[self.op(node).candidates.clone()]
+                {
+                    if threads <= free && predicted <= max_remaining {
+                        return Some(Decision {
+                            launch: Launch {
+                                node,
+                                threads,
+                                mode,
+                                slot: SlotPreference::Primary,
+                            },
+                            predicted,
+                        });
+                    }
                 }
             }
         }
-    }
 
-    // Strategy 4: a full-width op owns every core; co-run the smallest ready
-    // ops on the spare hardware threads.
-    if cfg.hyper_thread && free == 0 {
-        let full_width = ctx.engine.topology().num_cores();
-        let ht_room = ctx.engine.ht_capacity();
-        if ht_room > 0 {
-            // Only when an operation genuinely spans every core (the paper:
-            // "when the runtime finds an operation using 68 cores") — small
-            // co-running ops filling the machine are not an S4 situation.
-            let wide_running = ctx.engine.widest_running_cores() >= full_width;
-            if wide_running {
-                let node = ready
-                    .iter()
-                    .copied()
-                    .filter(|&n| allowed(ctx.graph.op(n).kind))
-                    .min_by(|&a, &b| {
-                        let ta = serial_time(ctx, model, a);
-                        let tb = serial_time(ctx, model, b);
-                        ta.partial_cmp(&tb).unwrap()
-                    })?;
-                let key = op_key(ctx.graph.op(node).kind, &ctx.graph.op(node).shape);
-                let (planned_threads, _) = plan.threads_for(&key);
-                let threads = planned_threads.min(ht_room).max(1);
-                let predicted = model
-                    .predict(&key, threads, SharingMode::Compact)
-                    .unwrap_or_else(|| serial_time(ctx, model, node));
-                // Throughput guards: the scavenger must not outlast the
-                // running ops, and the wide op must keep (an estimated)
-                // >= 85% of its throughput under the SMT pairing. A bad
-                // pairing would be "unexpectedly low performance of
-                // individual operations" — exactly what the paper's
-                // discussion says the runtime should avoid.
-                let max_remaining = ctx.predicted_max_remaining().unwrap_or(0.0);
-                let wide_ok = ctx
-                    .widest_running_profile()
-                    .map(|wide| {
-                        let small = ctx.catalog.profile(node);
-                        let ratio = ctx.cost.params().core_share_ratio(&[
-                            (wide.cache_pressure, wide.mem_intensity, 1),
-                            (small.cache_pressure, small.mem_intensity, 1),
-                        ]);
-                        ratio >= 0.85
-                    })
-                    .unwrap_or(false);
-                if predicted <= max_remaining && wide_ok {
-                    return Some(Decision {
-                        launch: Launch {
-                            node,
-                            threads,
-                            mode: SharingMode::Compact,
-                            slot: SlotPreference::HyperThread,
-                        },
-                        predicted,
-                    });
+        // Strategy 4: a full-width op owns every core; co-run the smallest ready
+        // ops on the spare hardware threads.
+        if self.cfg.hyper_thread && free == 0 {
+            let full_width = ctx.engine.topology().num_cores();
+            let ht_room = ctx.engine.ht_capacity();
+            if ht_room > 0 {
+                // Only when an operation genuinely spans every core (the paper:
+                // "when the runtime finds an operation using 68 cores") — small
+                // co-running ops filling the machine are not an S4 situation.
+                let wide_running = ctx.engine.widest_running_cores() >= full_width;
+                if wide_running {
+                    let node = ctx
+                        .tracker
+                        .ready()
+                        .filter(|&n| allowed(ctx.graph.op(n).kind))
+                        .min_by(|&a, &b| {
+                            let ta = self.op(a).serial;
+                            let tb = self.op(b).serial;
+                            ta.partial_cmp(&tb).unwrap()
+                        })?;
+                    let op = self.op(node);
+                    let (planned_threads, _) = self.plan.threads_for(&op.key);
+                    let threads = planned_threads.min(ht_room).max(1);
+                    let predicted = self
+                        .model
+                        .predict(&op.key, threads, SharingMode::Compact)
+                        .unwrap_or(op.serial);
+                    // Throughput guards: the scavenger must not outlast the
+                    // running ops, and the wide op must keep (an estimated)
+                    // >= 85% of its throughput under the SMT pairing. A bad
+                    // pairing would be "unexpectedly low performance of
+                    // individual operations" — exactly what the paper's
+                    // discussion says the runtime should avoid.
+                    let max_remaining = ctx.predicted_max_remaining().unwrap_or(0.0);
+                    let wide_ok = ctx
+                        .widest_running_profile()
+                        .map(|wide| {
+                            let small = ctx.catalog.profile(node);
+                            let ratio = ctx.cost.params().core_share_ratio(&[
+                                (wide.cache_pressure, wide.mem_intensity, 1),
+                                (small.cache_pressure, small.mem_intensity, 1),
+                            ]);
+                            ratio >= 0.85
+                        })
+                        .unwrap_or(false);
+                    if predicted <= max_remaining && wide_ok {
+                        return Some(Decision {
+                            launch: Launch {
+                                node,
+                                threads,
+                                mode: SharingMode::Compact,
+                                slot: SlotPreference::HyperThread,
+                            },
+                            predicted,
+                        });
+                    }
                 }
             }
         }
+
+        None
     }
 
-    None
-}
-
-/// The candidate `(threads, mode, predicted)` set of a ready op, with the
-/// S2-consistency override applied.
-fn candidate_set(
-    ctx: &ExecContext<'_>,
-    plan: &ThreadPlan,
-    model: &dyn PerfModel,
-    node: NodeId,
-    cfg: &SchedulerConfig,
-) -> Vec<(u32, SharingMode, f64)> {
-    let op = ctx.graph.op(node);
-    let key = op_key(op.kind, &op.shape);
-    if !op.kind.is_tunable() {
-        // Eigen ops: the framework default is the only option.
-        let (threads, mode) = plan.threads_for(&key);
-        let predicted = model
-            .predict(&key, threads, mode)
-            .unwrap_or_else(|| ctx.cost.solo_time(ctx.catalog.profile(node), threads, mode));
-        return vec![(threads, mode, predicted)];
-    }
-    let (planned_threads, planned_mode) = plan.threads_for(&key);
-    let mut cands = model.candidates(&key, cfg.candidates);
-    if cands.is_empty() {
-        let predicted =
-            ctx.cost
-                .solo_time(ctx.catalog.profile(node), planned_threads, planned_mode);
-        return vec![(planned_threads, planned_mode, predicted)];
-    }
-    for cand in &mut cands {
-        if cand.0.abs_diff(planned_threads) > cfg.s2_tolerance {
-            // Disruptive concurrency change: fall back to the planned count.
-            let t = model
-                .predict(&key, planned_threads, planned_mode)
-                .unwrap_or(cand.2);
-            *cand = (planned_threads, planned_mode, t);
+    /// Decision for launching `node` with its planned configuration.
+    fn planned_decision(&self, node: NodeId) -> Decision {
+        let (threads, mode, predicted) = self.op(node).planned;
+        Decision {
+            launch: Launch {
+                node,
+                threads,
+                mode,
+                slot: SlotPreference::Primary,
+            },
+            predicted,
         }
     }
-    cands.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
-    cands.dedup_by_key(|c| c.0);
-    cands
-}
 
-/// Decision for launching `node` with its planned configuration.
-fn planned_decision(
-    ctx: &ExecContext<'_>,
-    plan: &ThreadPlan,
-    model: &dyn PerfModel,
-    node: NodeId,
-) -> Decision {
-    let op = ctx.graph.op(node);
-    let key = op_key(op.kind, &op.shape);
-    let (threads, mode) = plan.threads_for(&key);
-    let max = ctx.engine.topology().num_cores() * ctx.engine.topology().smt_per_core;
-    let threads = threads.min(max).max(1);
-    let predicted = model
-        .predict(&key, threads, mode)
-        .unwrap_or_else(|| ctx.cost.solo_time(ctx.catalog.profile(node), threads, mode));
-    Decision {
-        launch: Launch {
-            node,
-            threads,
-            mode,
-            slot: SlotPreference::Primary,
-        },
-        predicted,
+    /// The candidate set of a ready op, with the S2-consistency override
+    /// applied, fastest first.
+    fn candidate_set(&self, ctx: &ExecContext<'_>, node: NodeId, key: &OpKey) -> Vec<Config> {
+        let profile = ctx.catalog.profile(node);
+        let (planned_threads, planned_mode) = self.plan.threads_for(key);
+        if !ctx.graph.op(node).kind.is_tunable() {
+            // Eigen ops: the framework default is the only option.
+            let predicted = self
+                .model
+                .predict(key, planned_threads, planned_mode)
+                .unwrap_or_else(|| ctx.cost.solo_time(profile, planned_threads, planned_mode));
+            return vec![(planned_threads, planned_mode, predicted)];
+        }
+        let mut cands = self.model.candidates(key, self.cfg.candidates);
+        if cands.is_empty() {
+            let predicted = ctx.cost.solo_time(profile, planned_threads, planned_mode);
+            return vec![(planned_threads, planned_mode, predicted)];
+        }
+        for cand in &mut cands {
+            if cand.0.abs_diff(planned_threads) > self.cfg.s2_tolerance {
+                // Disruptive concurrency change: fall back to the planned count.
+                let t = self
+                    .model
+                    .predict(key, planned_threads, planned_mode)
+                    .unwrap_or(cand.2);
+                *cand = (planned_threads, planned_mode, t);
+            }
+        }
+        cands.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
+        cands.dedup_by_key(|c| c.0);
+        cands
     }
-}
-
-fn predicted_planned_time(
-    ctx: &ExecContext<'_>,
-    plan: &ThreadPlan,
-    model: &dyn PerfModel,
-    node: NodeId,
-) -> f64 {
-    planned_decision(ctx, plan, model, node).predicted
-}
-
-/// Predicted serial (1-thread) time — Strategy 4's "small operation" metric.
-fn serial_time(ctx: &ExecContext<'_>, model: &dyn PerfModel, node: NodeId) -> f64 {
-    let op = ctx.graph.op(node);
-    let key = op_key(op.kind, &op.shape);
-    model
-        .predict(&key, 1, SharingMode::Compact)
-        .unwrap_or_else(|| {
-            ctx.cost
-                .solo_time(ctx.catalog.profile(node), 1, SharingMode::Compact)
-        })
 }
 
 #[cfg(test)]
@@ -342,17 +382,18 @@ mod tests {
             hyper_thread: false,
             ..Default::default()
         };
+        let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
-        let d1 =
-            next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new()).expect("first launch");
+        let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
+        let d1 = sched.next_launch(&ctx).expect("first launch");
         let predicted = d1.predicted;
         ctx.launch(d1.launch, predicted);
         assert!(
-            next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new()).is_none(),
+            sched.next_launch(&ctx).is_none(),
             "serial mode must not co-run"
         );
         assert!(ctx.advance());
-        assert!(next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new()).is_some());
+        assert!(sched.next_launch(&ctx).is_some());
     }
 
     #[test]
@@ -360,9 +401,11 @@ mod tests {
         let g = pair_graph();
         let (catalog, model, plan, cost) = fitted(&g);
         let cfg = SchedulerConfig::default();
+        let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
+        let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
         // Idle machine: most time-consuming op launches with planned threads.
-        let d1 = next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new()).expect("first");
+        let d1 = sched.next_launch(&ctx).expect("first");
         let p1 = d1.launch.threads;
         assert!(
             p1 < 68,
@@ -371,8 +414,7 @@ mod tests {
         let pred = d1.predicted;
         ctx.launch(d1.launch, pred);
         // The sibling fits into the leftover cores (same predicted time).
-        let d2 = next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new())
-            .expect("sibling co-runs");
+        let d2 = sched.next_launch(&ctx).expect("sibling co-runs");
         assert!(d2.launch.threads <= 68 - p1);
         assert_eq!(d2.launch.slot, SlotPreference::Primary);
     }
@@ -386,9 +428,11 @@ mod tests {
         g.add(conv(Shape::nhwc(64, 17, 17, 512)), &[]); // huge
         let (catalog, model, plan, cost) = fitted(&g);
         let cfg = SchedulerConfig::default();
+        let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
+        let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
         // Idle-machine rule: the HUGE op launches first (most time-consuming).
-        let d1 = next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new()).expect("first");
+        let d1 = sched.next_launch(&ctx).expect("first");
         assert_eq!(
             ctx.graph.op(d1.launch.node).shape,
             Shape::nhwc(64, 17, 17, 512)
@@ -396,7 +440,7 @@ mod tests {
         let pred = d1.predicted;
         ctx.launch(d1.launch, pred);
         // The tiny op fits and finishes earlier: it may co-run.
-        if let Some(d2) = next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new()) {
+        if let Some(d2) = sched.next_launch(&ctx) {
             assert!(d2.predicted <= pred);
         }
     }
@@ -410,7 +454,10 @@ mod tests {
             s2_tolerance: 0,
             ..Default::default()
         };
-        let d = next_launch(&ctx, &plan, &model, &tight, &InterferenceLog::new()).expect("launch");
+        let deny = InterferenceLog::new();
+        let d = StepScheduler::new(&ctx, &plan, &model, &tight, &deny)
+            .next_launch(&ctx)
+            .expect("launch");
         let key = nnrt_graph::op_key(
             ctx.graph.op(d.launch.node).kind,
             &ctx.graph.op(d.launch.node).shape,
@@ -431,14 +478,11 @@ mod tests {
         );
         let (catalog, model, plan, cost) = fitted(&g);
         let ctx = ExecContext::new(&g, &catalog, &cost, false);
-        let d = next_launch(
-            &ctx,
-            &plan,
-            &model,
-            &SchedulerConfig::default(),
-            &InterferenceLog::new(),
-        )
-        .expect("launch");
+        let cfg = SchedulerConfig::default();
+        let deny = InterferenceLog::new();
+        let d = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny)
+            .next_launch(&ctx)
+            .expect("launch");
         assert_eq!(d.launch.threads, 68, "non-tunable kinds run at the default");
     }
 
@@ -449,12 +493,14 @@ mod tests {
         g.add(conv(Shape::nhwc(8, 8, 8, 64)), &[a]); // depends on a
         let (catalog, model, plan, cost) = fitted(&g);
         let cfg = SchedulerConfig::default();
+        let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
-        let d = next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new()).unwrap();
+        let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
+        let d = sched.next_launch(&ctx).unwrap();
         let pred = d.predicted;
         ctx.launch(d.launch, pred);
         // The successor is not ready while its predecessor runs.
-        assert!(next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new()).is_none());
+        assert!(sched.next_launch(&ctx).is_none());
     }
 
     #[test]
@@ -471,14 +517,16 @@ mod tests {
         }
         let (catalog, model, plan, cost) = fitted(&g);
         let cfg = SchedulerConfig::default();
+        let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
+        let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
         // Launch the wide op (it is the most time-consuming).
-        let d = next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new()).unwrap();
+        let d = sched.next_launch(&ctx).unwrap();
         assert_eq!(d.launch.threads, 68);
         let pred = d.predicted;
         ctx.launch(d.launch, pred);
         // Free cores = 0; any further launch must be an HT scavenger.
-        if let Some(d2) = next_launch(&ctx, &plan, &model, &cfg, &InterferenceLog::new()) {
+        if let Some(d2) = sched.next_launch(&ctx) {
             assert_eq!(d2.launch.slot, SlotPreference::HyperThread);
         }
         // With S4 disabled, nothing launches at all.
@@ -487,9 +535,10 @@ mod tests {
             ..cfg
         };
         let mut ctx2 = ExecContext::new(&g, &catalog, &cost, false);
-        let d = next_launch(&ctx2, &plan, &model, &no_s4, &InterferenceLog::new()).unwrap();
+        let sched = StepScheduler::new(&ctx2, &plan, &model, &no_s4, &deny);
+        let d = sched.next_launch(&ctx2).unwrap();
         let pred = d.predicted;
         ctx2.launch(d.launch, pred);
-        assert!(next_launch(&ctx2, &plan, &model, &no_s4, &InterferenceLog::new()).is_none());
+        assert!(sched.next_launch(&ctx2).is_none());
     }
 }

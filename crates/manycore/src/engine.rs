@@ -26,7 +26,6 @@ use crate::placement::{CoreMap, Placement, PlacementRequest};
 use crate::topology::Topology;
 use crate::workload::WorkProfile;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Engine-assigned job identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -76,6 +75,7 @@ pub struct JobOutcome {
 
 #[derive(Debug, Clone)]
 struct Running {
+    id: u64,
     tag: u64,
     profile: WorkProfile,
     placement: Placement,
@@ -85,6 +85,23 @@ struct Running {
     /// Current progress rate in solo-seconds per simulated second (<= 1).
     rate: f64,
     started: f64,
+    /// Memory-bandwidth demand: `mem_intensity` scaled by the share of
+    /// physical cores the job holds.
+    demand: f64,
+    /// Cache/mesh footprint: `cache_pressure` scaled the same way.
+    footprint: f64,
+    /// Bit `c % 64` of word `c / 64` is set when the job holds core `c`.
+    core_mask: Vec<u64>,
+}
+
+impl Running {
+    /// Whether the two jobs have no physical core in common.
+    fn disjoint_from(&self, other: &Running) -> bool {
+        self.core_mask
+            .iter()
+            .zip(&other.core_mask)
+            .all(|(a, b)| a & b == 0)
+    }
 }
 
 /// The discrete-event co-run engine.
@@ -92,7 +109,20 @@ struct Running {
 pub struct Engine {
     params: KnlParams,
     map: CoreMap,
-    jobs: BTreeMap<u64, Running>,
+    /// Running jobs in id (launch) order.
+    jobs: Vec<Running>,
+    /// Per physical core, the `(job id, contexts)` of every job holding a
+    /// context there, in id order.
+    residents: Vec<Vec<(u64, u32)>>,
+    /// Scratch for [`Engine::recompute_rates`], parallel to `jobs`: each
+    /// job's context-weighted sum of per-core issue ratios, and its
+    /// context count.
+    smt_ratio: Vec<(f64, f64)>,
+    /// Scratch for [`Engine::recompute_rates`]: one shared core's residents
+    /// as [`KnlParams::core_share_ratio`] takes them, and each one's
+    /// `(index in jobs, ratio relative to running alone)`.
+    core_residents: Vec<(f64, f64, u32)>,
+    core_shares: Vec<(usize, f64)>,
     now: f64,
     next_id: u64,
     trace: Vec<EngineEvent>,
@@ -102,10 +132,15 @@ pub struct Engine {
 impl Engine {
     /// A fresh engine over `topo` with interference constants from `params`.
     pub fn new(topo: Topology, params: KnlParams) -> Self {
+        let cores = topo.num_cores() as usize;
         Engine {
             params,
             map: CoreMap::new(topo),
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
+            residents: vec![Vec::new(); cores],
+            smt_ratio: Vec::new(),
+            core_residents: Vec::new(),
+            core_shares: Vec::new(),
             now: 0.0,
             next_id: 0,
             trace: Vec::new(),
@@ -153,7 +188,7 @@ impl Engine {
     /// Strategy 4 triggers only when some op spans the whole machine.
     pub fn widest_running_cores(&self) -> u32 {
         self.jobs
-            .values()
+            .iter()
             .map(|r| r.placement.num_cores())
             .max()
             .unwrap_or(0)
@@ -162,7 +197,7 @@ impl Engine {
     /// The widest running job's `(tag, cores, profile)`, if any.
     pub fn widest_running(&self) -> Option<(u64, u32, WorkProfile)> {
         self.jobs
-            .values()
+            .iter()
             .max_by_key(|r| r.placement.num_cores())
             .map(|r| (r.tag, r.placement.num_cores(), r.profile))
     }
@@ -174,15 +209,16 @@ impl Engine {
 
     /// Ids and tags of running jobs.
     pub fn running(&self) -> impl Iterator<Item = (JobId, u64)> + '_ {
-        self.jobs.iter().map(|(&id, r)| (JobId(id), r.tag))
+        self.jobs.iter().map(|r| (JobId(r.id), r.tag))
     }
 
     /// Estimated wall-clock seconds until `job` finishes at current rates.
     pub fn remaining_secs(&self, job: JobId) -> Result<f64, MachineError> {
         let r = self
             .jobs
-            .get(&job.0)
-            .ok_or(MachineError::UnknownJob(job.0))?;
+            .binary_search_by_key(&job.0, |r| r.id)
+            .map(|i| &self.jobs[i])
+            .map_err(|_| MachineError::UnknownJob(job.0))?;
         Ok(r.remaining / r.rate.max(1e-12))
     }
 
@@ -190,8 +226,8 @@ impl Engine {
     /// paper's Strategy 3: a candidate must not outlast the ongoing ops).
     pub fn max_remaining_secs(&self) -> Option<f64> {
         self.jobs
-            .keys()
-            .map(|&id| self.remaining_secs(JobId(id)).expect("job exists"))
+            .iter()
+            .map(|r| r.remaining / r.rate.max(1e-12))
             .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
     }
 
@@ -221,22 +257,31 @@ impl Engine {
             )));
         }
         profile.validate().map_err(MachineError::InvalidRequest)?;
-        self.settle();
         let placement = self.map.allocate(request)?;
         let id = self.next_id;
         self.next_id += 1;
-        self.jobs.insert(
+        let ncores = self.residents.len();
+        let mut core_mask = vec![0u64; ncores.div_ceil(64)];
+        for &(core, ctx) in &placement.cores {
+            let c = core.0 as usize;
+            core_mask[c / 64] |= 1 << (c % 64);
+            // Ids only grow, so pushing keeps every core's list in id order.
+            self.residents[c].push((id, ctx));
+        }
+        let cores = placement.num_cores() as f64;
+        self.jobs.push(Running {
             id,
-            Running {
-                tag,
-                profile,
-                placement,
-                nominal,
-                remaining: nominal.max(1e-12),
-                rate: 1.0,
-                started: self.now,
-            },
-        );
+            tag,
+            profile,
+            demand: profile.mem_intensity * cores / ncores as f64,
+            footprint: profile.cache_pressure * cores / ncores as f64,
+            placement,
+            nominal,
+            remaining: nominal.max(1e-12),
+            rate: 1.0,
+            started: self.now,
+            core_mask,
+        });
         self.recompute_rates();
         if self.record_trace {
             self.trace.push(EngineEvent {
@@ -253,27 +298,27 @@ impl Engine {
     /// Advances simulated time to the next completion and returns it, or
     /// `None` if nothing is running.
     pub fn advance_next(&mut self) -> Option<JobOutcome> {
-        let (&min_id, _) = self.jobs.iter().min_by(|a, b| {
-            let ta = a.1.remaining / a.1.rate.max(1e-12);
-            let tb = b.1.remaining / b.1.rate.max(1e-12);
-            ta.partial_cmp(&tb).unwrap().then(a.0.cmp(b.0))
+        let (index, next) = self.jobs.iter().enumerate().min_by(|(_, a), (_, b)| {
+            let ta = a.remaining / a.rate.max(1e-12);
+            let tb = b.remaining / b.rate.max(1e-12);
+            ta.partial_cmp(&tb).unwrap().then(a.id.cmp(&b.id))
         })?;
-        let dt = {
-            let r = &self.jobs[&min_id];
-            r.remaining / r.rate.max(1e-12)
-        };
+        let dt = next.remaining / next.rate.max(1e-12);
         self.now += dt;
-        for r in self.jobs.values_mut() {
+        for r in self.jobs.iter_mut() {
             r.remaining = (r.remaining - dt * r.rate).max(0.0);
         }
-        let finished = self.jobs.remove(&min_id).expect("selected job exists");
+        let finished = self.jobs.remove(index);
+        for &(core, _) in &finished.placement.cores {
+            self.residents[core.0 as usize].retain(|&(id, _)| id != finished.id);
+        }
         self.map.release(&finished.placement);
         self.recompute_rates();
         if self.record_trace {
             self.trace.push(EngineEvent {
                 time: self.now,
                 kind: EventKind::Finish,
-                job: JobId(min_id),
+                job: JobId(finished.id),
                 tag: finished.tag,
                 // "The number of co-running operations at the moment" of the
                 // event (the paper's Figure 4): the finishing op is still
@@ -282,7 +327,7 @@ impl Engine {
             });
         }
         Some(JobOutcome {
-            job: JobId(min_id),
+            job: JobId(finished.id),
             tag: finished.tag,
             start: finished.started,
             finish: self.now,
@@ -301,104 +346,93 @@ impl Engine {
         out
     }
 
-    /// Applies elapsed progress at current rates without crossing any
-    /// completion (internal, called before machine-state changes).
-    fn settle(&mut self) {
-        // Rates only change at launch/finish boundaries; between calls no
-        // time passes implicitly, so there is nothing to do. Kept as an
-        // explicit hook so alternative time sources can be added.
-    }
-
     /// Recomputes every running job's progress rate from the current
     /// co-residency and bandwidth demands.
+    ///
+    /// Sums run in a fixed order — bandwidth and footprint sums over jobs
+    /// in id order, each job's per-core ratios in core order — so a rate
+    /// depends only on which jobs run where, never on how they got there.
     fn recompute_rates(&mut self) {
-        if self.jobs.is_empty() {
+        let Engine {
+            params,
+            jobs,
+            residents,
+            smt_ratio,
+            core_residents,
+            core_shares,
+            ..
+        } = self;
+        if jobs.len() <= 1 {
+            // A job alone on the machine holds every one of its cores
+            // exclusively and has no co-runner to contend with: each factor
+            // below is exactly 1.
+            if let Some(only) = jobs.first_mut() {
+                only.rate = 1.0;
+            }
             return;
         }
-        let ncores = self.map.topology().num_cores() as f64;
-
-        // Per-core residency: (job id, contexts, pressure, weight).
-        let mut residents: BTreeMap<u32, Vec<(u64, u32)>> = BTreeMap::new();
-        for (&id, r) in &self.jobs {
-            for &(core, ctx) in &r.placement.cores {
-                residents.entry(core.0).or_default().push((id, ctx));
-            }
-        }
-
-        // Total bandwidth demand and cache/mesh footprint.
-        let demand: BTreeMap<u64, f64> = self
-            .jobs
-            .iter()
-            .map(|(&id, r)| {
-                (
-                    id,
-                    r.profile.mem_intensity * r.placement.num_cores() as f64 / ncores,
-                )
-            })
-            .collect();
-        let total_demand: f64 = demand.values().sum();
-        let footprint: BTreeMap<u64, f64> = self
-            .jobs
-            .iter()
-            .map(|(&id, r)| {
-                (
-                    id,
-                    r.profile.cache_pressure * r.placement.num_cores() as f64 / ncores,
-                )
-            })
-            .collect();
-        let total_footprint: f64 = footprint.values().sum();
-
-        let params = self.params.clone();
+        let index_of = |id: u64| {
+            jobs.binary_search_by_key(&id, |r| r.id)
+                .expect("a resident job is running")
+        };
 
         // Per-core sharing model (see `KnlParams::core_share_ratio`): each
         // resident context demands issue capacity proportional to its
         // compute-boundness — a memory-stalled streaming op barely uses the
         // pipeline, so its SMT sibling runs almost for free, which is what
         // makes the paper's Strategy 4 profitable.
-        let mut core_ratio: BTreeMap<u64, (f64, f64)> = BTreeMap::new(); // (sum, ctxs)
-        for (_core, occupants) in residents.iter() {
-            let distinct: Vec<u64> = {
-                let mut v: Vec<u64> = occupants.iter().map(|&(id, _)| id).collect();
-                v.dedup();
-                v
-            };
-            if distinct.len() == 1 {
-                let (id, ctx) = occupants[0];
-                let e = core_ratio.entry(id).or_insert((0.0, 0.0));
-                e.0 += ctx as f64; // ratio 1.0 per context
-                e.1 += ctx as f64;
-                continue;
-            }
-            let tuples: Vec<(f64, f64, u32)> = occupants
-                .iter()
-                .map(|&(id, c)| {
-                    let prof = &self.jobs[&id].profile;
-                    (prof.cache_pressure, prof.mem_intensity, c)
-                })
-                .collect();
-            let ratio = params.core_share_ratio(&tuples);
-            for &(id, ctx) in occupants {
-                // Normalize against what the job's nominal duration already
-                // priced in: a depth-2 job's own SMT cost is in its nominal,
-                // only the *extra* slowdown from foreign contexts counts.
-                let prof = &self.jobs[&id].profile;
-                let alone =
-                    params.exclusive_share_ratio(prof.cache_pressure, prof.mem_intensity, ctx);
-                let relative = (ratio / alone).min(1.0);
-                let e = core_ratio.entry(id).or_insert((0.0, 0.0));
-                e.0 += relative * ctx as f64;
-                e.1 += ctx as f64;
+        smt_ratio.clear();
+        smt_ratio.resize(jobs.len(), (0.0, 0.0));
+        let mut last_shared: &[(u64, u32)] = &[];
+        for occupants in residents.iter() {
+            match occupants.as_slice() {
+                [] => {}
+                &[(id, ctx)] => {
+                    let e = &mut smt_ratio[index_of(id)];
+                    e.0 += ctx as f64; // ratio 1.0 per context
+                    e.1 += ctx as f64;
+                }
+                shared => {
+                    // Cores holding the same contexts of the same jobs share
+                    // one outcome (a scavenger riding a wide op looks alike
+                    // on every core it touches), so it is derived once.
+                    if shared != last_shared {
+                        core_residents.clear();
+                        core_residents.extend(shared.iter().map(|&(id, ctx)| {
+                            let prof = &jobs[index_of(id)].profile;
+                            (prof.cache_pressure, prof.mem_intensity, ctx)
+                        }));
+                        let ratio = params.core_share_ratio(core_residents);
+                        core_shares.clear();
+                        core_shares.extend(shared.iter().zip(core_residents.iter()).map(
+                            |(&(id, ctx), &(pressure, mem, _))| {
+                                // Normalize against what the job's nominal
+                                // duration already priced in: a depth-2 job's
+                                // own SMT cost is in its nominal, only the
+                                // *extra* slowdown from foreign contexts
+                                // counts.
+                                let alone = params.exclusive_share_ratio(pressure, mem, ctx);
+                                (index_of(id), (ratio / alone).min(1.0))
+                            },
+                        ));
+                        last_shared = shared;
+                    }
+                    for (&(_, ctx), &(i, relative)) in shared.iter().zip(core_shares.iter()) {
+                        let e = &mut smt_ratio[i];
+                        e.0 += relative * ctx as f64;
+                        e.1 += ctx as f64;
+                    }
+                }
             }
         }
 
-        let ids: Vec<u64> = self.jobs.keys().copied().collect();
-        for id in ids {
-            let (sum, ctxs) = core_ratio.get(&id).copied().unwrap_or((1.0, 1.0));
+        let total_demand: f64 = jobs.iter().map(|r| r.demand).sum();
+        for i in 0..jobs.len() {
+            let (sum, ctxs) = smt_ratio[i];
             let smt_factor = if ctxs > 0.0 { sum / ctxs } else { 1.0 };
-            let bw_others = total_demand - demand[&id];
-            let bw_factor = 1.0
-                + self.params.bw_interference * self.jobs[&id].profile.mem_intensity * bw_others;
+            let me = &jobs[i];
+            let bw_others = total_demand - me.demand;
+            let bw_factor = 1.0 + params.bw_interference * me.profile.mem_intensity * bw_others;
             // Cross-job cache/mesh interference: core-disjoint co-runners
             // slosh each other's tiles through the mesh. Same-core contention
             // is already captured by the SMT share model, so only jobs with
@@ -406,35 +440,20 @@ impl Engine {
             // (Table III's 34+34 split wins big); two or more multiply the
             // directory and mesh traffic, which is what keeps three- and
             // four-way co-running from scaling linearly.
-            let my_cores: std::collections::BTreeSet<u32> = self.jobs[&id]
-                .placement
-                .cores
+            let mut disjoint = 0;
+            let cache_others: f64 = jobs
                 .iter()
-                .map(|&(c, _)| c.0)
-                .collect();
-            let disjoint: Vec<u64> = self
-                .jobs
-                .iter()
-                .filter(|&(&k, other)| {
-                    k != id
-                        && other
-                            .placement
-                            .cores
-                            .iter()
-                            .all(|&(c, _)| !my_cores.contains(&c.0))
+                .enumerate()
+                .filter(|&(k, other)| k != i && other.disjoint_from(me))
+                .map(|(_, other)| {
+                    disjoint += 1;
+                    other.footprint
                 })
-                .map(|(&k, _)| k)
-                .collect();
-            let cache_others: f64 = disjoint.iter().map(|k| footprint[k]).sum();
-            let crowding = if disjoint.len() >= 2 { 6.0 } else { 1.0 };
-            let _ = total_footprint;
+                .sum();
+            let crowding = if disjoint >= 2 { 6.0 } else { 1.0 };
             let cache_factor = 1.0
-                + self.params.cache_interference
-                    * crowding
-                    * self.jobs[&id].profile.cache_pressure
-                    * cache_others;
-            let r = self.jobs.get_mut(&id).expect("job exists");
-            r.rate = (smt_factor / (bw_factor * cache_factor)).clamp(1e-9, 1.0);
+                + params.cache_interference * crowding * me.profile.cache_pressure * cache_others;
+            jobs[i].rate = (smt_factor / (bw_factor * cache_factor)).clamp(1e-9, 1.0);
         }
     }
 }
@@ -443,6 +462,8 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::placement::{PlacementRequest, SharingMode};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn engine() -> Engine {
         Engine::new(Topology::knl(), KnlParams::default())
@@ -626,5 +647,230 @@ mod tests {
     fn advance_on_empty_engine_is_none() {
         let mut e = engine();
         assert!(e.advance_next().is_none());
+    }
+
+    /// Reference rates: the original allocation-heavy formulation of
+    /// [`Engine::recompute_rates`] (per-call maps, a set per job, pairwise
+    /// disjointness scans), kept as the oracle the engine must match bit
+    /// for bit.
+    fn reference_rates(e: &Engine) -> BTreeMap<u64, f64> {
+        let jobs: BTreeMap<u64, &Running> = e.jobs.iter().map(|r| (r.id, r)).collect();
+        let mut rates = BTreeMap::new();
+        if jobs.is_empty() {
+            return rates;
+        }
+        let ncores = e.map.topology().num_cores() as f64;
+
+        let mut residents: BTreeMap<u32, Vec<(u64, u32)>> = BTreeMap::new();
+        for (&id, r) in &jobs {
+            for &(core, ctx) in &r.placement.cores {
+                residents.entry(core.0).or_default().push((id, ctx));
+            }
+        }
+
+        let demand: BTreeMap<u64, f64> = jobs
+            .iter()
+            .map(|(&id, r)| {
+                (
+                    id,
+                    r.profile.mem_intensity * r.placement.num_cores() as f64 / ncores,
+                )
+            })
+            .collect();
+        let total_demand: f64 = demand.values().sum();
+        let footprint: BTreeMap<u64, f64> = jobs
+            .iter()
+            .map(|(&id, r)| {
+                (
+                    id,
+                    r.profile.cache_pressure * r.placement.num_cores() as f64 / ncores,
+                )
+            })
+            .collect();
+
+        let params = e.params.clone();
+        let mut core_ratio: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
+        for occupants in residents.values() {
+            let distinct: Vec<u64> = {
+                let mut v: Vec<u64> = occupants.iter().map(|&(id, _)| id).collect();
+                v.dedup();
+                v
+            };
+            if distinct.len() == 1 {
+                let (id, ctx) = occupants[0];
+                let e = core_ratio.entry(id).or_insert((0.0, 0.0));
+                e.0 += ctx as f64;
+                e.1 += ctx as f64;
+                continue;
+            }
+            let tuples: Vec<(f64, f64, u32)> = occupants
+                .iter()
+                .map(|&(id, c)| {
+                    let prof = &jobs[&id].profile;
+                    (prof.cache_pressure, prof.mem_intensity, c)
+                })
+                .collect();
+            let ratio = params.core_share_ratio(&tuples);
+            for &(id, ctx) in occupants {
+                let prof = &jobs[&id].profile;
+                let alone =
+                    params.exclusive_share_ratio(prof.cache_pressure, prof.mem_intensity, ctx);
+                let relative = (ratio / alone).min(1.0);
+                let e = core_ratio.entry(id).or_insert((0.0, 0.0));
+                e.0 += relative * ctx as f64;
+                e.1 += ctx as f64;
+            }
+        }
+
+        for &id in jobs.keys() {
+            let (sum, ctxs) = core_ratio.get(&id).copied().unwrap_or((1.0, 1.0));
+            let smt_factor = if ctxs > 0.0 { sum / ctxs } else { 1.0 };
+            let bw_others = total_demand - demand[&id];
+            let bw_factor =
+                1.0 + params.bw_interference * jobs[&id].profile.mem_intensity * bw_others;
+            let my_cores: std::collections::BTreeSet<u32> = jobs[&id]
+                .placement
+                .cores
+                .iter()
+                .map(|&(c, _)| c.0)
+                .collect();
+            let disjoint: Vec<u64> = jobs
+                .iter()
+                .filter(|&(&k, other)| {
+                    k != id
+                        && other
+                            .placement
+                            .cores
+                            .iter()
+                            .all(|&(c, _)| !my_cores.contains(&c.0))
+                })
+                .map(|(&k, _)| k)
+                .collect();
+            let cache_others: f64 = disjoint.iter().map(|k| footprint[k]).sum();
+            let crowding = if disjoint.len() >= 2 { 6.0 } else { 1.0 };
+            let cache_factor = 1.0
+                + params.cache_interference
+                    * crowding
+                    * jobs[&id].profile.cache_pressure
+                    * cache_others;
+            rates.insert(
+                id,
+                (smt_factor / (bw_factor * cache_factor)).clamp(1e-9, 1.0),
+            );
+        }
+        rates
+    }
+
+    /// Overwrites every running job's rate with the reference's, turning a
+    /// second engine into the reference engine.
+    fn pin_reference_rates(e: &mut Engine) {
+        let rates = reference_rates(e);
+        for r in &mut e.jobs {
+            r.rate = rates[&r.id];
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Launch(WorkProfile, f64, PlacementRequest),
+        Advance,
+    }
+
+    fn arb_request() -> impl Strategy<Value = PlacementRequest> {
+        prop_oneof![
+            (1u32..=80).prop_map(|t| PlacementRequest::primary(t, SharingMode::Compact)),
+            (1u32..=80).prop_map(|t| PlacementRequest::primary(t, SharingMode::Scatter)),
+            (1u32..=68).prop_map(PlacementRequest::hyper_thread),
+            (1u32..=272).prop_map(PlacementRequest::shared),
+        ]
+    }
+
+    /// Memory intensity or cache pressure, including both extremes.
+    fn arb_unit() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), 0.0f64..=1.0, 0.0f64..=1.0, Just(1.0)]
+    }
+
+    /// Launches three times as often as completions, so co-runners pile up.
+    fn arb_step() -> impl Strategy<Value = Step> {
+        (
+            0u32..4,
+            arb_unit(),
+            arb_unit(),
+            1e-6f64..0.05,
+            arb_request(),
+        )
+            .prop_map(|(choice, mem, pressure, nominal, req)| {
+                if choice == 0 {
+                    return Step::Advance;
+                }
+                let mut p = conv_profile();
+                p.mem_intensity = mem;
+                p.cache_pressure = pressure;
+                Step::Launch(p, nominal, req)
+            })
+    }
+
+    fn assert_same_state(fast: &Engine, reference: &Engine) -> Result<(), TestCaseError> {
+        let want = reference_rates(fast);
+        for r in &fast.jobs {
+            prop_assert_eq!(
+                r.rate.to_bits(),
+                want[&r.id].to_bits(),
+                "rate of job {}",
+                r.id
+            );
+        }
+        let ids: Vec<JobId> = fast.running().map(|(id, _)| id).collect();
+        let ref_ids: Vec<JobId> = reference.running().map(|(id, _)| id).collect();
+        prop_assert_eq!(&ids, &ref_ids);
+        for id in ids {
+            prop_assert_eq!(
+                fast.remaining_secs(id).unwrap().to_bits(),
+                reference.remaining_secs(id).unwrap().to_bits()
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn rates_match_the_reference_formulation(
+            steps in proptest::collection::vec(arb_step(), 1..60),
+        ) {
+            let mut fast = engine();
+            let mut reference = engine();
+            for (tag, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Launch(profile, nominal, req) => {
+                        if fast.num_running() >= 6 {
+                            continue;
+                        }
+                        let a = fast.launch(profile, nominal, &req, tag as u64);
+                        let b = reference.launch(profile, nominal, &req, tag as u64);
+                        pin_reference_rates(&mut reference);
+                        prop_assert_eq!(a.ok(), b.ok());
+                    }
+                    Step::Advance => {
+                        let a = fast.advance_next();
+                        let b = reference.advance_next();
+                        pin_reference_rates(&mut reference);
+                        prop_assert_eq!(
+                            a.as_ref().map(|o| (o.job, o.finish.to_bits())),
+                            b.as_ref().map(|o| (o.job, o.finish.to_bits()))
+                        );
+                    }
+                }
+                assert_same_state(&fast, &reference)?;
+            }
+            while let Some(a) = fast.advance_next() {
+                let b = reference.advance_next().expect("both engines run the same jobs");
+                pin_reference_rates(&mut reference);
+                prop_assert_eq!((a.job, a.finish.to_bits()), (b.job, b.finish.to_bits()));
+                assert_same_state(&fast, &reference)?;
+            }
+            prop_assert!(reference.advance_next().is_none());
+        }
     }
 }

@@ -181,57 +181,45 @@ impl CoreMap {
         }
     }
 
-    fn free_core_order(&self, mode: SharingMode) -> Vec<CoreId> {
-        let n = self.topo.num_cores();
-        let free: Vec<CoreId> = (0..n)
-            .map(CoreId)
-            .filter(|c| self.used[c.0 as usize] == 0)
-            .collect();
-        match mode {
+    /// Free cores in the order `mode` fills them.
+    fn free_core_order(&self, mode: SharingMode) -> impl Iterator<Item = CoreId> + '_ {
+        let (tiles, cpt) = (self.topo.tiles, self.topo.cores_per_tile);
+        // Core `tile * cpt + slot`, walked in (outer, inner) order.
+        let (outer, inner, outer_stride, inner_stride) = match mode {
             // Pairwise in id order: cores 0,1 share tile 0, etc.
-            SharingMode::Compact => free,
-            // One per tile first: order by (index within tile, tile id).
-            SharingMode::Scatter => {
-                let mut order = free;
-                let cpt = self.topo.cores_per_tile;
-                order.sort_by_key(|c| (c.0 % cpt, c.0 / cpt));
-                order
-            }
-        }
+            SharingMode::Compact => (tiles, cpt, cpt, 1),
+            // One per tile first: by (index within tile, tile id).
+            SharingMode::Scatter => (cpt, tiles, 1, cpt),
+        };
+        (0..outer)
+            .flat_map(move |o| (0..inner).map(move |i| o * outer_stride + i * inner_stride))
+            .filter(|&c| self.used[c as usize] == 0)
+            .map(CoreId)
     }
 
     fn allocate_primary(&mut self, req: &PlacementRequest) -> Result<Placement, MachineError> {
-        let order = self.free_core_order(req.mode);
-        if order.is_empty() {
+        let free = self.free_cores();
+        if free == 0 {
             return Err(MachineError::PlacementUnsatisfiable {
                 requested: req.threads,
                 available: 0,
             });
         }
-        let ncores = (req.threads as usize).min(order.len());
-        let chosen = &order[..ncores];
-        // Distribute threads round-robin over the chosen cores; depth is
-        // bounded by the SMT width.
-        let max_depth = self.topo.smt_per_core;
-        let mut counts = vec![0u32; ncores];
-        let mut remaining = req.threads;
-        'outer: for depth in 0..max_depth {
-            let _ = depth;
-            for c in counts.iter_mut() {
-                if remaining == 0 {
-                    break 'outer;
-                }
-                *c += 1;
-                remaining -= 1;
-            }
-        }
-        if remaining > 0 {
-            // More threads than contexts on the free cores: clamp (software
-            // oversubscription beyond SMT contexts is modelled by the cost
-            // model's overhead term, not by the allocator).
-            counts[0] += remaining;
-        }
-        let cores: Vec<(CoreId, u32)> = chosen.iter().copied().zip(counts).collect();
+        let ncores = req.threads.min(free);
+        // Threads go round-robin over the chosen cores, at most the SMT
+        // width deep. More threads than contexts on the free cores are
+        // clamped onto the first core (software oversubscription beyond SMT
+        // contexts is modelled by the cost model's overhead term, not by the
+        // allocator).
+        let placed = req.threads.min(ncores * self.topo.smt_per_core);
+        let (depth, extra) = (placed / ncores, placed % ncores);
+        let mut cores: Vec<(CoreId, u32)> = self
+            .free_core_order(req.mode)
+            .take(ncores as usize)
+            .zip(0..)
+            .map(|(core, i)| (core, depth + u32::from(i < extra)))
+            .collect();
+        cores[0].1 += req.threads - placed;
         for &(core, n) in &cores {
             self.used[core.0 as usize] =
                 (self.used[core.0 as usize] + n).min(self.topo.smt_per_core);
@@ -328,6 +316,7 @@ impl CoreMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn knl_map() -> CoreMap {
         CoreMap::new(Topology::knl())
@@ -447,5 +436,94 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 68, "no core is shared between the two jobs");
+    }
+
+    /// Reference primary allocation: the original sort-and-loop
+    /// formulation, kept as the oracle `CoreMap::allocate_primary` must
+    /// match. Returns the cores it would grant, or `None` when no core is
+    /// free.
+    fn reference_primary(map: &CoreMap, req: &PlacementRequest) -> Option<Vec<(CoreId, u32)>> {
+        let mut order: Vec<CoreId> = (0..map.topo.num_cores())
+            .map(CoreId)
+            .filter(|c| map.used[c.0 as usize] == 0)
+            .collect();
+        if req.mode == SharingMode::Scatter {
+            let cpt = map.topo.cores_per_tile;
+            order.sort_by_key(|c| (c.0 % cpt, c.0 / cpt));
+        }
+        if order.is_empty() {
+            return None;
+        }
+        let ncores = (req.threads as usize).min(order.len());
+        let mut counts = vec![0u32; ncores];
+        let mut remaining = req.threads;
+        'outer: for _ in 0..map.topo.smt_per_core {
+            for c in counts.iter_mut() {
+                if remaining == 0 {
+                    break 'outer;
+                }
+                *c += 1;
+                remaining -= 1;
+            }
+        }
+        counts[0] += remaining;
+        Some(order[..ncores].iter().copied().zip(counts).collect())
+    }
+
+    fn arb_request() -> impl Strategy<Value = PlacementRequest> {
+        prop_oneof![
+            (1u32..=80).prop_map(|t| PlacementRequest::primary(t, SharingMode::Compact)),
+            (1u32..=80).prop_map(|t| PlacementRequest::primary(t, SharingMode::Scatter)),
+            (1u32..=40).prop_map(PlacementRequest::hyper_thread),
+            (1u32..=160).prop_map(PlacementRequest::shared),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn primary_allocation_matches_the_reference(
+            knl in proptest::sample::select(vec![true, false]),
+            steps in proptest::collection::vec((arb_request(), 0usize..4), 1..40),
+        ) {
+            // KNL, and an odd shape: 5 tiles of 3 cores, 4 contexts each.
+            let topo = if knl {
+                Topology::knl()
+            } else {
+                Topology { tiles: 5, cores_per_tile: 3, smt_per_core: 4 }
+            };
+            let mut map = CoreMap::new(topo);
+            let mut held: Vec<Placement> = Vec::new();
+            for (req, release) in steps {
+                // Free a held placement now and then, so allocations land on
+                // fragmented machines.
+                if release == 0 && !held.is_empty() {
+                    let p = held.remove(held.len() / 2);
+                    map.release(&p);
+                }
+                let want = (req.slot == SlotPreference::Primary)
+                    .then(|| reference_primary(&map, &req));
+                let mut used = map.used.clone();
+                match map.allocate(&req) {
+                    Ok(p) => {
+                        if let Some(want) = want {
+                            prop_assert_eq!(Some(&p.cores), want.as_ref());
+                            for &(core, n) in &p.cores {
+                                let u = &mut used[core.0 as usize];
+                                *u = (*u + n).min(map.topo.smt_per_core);
+                            }
+                            prop_assert_eq!(&map.used, &used);
+                        }
+                        held.push(p);
+                    }
+                    Err(_) => {
+                        if let Some(want) = want {
+                            prop_assert_eq!(want, None);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
