@@ -725,7 +725,7 @@ pub fn simulate_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nnrt_sched::{Runtime, RuntimeConfig};
+    use nnrt_sched::{OpCatalog, Runtime, RuntimeConfig, TfExecutor, TfExecutorConfig};
 
     fn dcgan_step() -> (DataflowGraph, Vec<f64>) {
         let g = nnrt_models::dcgan(16).graph;
@@ -897,6 +897,60 @@ mod tests {
              (base {:.4}s, ooo {:.4}s)",
             base.makespan_secs,
             ooo.makespan_secs
+        );
+    }
+
+    /// One Section V data-parallel step: DCGAN at global batch 64 sharded
+    /// over `nodes` replicas, one fused all-reduce after the backward pass,
+    /// per-node compute scaled to the runtime's step or, with
+    /// `recommendation`, to the TensorFlow-guide step.
+    fn section_v_step(nodes: u32, recommendation: bool) -> ClusterStepReport {
+        let g = nnrt_models::dcgan(64 / nodes as usize).graph;
+        let step = if recommendation {
+            TfExecutor::new(TfExecutorConfig::recommendation())
+                .run_step(&g, &OpCatalog::new(&g), &KnlCostModel::knl())
+                .total_secs
+        } else {
+            Runtime::prepare(&g, KnlCostModel::knl(), RuntimeConfig::default())
+                .run_step(&g)
+                .total_secs
+        };
+        let cfg = ClusterConfig {
+            nodes,
+            strategy: ClusterStrategy::NoOverlap,
+            chunks: 1,
+            ..ClusterConfig::default()
+        };
+        simulate_data_parallel(&g, &per_op_secs(&g, step), &cfg)
+    }
+
+    #[test]
+    fn runtime_advantage_survives_data_parallelism() {
+        // The paper's Section V claim ("our runtime system can work on
+        // individual KNLs without any change"), checked at 4 nodes.
+        let ours = section_v_step(4, false);
+        let rec = section_v_step(4, true);
+        assert!(
+            ours.makespan_secs < rec.makespan_secs,
+            "runtime must keep beating the recommendation: {} vs {}",
+            ours.makespan_secs,
+            rec.makespan_secs
+        );
+        assert_eq!(
+            ours.bytes_on_wire, rec.bytes_on_wire,
+            "same gradients, same all-reduce"
+        );
+    }
+
+    #[test]
+    fn strong_scaling_reduces_compute_but_adds_comm() {
+        let one = section_v_step(1, false);
+        let four = section_v_step(4, false);
+        assert_eq!(one.comm_secs, 0.0);
+        assert!(four.comm_secs > 0.0);
+        assert!(
+            four.compute_secs < one.compute_secs,
+            "a quarter batch must compute faster"
         );
     }
 

@@ -234,6 +234,7 @@ impl GpuProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuner::tune_exhaustive;
     use nnrt_graph::{OpAux, OpInstance, OpKind, Shape};
 
     fn small_graph() -> DataflowGraph {
@@ -312,7 +313,10 @@ mod tests {
     fn fitted_configs_beat_or_match_the_default() {
         let model = GpuModel::p100();
         let g = small_graph();
-        // Noiseless fit: the recommendation must never lose to the default.
+        // Noiseless fit: the recommendation must never lose to the default,
+        // and the two independent axis climbs must land near the exhaustive
+        // grid optimum at a fraction of its evaluations (the paper's O(2n)
+        // versus O(n^2) argument).
         let cfg = GpuProfileConfig {
             noise: NoiseModel::none(),
             ..GpuProfileConfig::default()
@@ -328,6 +332,19 @@ mod tests {
                 tuned <= default * 1.0001,
                 "{key:?}: tuned {tuned:.3e} vs default {default:.3e}"
             );
+            let best = tune_exhaustive(&model, &kernel).secs;
+            assert!(
+                tuned <= best * 1.08,
+                "{key:?}: climbed {tuned:.3e} vs exhaustive {best:.3e}"
+            );
         }
+        let grid = (tpb_ladder().len() * blocks_ladder(model.spec().sms).len()) as u32;
+        let keys = catalog.keys().len() as u32;
+        assert!(
+            fit.profiling_steps * 3 < keys * grid,
+            "the climbs must probe far fewer configs than the grid: {} vs {}",
+            fit.profiling_steps,
+            keys * grid
+        );
     }
 }
