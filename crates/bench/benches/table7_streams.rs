@@ -2,10 +2,10 @@
 //! co-run speedups per op kind, best-vs-default launch-config deltas, and
 //! whole-model step times under the three stream strategies.
 //!
-//! Where `table7_gpu_corun` checks the closed-form pairwise `corun_span`,
-//! this bench drives the same contention rules through the event-driven
-//! multi-stream simulator (`simulate_streams` / `GpuRuntime`) — the paper's
-//! actual execution setting, where kernels start and finish asynchronously.
+//! The contention rules of the closed-form pairwise `corun_span` run here
+//! through the event-driven multi-stream simulator (`simulate_streams` /
+//! `GpuRuntime`) — the paper's actual execution setting, where kernels start
+//! and finish asynchronously.
 
 use nnrt_bench::paper::{FIG5_MAX_DELTA_BLOCKS, FIG5_MAX_DELTA_TPB, TABLE7};
 use nnrt_bench::{ExperimentRecord, Table};

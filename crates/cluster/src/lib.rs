@@ -14,21 +14,21 @@
 //!   operations, but our control over intra-op parallelism should remain
 //!   the same."
 //!
-//! This crate simulates both regimes on top of the per-node runtime and lets
-//! the two claims be checked quantitatively (see the `cluster_scaling`
-//! bench and the crate tests).
+//! [`sim`] simulates both regimes as discrete events over per-node compute
+//! lanes and contended interconnect links: data parallelism with per-op
+//! times scaled to the per-node runtime's measured step
+//! ([`simulate_data_parallel`]), model parallelism as a layer pipeline
+//! ([`simulate_pipeline`]). The `cluster_scaling` bench checks the data
+//! parallelism claim; `cluster_overlap` measures how much communication
+//! out-of-order backprop hides.
 
 #![warn(missing_docs)]
 
-pub mod data_parallel;
 pub mod interconnect;
-pub mod model_parallel;
 pub mod sim;
 
-pub use data_parallel::{param_bytes, DataParallelReport, DataParallelTrainer};
 pub use interconnect::{ChunkedAllreduce, Interconnect};
-pub use model_parallel::{partition_graph, ModelParallelReport, ModelParallelTrainer, Partition};
 pub use sim::{
-    per_op_secs, pipeline_stage_profile, simulate_data_parallel, simulate_pipeline, ClusterConfig,
-    ClusterMode, ClusterStepReport, ClusterStrategy, StageSecs,
+    param_bytes, per_op_secs, pipeline_stage_profile, simulate_data_parallel, simulate_pipeline,
+    ClusterConfig, ClusterMode, ClusterStepReport, ClusterStrategy, StageSecs,
 };

@@ -1,7 +1,7 @@
 //! The discrete-event multi-node training simulator.
 //!
-//! Where the crate's original analytic models add compute and communication
-//! times (`step = compute + allreduce`), this module simulates both as
+//! Rather than adding compute and communication times
+//! (`step = compute + allreduce`), this module simulates both as
 //! first-class events over serial resources — one compute lane per node and
 //! one interconnect link per injection point — so communication can overlap
 //! computation, queue behind other transfers (per-link contention), and be
@@ -436,6 +436,19 @@ pub fn per_op_secs(graph: &DataflowGraph, step_secs: f64) -> Vec<f64> {
     serial.into_iter().map(|t| t * scale).collect()
 }
 
+/// Bytes of trainable parameters, estimated from the optimizer-update ops
+/// (each updates one weight tensor of its shape) — the gradient volume one
+/// data-parallel step all-reduces. Delegates the "is this an optimizer
+/// update?" question to [`OpKind::is_param_update`], which the op-catalog
+/// test keeps exhaustive.
+pub fn param_bytes(graph: &DataflowGraph) -> f64 {
+    graph
+        .iter()
+        .filter(|(_, op)| op.kind.is_param_update())
+        .map(|(_, op)| op.shape.bytes_f32() as f64)
+        .sum()
+}
+
 // ---------------------------------------------------------------------------
 // Data parallelism: replicas + streaming all-reduce on the injection link.
 // ---------------------------------------------------------------------------
@@ -501,12 +514,11 @@ pub fn simulate_data_parallel(
             let wire_per_chunk = sched.wire_bytes / sched.chunk_done.len() as f64;
             let mut prev_done = 0.0;
             let mut prev_task = b.producer.0 as usize;
-            for (j, &done_at) in sched.chunk_done.iter().enumerate() {
+            for &done_at in &sched.chunk_done {
                 let dur = done_at - prev_done;
                 let preds = [prev_task];
                 prev_task = tg.add(LINK, dur, &preds, true, wire_per_chunk);
                 prev_done = done_at;
-                let _ = j;
             }
             // The update consumes the fully reduced gradient.
             tg.tasks[b.update.0 as usize].preds.push(prev_task);
@@ -561,9 +573,8 @@ fn op_class(kind: OpKind) -> u8 {
 
 /// Profiles `graph` as a `stages`-deep layer pipeline: the *forward* ops
 /// partition contiguously into `stages` segments of roughly equal forward
-/// work (a layer-wise split — unlike [`crate::partition_graph`], which cuts
-/// the whole training graph and would strand every backward op in the tail
-/// stage), and each stage's backward work mirrors its forward share: the
+/// work (a layer-wise split — cutting the whole training graph in op order
+/// would strand every backward op in the tail stage), and each stage's backward work mirrors its forward share: the
 /// whole-graph input-gradient and weight-gradient class totals distribute
 /// proportionally, since a layer's backward cost tracks its forward cost.
 /// All durations scale so the whole-graph serial total equals `step_secs`,
@@ -740,12 +751,11 @@ mod tests {
         let mut tg = TaskGraph::default();
         let a = tg.add(0, 1.0, &[], false, 0.0);
         let b = tg.add(0, 2.0, &[], false, 0.0);
-        let c = tg.add(0, 3.0, &[a, b], false, 0.0);
+        tg.add(0, 3.0, &[a, b], false, 0.0);
         let pr: Vec<f64> = (0..3).map(|i| -(i as f64)).collect();
         let spans = list_schedule(&tg, &pr);
         let finish = spans.iter().map(|s| s.finish).fold(0.0f64, f64::max);
         assert_eq!(finish, 6.0);
-        let _ = c;
     }
 
     #[test]
@@ -780,9 +790,7 @@ mod tests {
         };
         let report = simulate_data_parallel(&g, &secs, &cfg);
         let compute: f64 = secs.iter().sum();
-        let sync = cfg
-            .network
-            .ring_allreduce(crate::data_parallel::param_bytes(&g), cfg.nodes);
+        let sync = cfg.network.ring_allreduce(param_bytes(&g), cfg.nodes);
         assert!(
             (report.makespan_secs - (compute + sync)).abs() / (compute + sync) < 1e-9,
             "blocking sends after backward must reduce to compute + allreduce: {} vs {}",
@@ -790,6 +798,24 @@ mod tests {
             compute + sync
         );
         assert_eq!(report.link_busy_secs, vec![0.0]);
+    }
+
+    #[test]
+    fn param_bytes_counts_optimizer_targets() {
+        let bytes = param_bytes(&nnrt_models::dcgan(16).graph);
+        // DCGAN G+D hold a few million parameters.
+        assert!(bytes > 1e6 && bytes < 1e9, "got {bytes}");
+    }
+
+    #[test]
+    fn param_bytes_agrees_with_the_gradient_bindings() {
+        // Same predicate, two consumers: the comm volume of the fused
+        // all-reduce and the per-parameter bindings the streaming
+        // all-reduces schedule from.
+        for g in [nnrt_models::dcgan(8).graph, nnrt_models::resnet50(4).graph] {
+            let from_bindings: f64 = grad_param_bindings(&g).iter().map(|b| b.bytes).sum();
+            assert_eq!(param_bytes(&g), from_bindings);
+        }
     }
 
     #[test]

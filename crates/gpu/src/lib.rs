@@ -10,10 +10,10 @@
 //! * **Intra-op parallelism** (Figure 5): execution time of `BiasAdd` and
 //!   `MaxPooling` as the threads-per-block and thread-block counts vary —
 //!   up to 18% and 11% away from TensorFlow's defaults (1024 threads/block,
-//!   56 blocks). [`tune_independent`] reproduces the proposed `O(2n)`
-//!   independent-axis search; [`GpuProfile`] runs the same climb per
-//!   `(kind, shape)` key through the shared [`ProfilerPool`], storing the
-//!   curves under a GPU [`MachineSignature`] in the fleet's profile store.
+//!   56 blocks). [`GpuProfile`] runs the proposed `O(2n)` independent-axis
+//!   search per `(kind, shape)` key through the shared [`ProfilerPool`],
+//!   storing the curves under a GPU [`MachineSignature`] in the fleet's
+//!   profile store; [`tune_exhaustive`] is the `O(n²)` grid it avoids.
 //!
 //! * **Inter-op parallelism** (Table VII): running two instances of an op on
 //!   two CUDA streams, 1.75–1.91× faster than serial execution, because a
@@ -38,7 +38,6 @@ pub mod model;
 pub mod ops;
 pub mod profile;
 pub mod runtime;
-pub mod streams;
 pub mod tuner;
 
 pub use kernels::{kernel_for, stream_class};
@@ -49,7 +48,4 @@ pub use runtime::{
     simulate_streams, GpuRuntime, GpuRuntimeConfig, GpuStepReport, GpuStrategy, StreamLaunch,
     StreamOutcome,
 };
-pub use streams::{schedule_streams, StreamSchedule, Submission};
-pub use tuner::{
-    blocks_ladder, climb_axis, tpb_ladder, tune_exhaustive, tune_independent, GpuTuneResult,
-};
+pub use tuner::{blocks_ladder, climb_axis, tpb_ladder, tune_exhaustive, GpuTuneResult};

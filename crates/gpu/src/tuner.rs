@@ -1,11 +1,11 @@
-//! The paper's §VII-B future work, implemented: hill-climbing launch-config
-//! search on GPU with the two intra-op parallelism dimensions treated
-//! *independently* ("the optimal number of thread blocks seems to be
-//! independent of the optimal number of threads per block"), which reduces
-//! the search space from `O(n²)` to `O(2n)`; plus the coarse-stride
-//! optimization ("little performance difference between a large number of
-//! threads per block and a small one ... allows us to use a rather large
-//! interval").
+//! The launch-config search grid of the paper's §VII-B future work: the
+//! coarse-stride ladders of the two intra-op parallelism dimensions ("little
+//! performance difference between a large number of threads per block and a
+//! small one ... allows us to use a rather large interval") and the one-axis
+//! climb that [`GpuProfile`](crate::GpuProfile) runs along each of them
+//! independently ("the optimal number of thread blocks seems to be
+//! independent of the optimal number of threads per block"), reducing the
+//! search from `O(n²)` to `O(2n)`; plus the exhaustive `O(n²)` baseline.
 
 use crate::model::{GpuModel, LaunchConfig};
 use crate::ops::GpuKernel;
@@ -58,49 +58,6 @@ where
     (best.0, best.1, evals)
 }
 
-/// Tunes `kernel`'s launch configuration in `O(2n)`: first the
-/// threads-per-block axis at the default block count, then the block axis at
-/// the winning threads-per-block.
-///
-/// ```
-/// use nnrt_gpu::{gpu_op, tune_independent, GpuModel, GpuOpKind, LaunchConfig};
-///
-/// let model = GpuModel::p100();
-/// let kernel = gpu_op(GpuOpKind::BiasAdd);
-/// let tuned = tune_independent(&model, &kernel);
-/// assert!(tuned.secs <= model.time(&kernel, LaunchConfig::tf_default()));
-/// ```
-pub fn tune_independent(model: &GpuModel, kernel: &GpuKernel) -> GpuTuneResult {
-    let sms = model.spec().sms;
-    let default = LaunchConfig::tf_default();
-    let (tpb, _, e1) = climb_axis(&tpb_ladder(), |t| {
-        model.time(
-            kernel,
-            LaunchConfig {
-                threads_per_block: t,
-                num_blocks: default.num_blocks,
-            },
-        )
-    });
-    let (nb, secs, e2) = climb_axis(&blocks_ladder(sms), |b| {
-        model.time(
-            kernel,
-            LaunchConfig {
-                threads_per_block: tpb,
-                num_blocks: b,
-            },
-        )
-    });
-    GpuTuneResult {
-        config: LaunchConfig {
-            threads_per_block: tpb,
-            num_blocks: nb,
-        },
-        secs,
-        evaluations: e1 + e2,
-    }
-}
-
 /// Exhaustive `O(n²)` search over the same ladders — the baseline the paper
 /// wants to avoid.
 pub fn tune_exhaustive(model: &GpuModel, kernel: &GpuKernel) -> GpuTuneResult {
@@ -132,28 +89,6 @@ pub fn tune_exhaustive(model: &GpuModel, kernel: &GpuKernel) -> GpuTuneResult {
 mod tests {
     use super::*;
     use crate::ops::{gpu_op, GpuOpKind};
-
-    #[test]
-    fn independent_search_is_near_exhaustive_with_far_fewer_evals() {
-        let m = GpuModel::p100();
-        for kind in GpuOpKind::ALL {
-            let k = gpu_op(kind);
-            let fast = tune_independent(&m, &k);
-            let full = tune_exhaustive(&m, &k);
-            assert!(
-                fast.secs <= full.secs * 1.08,
-                "{kind:?}: O(2n) result {:.2e}s vs exhaustive {:.2e}s",
-                fast.secs,
-                full.secs
-            );
-            assert!(
-                fast.evaluations * 3 < full.evaluations,
-                "{kind:?}: O(2n) must probe far fewer configs ({} vs {})",
-                fast.evaluations,
-                full.evaluations
-            );
-        }
-    }
 
     #[test]
     fn exhaustive_search_is_deterministic_for_a_fixed_seed() {
@@ -206,19 +141,5 @@ mod tests {
         let (cfg_b, secs_b) = tune_with_seed(7);
         assert_eq!(cfg_a, cfg_b);
         assert_eq!(secs_a.to_bits(), secs_b.to_bits());
-    }
-
-    #[test]
-    fn tuned_config_beats_the_default() {
-        let m = GpuModel::p100();
-        for kind in GpuOpKind::ALL {
-            let k = gpu_op(kind);
-            let tuned = tune_independent(&m, &k);
-            let default = m.time(&k, LaunchConfig::tf_default());
-            assert!(
-                tuned.secs <= default * 1.0001,
-                "{kind:?}: tuning must never lose to the default"
-            );
-        }
     }
 }

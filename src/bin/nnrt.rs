@@ -77,7 +77,6 @@
 //!                                counts (rendered from the same exposition
 //!                                `nnrt metrics` prints)
 //! nnrt shutdown <addr> [--json]  drain the server and print its final report
-//! nnrt gpu                       Section VII launch-config tuning + streams
 //! nnrt models                    list the built-in models
 //! ```
 //!
@@ -120,7 +119,7 @@ fn usage_text() -> String {
      nnrt status <addr> [job_id] | nnrt shutdown <addr> [--json]\n       \
      nnrt metrics <addr> | nnrt top <addr> [--once] [--interval <secs>]\n       \
      nnrt journal <dir> [--json]\n       \
-     nnrt gpu | nnrt models | nnrt --help\n\
+     nnrt models | nnrt --help\n\
      models: resnet50, dcgan, inception, lstm, transformer"
         .to_string()
 }
@@ -157,39 +156,6 @@ fn main() -> ExitCode {
                     m.graph.critical_path_len()
                 );
             }
-            ExitCode::SUCCESS
-        }
-        "gpu" => {
-            let m = nnrt::gpu::GpuModel::p100();
-            println!("P100 launch-config tuning (O(2n) independent-axis search):");
-            for kind in nnrt::gpu::GpuOpKind::ALL {
-                let k = nnrt::gpu::gpu_op(kind);
-                let tuned = nnrt::gpu::tune_independent(&m, &k);
-                let default = m.time(&k, nnrt::gpu::LaunchConfig::tf_default());
-                println!(
-                    "  {:22} default {:9.1} us -> tuned {:9.1} us ({} t/b, {} blocks, {} evals)",
-                    kind.name(),
-                    default * 1e6,
-                    tuned.secs * 1e6,
-                    tuned.config.threads_per_block,
-                    tuned.config.num_blocks,
-                    tuned.evaluations
-                );
-            }
-            let subs: Vec<nnrt::gpu::Submission> = nnrt::gpu::GpuOpKind::ALL
-                .iter()
-                .map(|&k| nnrt::gpu::Submission {
-                    kernel: nnrt::gpu::gpu_op(k),
-                    config: nnrt::gpu::LaunchConfig::tf_default(),
-                })
-                .collect();
-            let sched = nnrt::gpu::schedule_streams(&m, &subs);
-            println!(
-                "stream packing of the 5 ops: serial {:.1} us -> {:.1} us ({} waves)",
-                sched.serial * 1e6,
-                sched.makespan * 1e6,
-                sched.waves.len()
-            );
             ExitCode::SUCCESS
         }
         "serve" => {
