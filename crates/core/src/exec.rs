@@ -169,7 +169,8 @@ impl<'a> ExecContext<'a> {
             .into_iter()
             .map(|(k, (t, n))| (k, t, n))
             .collect();
-        per_kind.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        // Busy time descending; exact ties by kind, not hash-map order.
+        per_kind.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         StepReport {
             total_secs,
             per_kind,

@@ -84,7 +84,8 @@ pub struct StepReport {
     /// Wall-clock seconds of the step on the simulated machine.
     pub total_secs: f64,
     /// Per-op-kind `(kind, accumulated busy seconds, instance count)`,
-    /// sorted by time descending (the paper's Table VI rows).
+    /// sorted by time descending, equal times by kind (the paper's Table VI
+    /// rows).
     pub per_kind: Vec<(OpKind, f64, usize)>,
     /// Engine event trace (empty unless trace recording was enabled).
     pub trace: Vec<EngineEvent>,
