@@ -47,11 +47,13 @@ fn main() {
         table.print(&format!("Table VI ({}): top-5 op kinds", bench.spec.name));
     }
     record.notes(
-        "The headline kinds match (Conv2DBackpropFilter tops ResNet-50, \
-         Conv2DBackpropInput tops DCGAN, SparseSoftmaxCross tops LSTM); S1+2 \
-         speedups per kind sit in the paper's 1.0-1.3x band. Our Inception-v3 \
-         ranks convolutions above AvgPool (our pooling-branch cost model is \
-         lighter than MKL-DNN's pooling was on KNL).",
+        "The headline kinds match on the conv nets (Conv2DBackpropFilter tops \
+         ResNet-50, Conv2DBackpropInput tops DCGAN); S1+2 speedups of the big \
+         kinds sit in the paper's 1.0-1.3x band. Our Inception-v3 ranks \
+         convolutions above AvgPool (our pooling-branch cost model is lighter \
+         than MKL-DNN's pooling was on KNL), and our LSTM is topped by MatMul \
+         rather than SparseSoftmaxCross, with its small elementwise kinds \
+         gaining most (Mul, AddN).",
     );
     record.write();
 }
