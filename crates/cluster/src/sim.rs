@@ -574,9 +574,10 @@ fn op_class(kind: OpKind) -> u8 {
 /// Profiles `graph` as a `stages`-deep layer pipeline: the *forward* ops
 /// partition contiguously into `stages` segments of roughly equal forward
 /// work (a layer-wise split — cutting the whole training graph in op order
-/// would strand every backward op in the tail stage), and each stage's backward work mirrors its forward share: the
-/// whole-graph input-gradient and weight-gradient class totals distribute
-/// proportionally, since a layer's backward cost tracks its forward cost.
+/// would strand every backward op in the tail stage), and each stage's
+/// backward work mirrors its forward share: the whole-graph input-gradient
+/// and weight-gradient class totals distribute proportionally, since a
+/// layer's backward cost tracks its forward cost.
 /// All durations scale so the whole-graph serial total equals `step_secs`,
 /// divided by `microbatches`. Also returns the activation bytes crossing
 /// each cut per microbatch — the output tensor of the last forward op
