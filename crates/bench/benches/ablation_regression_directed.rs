@@ -79,10 +79,10 @@ fn main() {
     record.notes(
         "Reproduces the paper's reason for rejecting the regression model: \
          its thread selections are unreliable. Directed by cross-model-trained \
-         regressors, LSTM loses most of its win and ResNet-50 several percent; \
-         on the wide branch-parallel graphs the systematically-too-narrow picks \
-         happen to help in our simulator, underlining that any agreement with \
-         the optimum is accidental.",
+         regressors, DCGAN runs 16% slower than under the hill climber, \
+         ResNet-50 6% and LSTM 2%; on the branch-parallel Inception-v3 the \
+         regression picks happen to run 30% faster in our simulator, \
+         underlining that any agreement with the optimum is accidental.",
     );
     record.write();
 }
