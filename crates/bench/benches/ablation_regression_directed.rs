@@ -4,9 +4,10 @@
 //! regression performance model in place of the hill climber.
 
 use nnrt_bench::setup::Bench;
+use nnrt_bench::table4::regress::GradientBoosting;
+use nnrt_bench::table4::{build_dataset, RegressionModel, RegressionModelConfig};
 use nnrt_bench::{ExperimentRecord, Table};
 use nnrt_manycore::{KnlCostModel, NoiseModel};
-use nnrt_sched::regmodel::{build_dataset, RegressionModel, RegressionModelConfig};
 use nnrt_sched::{Measurer, OpCatalog, Runtime, RuntimeConfig};
 
 fn main() {
@@ -46,7 +47,7 @@ fn main() {
         let train_ds = build_dataset(&train_cat, &mut measurer, &cfg);
         let mut reg = RegressionModel::fit(
             &train_ds,
-            &|seed| Box::new(nnrt_regress::GradientBoosting::new(80, 3, 0.1, seed)),
+            &|seed| Box::new(GradientBoosting::new(80, 3, 0.1, seed)),
             cfg.clone(),
         );
         let catalog = OpCatalog::new(&bench.spec.graph);

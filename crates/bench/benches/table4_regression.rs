@@ -3,9 +3,10 @@
 //! The paper's best cell is 67% (k-NN, N=4); nothing approaches the hill
 //! climber's 95%+.
 
+use nnrt_bench::table4::regress::{self, Regressor};
+use nnrt_bench::table4::{build_dataset, evaluate_regressor, RegressionModelConfig};
 use nnrt_bench::{ExperimentRecord, Table};
 use nnrt_manycore::{KnlCostModel, NoiseModel};
-use nnrt_sched::regmodel::{build_dataset, evaluate_regressor, RegressionModelConfig};
 use nnrt_sched::{Measurer, OpCatalog};
 
 fn main() {
@@ -53,17 +54,17 @@ fn main() {
 
         let mut acc_row = vec![n.to_string(), "accuracy".to_string()];
         let mut r2_row = vec![String::new(), "R2".to_string()];
-        for make in nnrt_regress::table4_regressors(1).iter().map(|m| m.name()) {
+        for make in regress::table4_regressors(1).iter().map(|m| m.name()) {
             let name = make;
-            let factory = move |seed: u64| -> Box<dyn nnrt_regress::Regressor> {
+            let factory = move |seed: u64| -> Box<dyn Regressor> {
                 match name {
                     "Gradient Boosting" => {
-                        Box::new(nnrt_regress::GradientBoosting::new(80, 3, 0.1, seed))
+                        Box::new(regress::GradientBoosting::new(80, 3, 0.1, seed))
                     }
-                    "K-Neighbors" => Box::new(nnrt_regress::KnnRegressor::new(5)),
-                    "TSR" => Box::new(nnrt_regress::TheilSen::new(200, seed)),
-                    "OLS" => Box::new(nnrt_regress::Ols::new()),
-                    "PAR" => Box::new(nnrt_regress::PassiveAggressive::new(0.05, 1.0, 20, seed)),
+                    "K-Neighbors" => Box::new(regress::KnnRegressor::new(5)),
+                    "TSR" => Box::new(regress::TheilSen::new(200, seed)),
+                    "OLS" => Box::new(regress::Ols::new()),
+                    "PAR" => Box::new(regress::PassiveAggressive::new(0.05, 1.0, 20, seed)),
                     other => panic!("unknown regressor {other}"),
                 }
             };

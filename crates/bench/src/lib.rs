@@ -6,8 +6,10 @@
 //! and appends a machine-readable JSON record under `experiments/`.
 //!
 //! The library half holds the shared pieces: an aligned-table printer, the
-//! paper's reference numbers, the JSON record writer, and model/runtime
-//! setup helpers.
+//! paper's reference numbers, the JSON record writer, model/runtime setup
+//! helpers, and [`table4`] — the paper's rejected regression-model baseline
+//! (simulated hardware counters and from-scratch regressors), which lives
+//! here rather than in the runtime because only its two benches run it.
 
 #![warn(missing_docs)]
 
@@ -15,6 +17,7 @@ pub mod paper;
 pub mod record;
 pub mod setup;
 pub mod table;
+pub mod table4;
 
 pub use record::ExperimentRecord;
 pub use table::Table;

@@ -5,7 +5,7 @@
 //!
 //! 1. Run each operation standalone at `N` evenly spaced *sample cases*
 //!    (thread counts), collecting the 26 hardware events + execution time of
-//!    each run (noisy, duration-dependent — see `nnrt-counters`).
+//!    each run (noisy, duration-dependent — see [`counters`]).
 //! 2. Normalize events by instruction count; concatenate the `N` vectors
 //!    into one feature row per operation.
 //! 3. Per *prediction case* (target thread count) select 4 features with a
@@ -16,16 +16,20 @@
 //!    tests on DCGAN).
 //!
 //! The model is architecture-dependent and inaccurate — which is the point:
-//! Table IV motivates the hill-climbing model.
+//! Table IV motivates the hill-climbing model. None of it is linked into
+//! the runtime: [`RegressionModel`] plugs into `nnrt-sched` only through
+//! the [`PerfModel`] trait and `Runtime::prepare_with_model`.
 
-use crate::measure::{Measurer, OpCatalog};
-use crate::plan::PerfModel;
-use nnrt_counters::{feature_vector, sample_counts};
+pub mod counters;
+pub mod regress;
+
+use counters::{feature_vector, sample_counts};
 use nnrt_graph::OpKey;
 use nnrt_manycore::{NoiseModel, SharingMode};
-use nnrt_regress::{mape_accuracy, r_squared, select_features, Regressor};
+use nnrt_sched::{Measurer, OpCatalog, PerfModel};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use regress::{mape_accuracy, r_squared, select_features, Regressor};
 use std::collections::HashMap;
 
 /// Configuration of the regression pipeline.
@@ -276,10 +280,10 @@ impl PerfModel for RegressionModel {
 
 #[cfg(test)]
 mod tests {
+    use super::regress::Ols;
     use super::*;
     use nnrt_graph::{DataflowGraph, OpAux, OpInstance, OpKind, Shape};
     use nnrt_manycore::KnlCostModel;
-    use nnrt_regress::Ols;
 
     fn catalog(channels: &[usize]) -> OpCatalog {
         let mut g = DataflowGraph::new();
@@ -330,7 +334,7 @@ mod tests {
         let cfg = small_cfg(2);
         let ds = build_dataset(&cat, &mut m, &cfg);
         assert_eq!(ds.rows.len(), cat.keys().len());
-        assert_eq!(ds.rows[0].len(), 2 * nnrt_counters::NUM_FEATURES);
+        assert_eq!(ds.rows[0].len(), 2 * counters::NUM_FEATURES);
         for case in &cfg.target_cases {
             assert_eq!(ds.labels[case].len(), ds.rows.len());
             assert_eq!(ds.truth[case].len(), ds.rows.len());

@@ -1,12 +1,10 @@
-//! # nnrt-counters
-//!
 //! Simulated hardware performance-event counters.
 //!
 //! The paper's first (rejected) performance model collects 26 hardware events
 //! plus the execution time, normalizes them by the instruction count, selects
 //! four features with a decision tree, and trains regression models — which
 //! fail with 14–67% accuracy (Table IV) because *counting events over short
-//! operations is inaccurate*. This crate reproduces that physics: counts are
+//! operations is inaccurate*. This module reproduces that physics: counts are
 //! derived deterministically from an operation's [`WorkProfile`](nnrt_manycore::WorkProfile) and then
 //! perturbed with multiplicative noise whose magnitude grows as the measured
 //! duration shrinks (`nnrt_manycore::NoiseModel`).
@@ -18,8 +16,6 @@
 //!   them into four mutually exclusive counter groups, so one profiling step
 //!   can observe only one group (the paper: "We need at least four training
 //!   steps to collect those events separately").
-
-#![warn(missing_docs)]
 
 pub mod events;
 pub mod features;

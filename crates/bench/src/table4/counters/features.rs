@@ -5,8 +5,8 @@
 //! of instructions", and the (noisy) measured execution time is the 27th
 //! feature.
 
-use crate::events::{PerfEvent, NUM_EVENTS};
-use crate::sampler::EventCounts;
+use super::events::{PerfEvent, NUM_EVENTS};
+use super::sampler::EventCounts;
 
 /// Total number of model features (26 normalized events + execution time).
 pub const NUM_FEATURES: usize = NUM_EVENTS + 1;
@@ -40,7 +40,7 @@ mod tests {
     #[test]
     fn feature_vector_shape_and_normalization() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let counts = crate::sample_counts(
+        let counts = crate::table4::counters::sample_counts(
             &WorkProfile::compute_bound(1e9),
             16,
             0.01,

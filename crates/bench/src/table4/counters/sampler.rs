@@ -1,6 +1,6 @@
 //! Deriving event counts from a work profile, with measurement noise.
 
-use crate::events::{PerfEvent, NUM_EVENTS};
+use super::events::{PerfEvent, NUM_EVENTS};
 use nnrt_manycore::{NoiseModel, WorkProfile};
 use rand::Rng;
 

@@ -1,5 +1,3 @@
-//! # nnrt-regress
-//!
 //! From-scratch regression models — the five the paper's Table IV evaluates
 //! as its *rejected* performance-model baseline (gradient boosting, k-nearest
 //! neighbours, Theil-Sen, ordinary least squares, passive-aggressive), plus
@@ -8,8 +6,6 @@
 //!
 //! Everything is dependency-free numerical Rust: a small dense linear-algebra
 //! kernel, exact solvers, and deterministic (seeded) stochastic components.
-
-#![warn(missing_docs)]
 
 pub mod feature_select;
 pub mod gbrt;

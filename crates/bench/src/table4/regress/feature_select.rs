@@ -7,8 +7,8 @@
 //! keep features whose absolute Pearson correlation with every
 //! already-selected feature stays below a threshold.
 
-use crate::tree::DecisionTree;
-use crate::Regressor;
+use super::tree::DecisionTree;
+use super::Regressor;
 
 /// Pearson correlation of two equally long slices; 0 when degenerate.
 pub fn pearson(a: &[f64], b: &[f64]) -> f64 {

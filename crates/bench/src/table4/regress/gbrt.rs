@@ -2,8 +2,8 @@
 //! stage-wise fitting of shallow CART trees to residuals, with stochastic
 //! row subsampling.
 
-use crate::tree::DecisionTree;
-use crate::{check_xy, RegressError, Regressor};
+use super::tree::DecisionTree;
+use super::{check_xy, RegressError, Regressor};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -70,7 +70,7 @@ impl Regressor for GradientBoosting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::r_squared;
+    use crate::table4::regress::metrics::r_squared;
 
     #[test]
     fn fits_nonlinear_function() {

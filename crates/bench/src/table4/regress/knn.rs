@@ -1,7 +1,7 @@
 //! k-nearest-neighbours regression (the paper's "K-Neighbors") with
 //! per-feature standardization and inverse-distance weighting.
 
-use crate::{check_xy, RegressError, Regressor};
+use super::{check_xy, RegressError, Regressor};
 
 /// k-NN regressor.
 #[derive(Debug, Clone)]

@@ -1,7 +1,7 @@
 //! Ordinary least squares (the paper's "OLS").
 
-use crate::linalg::least_squares;
-use crate::{check_xy, RegressError, Regressor};
+use super::linalg::least_squares;
+use super::{check_xy, RegressError, Regressor};
 
 /// Linear regression fitted by (ridge-damped) normal equations.
 #[derive(Debug, Clone, Default)]

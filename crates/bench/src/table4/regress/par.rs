@@ -2,7 +2,7 @@
 //! epsilon-insensitive loss (Crammer et al., PA-I variant), run for several
 //! shuffled epochs with feature standardization.
 
-use crate::{check_xy, RegressError, Regressor};
+use super::{check_xy, RegressError, Regressor};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

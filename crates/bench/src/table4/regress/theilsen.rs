@@ -2,8 +2,8 @@
 //! taking the coordinate-wise median of least-squares fits over many random
 //! minimal subsets.
 
-use crate::linalg::{least_squares, median};
-use crate::{check_xy, RegressError, Regressor};
+use super::linalg::{least_squares, median};
+use super::{check_xy, RegressError, Regressor};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

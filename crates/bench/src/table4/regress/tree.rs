@@ -2,7 +2,7 @@
 //! importances (the basis of both the gradient-boosting model and the
 //! paper's decision-tree feature selection).
 
-use crate::{check_xy, RegressError, Regressor};
+use super::{check_xy, RegressError, Regressor};
 
 #[derive(Debug, Clone)]
 enum Node {

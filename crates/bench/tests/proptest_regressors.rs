@@ -1,9 +1,9 @@
 //! Property tests for the regression models: exactness on linear data,
 //! robustness, determinism, and metric sanity.
 
-use nnrt_regress::{
-    mape_accuracy, r_squared, GradientBoosting, KnnRegressor, Ols, PassiveAggressive, Regressor,
-    TheilSen,
+use nnrt_bench::table4::regress::{
+    mape_accuracy, r_squared, select_features, GradientBoosting, KnnRegressor, Ols,
+    PassiveAggressive, Regressor, TheilSen,
 };
 use proptest::prelude::*;
 
@@ -113,7 +113,7 @@ proptest! {
             .map(|i| (0..dim).map(|j| ((i * (j + 2)) % 17) as f64).collect())
             .collect();
         let y: Vec<f64> = x.iter().map(|r| r[0] * 3.0 + 1.0).collect();
-        let kept = nnrt_regress::select_features(&x, &y, k, 0.95);
+        let kept = select_features(&x, &y, k, 0.95);
         prop_assert!(kept.len() <= k);
         let mut sorted = kept.clone();
         sorted.sort_unstable();

@@ -13,9 +13,6 @@
 //! * [`hillclimb`] — the adopted performance model: a hill-climbing search
 //!   with stride `x` per `(op kind, input shape)` plus linear interpolation
 //!   over the sampled curve (§III-C, Table V).
-//! * [`regmodel`] — the rejected baseline: hardware-counter features, a
-//!   decision-tree feature selection, and five regression models
-//!   (§III-B, Table IV).
 //! * [`plan`] — Strategies 1–2: per-op thread counts, stabilized per kind by
 //!   the largest-input rule.
 //! * [`scheduler`] — Strategies 3–4: co-running into idle cores without
@@ -37,7 +34,6 @@ pub mod measure;
 pub mod oracle;
 pub mod plan;
 pub mod profiler;
-pub mod regmodel;
 pub mod runtime;
 pub mod scheduler;
 pub mod tf_baseline;
@@ -49,7 +45,6 @@ pub use measure::{per_key_seed, Measurer, OpCatalog};
 pub use oracle::OracleScheduler;
 pub use plan::{PerfModel, ThreadPlan};
 pub use profiler::ProfilerPool;
-pub use regmodel::{RegressionModel, RegressionModelConfig};
 pub use runtime::{Runtime, RuntimeConfig, StepReport};
 pub use scheduler::SchedulerConfig;
 pub use tf_baseline::{manual_optimization, TfExecutor, TfExecutorConfig};

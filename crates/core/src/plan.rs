@@ -101,15 +101,6 @@ impl ThreadPlan {
         }
     }
 
-    /// A trivial plan (framework default) that needs no model.
-    pub fn framework_default(default_intra: u32) -> Self {
-        ThreadPlan {
-            assignments: HashMap::new(),
-            default_intra,
-            policy: PlanPolicy::Default,
-        }
-    }
-
     /// The policy this plan was built under.
     pub fn policy(&self) -> PlanPolicy {
         self.policy

@@ -10,7 +10,7 @@ use crate::exec::ExecContext;
 use crate::feedback::InterferenceLog;
 use crate::hillclimb::{FitOutcome, HillClimbConfig, HillClimbModel};
 use crate::measure::{Measurer, OpCatalog};
-use crate::plan::{PlanPolicy, ThreadPlan};
+use crate::plan::{PerfModel, PlanPolicy, ThreadPlan};
 use crate::profiler::ProfilerPool;
 use crate::scheduler::{SchedulerConfig, StepScheduler};
 use nnrt_graph::{DataflowGraph, OpKind};
@@ -138,10 +138,11 @@ pub struct Runtime {
     config: RuntimeConfig,
     cost: KnlCostModel,
     catalog: OpCatalog,
-    /// The hill-climb model, when prepared the normal way (kept for its
-    /// profiling-cost accounting; `perf_model` is what scheduling uses).
-    model: Option<HillClimbModel>,
-    perf_model: Box<dyn crate::plan::PerfModel>,
+    /// The fitted hill-climb model; empty when a custom model was given.
+    model: HillClimbModel,
+    /// The model set by [`Runtime::prepare_with_model`]; when present,
+    /// scheduling uses it instead of `model`.
+    custom_model: Option<Box<dyn PerfModel>>,
     plan: ThreadPlan,
     record_trace: bool,
     feedback: InterferenceLog,
@@ -159,52 +160,26 @@ impl Runtime {
         Self::prepare_warm_pooled(graph, cost, config, &[], u32::MAX, ProfilerPool::serial())
     }
 
-    /// Like [`Runtime::prepare`], but warm-started from curves measured
-    /// earlier on the same machine (e.g. by a previous job via
-    /// [`HillClimbModel::export`]): keys covered by `warm` skip profiling and
-    /// only the remainder is climbed. `model().profiling_steps` then reflects
-    /// only this job's incremental profiling cost — zero when every key is
-    /// already known.
-    pub fn prepare_warm(
-        graph: &DataflowGraph,
-        cost: KnlCostModel,
-        config: RuntimeConfig,
-        warm: &[crate::hillclimb::KeyProfile],
-    ) -> Self {
-        Self::prepare_warm_budgeted(graph, cost, config, warm, u32::MAX)
-    }
-
-    /// Like [`Runtime::prepare_warm`], but the incremental profiling phase
-    /// may spend at most `profiling_budget` simulated training steps. Keys
-    /// that cannot be climbed to convergence within the budget are *degraded*
-    /// instead of erroring: they fall back to the TF-performance-guide
-    /// baseline (the framework-default intra-op parallelism, with no co-run
-    /// candidate curves), and are reported by [`Runtime::degraded_keys`] so a
-    /// service can observe the degradation. A budget of `0` profiles nothing:
-    /// the whole graph runs under the baseline plan.
-    pub fn prepare_warm_budgeted(
-        graph: &DataflowGraph,
-        cost: KnlCostModel,
-        config: RuntimeConfig,
-        warm: &[crate::hillclimb::KeyProfile],
-        profiling_budget: u32,
-    ) -> Self {
-        Self::prepare_warm_pooled(
-            graph,
-            cost,
-            config,
-            warm,
-            profiling_budget,
-            ProfilerPool::serial(),
-        )
-    }
-
-    /// Like [`Runtime::prepare_warm_budgeted`], but the profiling phase
-    /// shards its independent per-key climbs across `pool`'s workers. The
-    /// fitted model, the thread plan, and every step report are
-    /// **byte-identical for every worker count** (per-key seeded measurers;
-    /// see [`crate::profiler`]) — only the wall-clock time of the profiling
-    /// phase changes. `ProfilerPool::serial()` is the exact legacy path.
+    /// Like [`Runtime::prepare`], but warm-started, budgeted and pooled:
+    ///
+    /// * keys covered by `warm` (curves measured earlier on the same
+    ///   machine, e.g. by a previous job via [`HillClimbModel::export`])
+    ///   skip profiling and only the remainder is climbed, so
+    ///   `model().profiling_steps` reflects only this job's incremental
+    ///   profiling cost — zero when every key is already known;
+    /// * the incremental profiling phase may spend at most
+    ///   `profiling_budget` simulated training steps. Keys that cannot be
+    ///   climbed to convergence within the budget are *degraded* instead of
+    ///   erroring: they fall back to the TF-performance-guide baseline (the
+    ///   framework-default intra-op parallelism, with no co-run candidate
+    ///   curves), and are reported by [`Runtime::degraded_keys`]. A budget
+    ///   of `0` profiles nothing: the whole graph runs under the baseline
+    ///   plan;
+    /// * the independent per-key climbs are sharded across `pool`'s
+    ///   workers. The fitted model, the thread plan, and every step report
+    ///   are **byte-identical for every worker count** (per-key seeded
+    ///   measurers; see [`crate::profiler`]) — only the wall-clock time of
+    ///   the profiling phase changes.
     pub fn prepare_warm_pooled(
         graph: &DataflowGraph,
         cost: KnlCostModel,
@@ -229,8 +204,8 @@ impl Runtime {
             config,
             cost,
             catalog,
-            perf_model: Box::new(model.clone()),
-            model: Some(model),
+            model,
+            custom_model: None,
             plan,
             record_trace: false,
             feedback: InterferenceLog::new(),
@@ -241,12 +216,13 @@ impl Runtime {
     /// Builds a runtime around an arbitrary fitted performance model — e.g.
     /// the regression baseline, to reproduce the paper's finding that
     /// "using the most accurate regression model to direct NN model
-    /// training" loses ~30%.
+    /// training" loses ~30%. Nothing is profiled: [`Runtime::model`] stays
+    /// empty and `perf_model` directs every step.
     pub fn prepare_with_model(
         graph: &DataflowGraph,
         cost: KnlCostModel,
         config: RuntimeConfig,
-        perf_model: Box<dyn crate::plan::PerfModel>,
+        perf_model: Box<dyn PerfModel>,
     ) -> Self {
         let catalog = OpCatalog::new(graph);
         let plan = Self::build_plan(perf_model.as_ref(), &catalog, &config);
@@ -254,8 +230,8 @@ impl Runtime {
             config,
             cost,
             catalog,
-            perf_model,
-            model: None,
+            model: HillClimbModel::default(),
+            custom_model: Some(perf_model),
             plan,
             record_trace: false,
             feedback: InterferenceLog::new(),
@@ -264,7 +240,7 @@ impl Runtime {
     }
 
     fn build_plan(
-        model: &dyn crate::plan::PerfModel,
+        model: &dyn PerfModel,
         catalog: &OpCatalog,
         config: &RuntimeConfig,
     ) -> ThreadPlan {
@@ -281,12 +257,15 @@ impl Runtime {
         self.record_trace = on;
     }
 
-    /// The fitted hill-climbing model (absent when the runtime was prepared
+    /// The fitted hill-climbing model (empty when the runtime was prepared
     /// with [`Runtime::prepare_with_model`]).
     pub fn model(&self) -> &HillClimbModel {
-        self.model
-            .as_ref()
-            .expect("runtime was prepared with a custom performance model")
+        &self.model
+    }
+
+    /// The performance model that directs scheduling.
+    fn perf_model(&self) -> &dyn PerfModel {
+        self.custom_model.as_deref().unwrap_or(&self.model)
     }
 
     /// The thread plan in force.
@@ -295,7 +274,7 @@ impl Runtime {
     }
 
     /// Keys whose profiling was truncated by the budget passed to
-    /// [`Runtime::prepare_warm_budgeted`]; they execute under the baseline
+    /// [`Runtime::prepare_warm_pooled`]; they execute under the baseline
     /// plan. Empty for unbudgeted runtimes.
     pub fn degraded_keys(&self) -> &[nnrt_graph::OpKey] {
         &self.outcome.degraded
@@ -332,13 +311,8 @@ impl Runtime {
             prefer_fewest_threads: self.config.prefer_fewest_threads,
         };
         let mut ctx = ExecContext::new(graph, &catalog, &self.cost, self.record_trace);
-        let scheduler = StepScheduler::new(
-            &ctx,
-            &self.plan,
-            self.perf_model.as_ref(),
-            &sched,
-            &self.feedback,
-        );
+        let scheduler =
+            StepScheduler::new(&ctx, &self.plan, self.perf_model(), &sched, &self.feedback);
         loop {
             while let Some(decision) = scheduler.next_launch(&ctx) {
                 ctx.launch(decision.launch, decision.predicted);

@@ -47,11 +47,6 @@ impl CorunStats {
     }
 }
 
-/// Extracts the co-running count series (for plotting / dumping).
-pub fn corun_series(trace: &[EngineEvent]) -> Vec<u32> {
-    trace.iter().map(|e| e.corunning).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,12 +91,6 @@ mod tests {
             "window must land on the middle: {}",
             s.avg_corunning
         );
-    }
-
-    #[test]
-    fn series_extraction() {
-        let trace = vec![ev(0.0, 1), ev(1.0, 4)];
-        assert_eq!(corun_series(&trace), vec![1, 4]);
     }
 }
 

@@ -218,6 +218,12 @@ pub fn simulate_streams(
         .collect();
 
     let mut indeg: Vec<usize> = deps.iter().map(Vec::len).collect();
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (d, preds) in deps.iter().enumerate() {
+        for &p in preds {
+            succs[p].push(d);
+        }
+    }
     // Ready list kept sorted ascending; dispatch takes the lowest index
     // first (insertion order is topological in `DataflowGraph`).
     let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
@@ -273,13 +279,11 @@ pub fn simulate_streams(
                 done += 1;
                 let finished = r.idx;
                 *lane = None;
-                for d in 0..n {
-                    if deps[d].contains(&finished) {
-                        indeg[d] -= 1;
-                        if indeg[d] == 0 {
-                            let at = ready.partition_point(|&x| x < d);
-                            ready.insert(at, d);
-                        }
+                for &d in &succs[finished] {
+                    indeg[d] -= 1;
+                    if indeg[d] == 0 {
+                        let at = ready.partition_point(|&x| x < d);
+                        ready.insert(at, d);
                     }
                 }
             }

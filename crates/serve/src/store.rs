@@ -196,7 +196,7 @@ impl ProfileStore {
 
     /// Fetches the stored curves for every requested key that is present on
     /// `machine`, bumping their recency. The result is the warm-start input
-    /// for [`nnrt_sched::Runtime::prepare_warm`].
+    /// for [`nnrt_sched::Runtime::prepare_warm_pooled`].
     pub fn lookup(&self, machine: MachineSignature, keys: &[OpKey]) -> Vec<KeyProfile> {
         let mut inner = self.inner.lock();
         inner.clock += 1;

@@ -10,9 +10,6 @@
 //! * [`graph`] — dataflow graphs of NN training operations.
 //! * [`models`] — training-step graph builders (ResNet-50, DCGAN,
 //!   Inception-v3, LSTM).
-//! * [`counters`] — simulated hardware performance-event counters.
-//! * [`regress`] — from-scratch regression models (the paper's rejected
-//!   performance-model baseline).
 //! * [`sched`] — the paper's contribution: hill-climbing performance model
 //!   and the four co-run scheduling strategies.
 //! * [`kernels`] — real parallel CPU kernels on a controllable thread pool,
@@ -32,14 +29,12 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the system inventory.
 
 pub use nnrt_cluster as cluster;
-pub use nnrt_counters as counters;
 pub use nnrt_gpu as gpu;
 pub use nnrt_graph as graph;
 pub use nnrt_kernels as kernels;
 pub use nnrt_manycore as manycore;
 pub use nnrt_models as models;
 pub use nnrt_obs as obs;
-pub use nnrt_regress as regress;
 pub use nnrt_rpc as rpc;
 pub use nnrt_sched as sched;
 pub use nnrt_serve as serve;
