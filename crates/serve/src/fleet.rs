@@ -194,43 +194,38 @@ impl Default for FleetConfig {
     }
 }
 
-/// What profiling plus one measured step produced for a job landing on a
-/// node — the backend-neutral result of [`Fleet::prepare_on_node`].
-struct PreparedJob {
-    step_secs: f64,
-    profiling_steps: u32,
-    degraded_keys: usize,
-    seeded_keys: usize,
-    seed_steps_saved: u32,
-    fitted_keys: Vec<OpKey>,
-    warm_keys: usize,
-    total_keys: usize,
-    chrome_trace: Option<String>,
-}
-
+/// A job resident on a node or awaiting re-admission. Its report is
+/// created once, at first placement (or by [`Fleet::recover`]), accumulates
+/// across admissions with `report.steps` counting the steps done, and moves
+/// into the fleet's completed list at the last step.
 struct RunningJob {
-    id: JobId,
     spec: JobSpec,
-    step_secs: f64,
-    steps_done: u32,
-    submitted_at: f64,
-    queue_latency: f64,
-    profiling_steps: u32,
-    profiling_steps_saved: u32,
-    warm_keys: usize,
-    total_keys: usize,
-    profiling_secs: f64,
-    chrome_trace: Option<String>,
+    report: JobReport,
     /// Keys with fitted curves in the shared store — the checkpoint payload.
     fitted_keys: Vec<OpKey>,
     /// Profiling steps paid over the job's lifetime, cumulative across
     /// re-admissions; compared against the plan's per-job budget.
     budget_spent: u32,
-    retries: u32,
-    checkpoint_restores: u32,
-    degraded_keys: usize,
-    seeded_keys: usize,
-    seed_steps_saved: u32,
+}
+
+impl RunningJob {
+    fn new(id: JobId, spec: JobSpec, submitted_at: f64, queue_latency_secs: f64) -> Self {
+        RunningJob {
+            report: JobReport {
+                id: id.0,
+                name: spec.name.clone(),
+                model: spec.model.clone(),
+                priority: spec.priority,
+                weight: spec.weight,
+                submitted_at,
+                queue_latency_secs,
+                ..JobReport::default()
+            },
+            spec,
+            fitted_keys: Vec::new(),
+            budget_spent: 0,
+        }
+    }
 }
 
 struct Node {
@@ -251,6 +246,39 @@ struct Node {
     slow_factor: f64,
     slow_until: f64,
     health: NodeHealth,
+}
+
+impl Node {
+    /// A node of `backend` over the KNL machine `cost`. A GPU node is a
+    /// P100; a cluster head publishes under a signature derived from its
+    /// member machine plus the cluster shape, so its curves never
+    /// warm-start single-node KNL jobs.
+    fn new(backend: NodeBackend, cost: KnlCostModel, config: &FleetConfig) -> Self {
+        let gpu_spec = GpuSpec::p100();
+        Node {
+            backend,
+            signature: match backend {
+                NodeBackend::Knl => cost.signature(),
+                NodeBackend::Gpu => gpu_spec.signature(),
+                NodeBackend::Cluster => MachineSignature::of_cluster(
+                    cost.signature(),
+                    config.cluster.nodes,
+                    config.cluster.network.latency,
+                    config.cluster.network.bandwidth,
+                ),
+            },
+            cost,
+            gpu_spec,
+            clock: 0.0,
+            residents: VecDeque::new(),
+            max_jobs: config.max_jobs_per_node.max(1),
+            down_until: 0.0,
+            downtime: 0.0,
+            slow_factor: 1.0,
+            slow_until: 0.0,
+            health: NodeHealth::default(),
+        }
+    }
 }
 
 /// A job evicted by a crash, waiting to be re-admitted.
@@ -397,7 +425,7 @@ impl fmt::Display for RecoverError {
 impl std::error::Error for RecoverError {}
 
 /// One completed job's statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct JobReport {
     /// Job id (fleet-unique).
     pub id: u64,
@@ -713,20 +741,7 @@ impl Fleet {
         assert!(!costs.is_empty(), "a fleet needs at least one node");
         let nodes = costs
             .into_iter()
-            .map(|cost| Node {
-                backend: NodeBackend::Knl,
-                gpu_spec: GpuSpec::p100(),
-                signature: cost.signature(),
-                cost,
-                clock: 0.0,
-                residents: VecDeque::new(),
-                max_jobs: config.max_jobs_per_node.max(1),
-                down_until: 0.0,
-                downtime: 0.0,
-                slow_factor: 1.0,
-                slow_until: 0.0,
-                health: NodeHealth::default(),
-            })
+            .map(|cost| Node::new(NodeBackend::Knl, cost, &config))
             .collect();
         Self::from_nodes(config, nodes, store)
     }
@@ -743,36 +758,7 @@ impl Fleet {
         assert!(!backends.is_empty(), "a fleet needs at least one node");
         let nodes = backends
             .into_iter()
-            .map(|backend| {
-                let cost = KnlCostModel::knl();
-                let gpu_spec = GpuSpec::p100();
-                Node {
-                    backend,
-                    signature: match backend {
-                        NodeBackend::Knl => cost.signature(),
-                        NodeBackend::Gpu => gpu_spec.signature(),
-                        // A cluster head publishes under a signature derived
-                        // from its member machine plus the cluster shape, so
-                        // its curves never warm-start single-node KNL jobs.
-                        NodeBackend::Cluster => MachineSignature::of_cluster(
-                            cost.signature(),
-                            config.cluster.nodes,
-                            config.cluster.network.latency,
-                            config.cluster.network.bandwidth,
-                        ),
-                    },
-                    cost,
-                    gpu_spec,
-                    clock: 0.0,
-                    residents: VecDeque::new(),
-                    max_jobs: config.max_jobs_per_node.max(1),
-                    down_until: 0.0,
-                    downtime: 0.0,
-                    slow_factor: 1.0,
-                    slow_until: 0.0,
-                    health: NodeHealth::default(),
-                }
-            })
+            .map(|backend| Node::new(backend, KnlCostModel::knl(), &config))
             .collect();
         Self::from_nodes(config, nodes, store)
     }
@@ -940,11 +926,15 @@ impl Fleet {
         }
         for (idx, node) in self.nodes.iter().enumerate() {
             for j in &node.residents {
-                live.push((j.id.0, &j.spec, Whereabouts::Resident(idx as u32)));
+                live.push((j.report.id, &j.spec, Whereabouts::Resident(idx as u32)));
             }
         }
         for r in &self.retries {
-            live.push((r.job.id.0, &r.job.spec, Whereabouts::Evicted(r.eligible_at)));
+            live.push((
+                r.job.report.id,
+                &r.job.spec,
+                Whereabouts::Evicted(r.eligible_at),
+            ));
         }
         live.sort_by_key(|(id, _, _)| *id);
         for (id, spec, whereabouts) in live {
@@ -1113,21 +1103,21 @@ impl Fleet {
         });
         let running = self.nodes.iter().enumerate().flat_map(|(node_idx, node)| {
             node.residents.iter().map(move |j| JobView {
-                id: j.id.0,
+                id: j.report.id,
                 name: &j.spec.name,
                 model: &j.spec.model,
                 phase: JobPhase::Running,
-                steps_done: j.steps_done,
+                steps_done: j.report.steps,
                 steps: j.spec.steps,
                 node: Some(node_idx as u32),
             })
         });
         let retrying = self.retries.iter().map(|r| JobView {
-            id: r.job.id.0,
+            id: r.job.report.id,
             name: &r.job.spec.name,
             model: &r.job.spec.model,
             phase: JobPhase::Retrying,
-            steps_done: r.job.steps_done,
+            steps_done: r.job.report.steps,
             steps: r.job.spec.steps,
             node: None,
         });
@@ -1205,18 +1195,18 @@ impl Fleet {
             let free = n.max_jobs.saturating_sub(n.residents.len());
             free_slots += free;
             resident_jobs += n.residents.len();
-            resident_step_secs += n.residents.iter().map(|j| j.step_secs).sum::<f64>();
+            resident_step_secs += n.residents.iter().map(|j| j.report.step_secs).sum::<f64>();
             if free > 0 {
                 earliest = earliest.min((n.down_until - now).max(0.0));
             } else {
                 // Round-robin: a slot frees when the resident with the
                 // fewest remaining steps finishes, one full rotation per
                 // step.
-                let round: f64 = n.residents.iter().map(|j| j.step_secs).sum();
+                let round: f64 = n.residents.iter().map(|j| j.report.step_secs).sum();
                 let min_remaining = n
                     .residents
                     .iter()
-                    .map(|j| j.spec.steps.saturating_sub(j.steps_done))
+                    .map(|j| j.spec.steps.saturating_sub(j.report.steps))
                     .min()
                     .unwrap_or(0);
                 let free_at = n.clock + min_remaining as f64 * round;
@@ -1279,8 +1269,8 @@ impl Fleet {
         }
     }
 
-    /// Warm-starts `job` on node `node_idx`, charging its (post-warm-start)
-    /// profiling cost to the node's clock.
+    /// Places a queued job on node `node_idx`: journals and traces the
+    /// placement, then warm-starts the job there.
     fn admit_to_node(&mut self, node_idx: usize, job: QueuedJob) {
         if self.durable.is_some() {
             self.journal_append(JournalRecord::Place {
@@ -1302,125 +1292,71 @@ impl Fleet {
             Some(node_idx as u32),
             job.spec.name.clone(),
         );
-        let budget = self.plan.profiling_step_budget.unwrap_or(u32::MAX);
-        let prep = self.prepare_on_node(node_idx, job.id, &job.spec.graph, budget);
-
-        // The cold first job of each (model, device class) sets the
-        // baseline profiling cost; later jobs report how much they skipped.
-        let cold_key = format!("{}@{}", job.spec.model, self.nodes[node_idx].backend.name());
-        let cold_steps = *self
-            .cold_steps_by_model
-            .entry(cold_key)
-            .or_insert(prep.profiling_steps);
-        let profiling_steps_saved = cold_steps.saturating_sub(prep.profiling_steps);
-
-        let profiling_secs = prep.profiling_steps as f64 * prep.step_secs;
-        let node = &mut self.nodes[node_idx];
-        node.clock += profiling_secs;
-        node.residents.push_back(RunningJob {
-            id: job.id,
-            spec: job.spec,
-            step_secs: prep.step_secs,
-            steps_done: 0,
-            submitted_at: job.submitted_at,
-            queue_latency,
-            profiling_steps: prep.profiling_steps,
-            profiling_steps_saved,
-            warm_keys: prep.warm_keys,
-            total_keys: prep.total_keys,
-            profiling_secs,
-            chrome_trace: prep.chrome_trace,
-            fitted_keys: prep.fitted_keys,
-            budget_spent: prep.profiling_steps,
-            retries: 0,
-            checkpoint_restores: 0,
-            degraded_keys: prep.degraded_keys,
-            seeded_keys: prep.seeded_keys,
-            seed_steps_saved: prep.seed_steps_saved,
-        });
+        let running = RunningJob::new(job.id, job.spec, job.submitted_at, queue_latency);
+        self.prepare_on_node(node_idx, running, node_clock);
     }
 
     /// Re-admits a crash-evicted job onto node `node_idx` at time `now`,
     /// resuming from its latest checkpoint and warm-starting from whatever
-    /// the shared store still holds. Profiling that the (possibly
-    /// corrupted) store can no longer satisfy is re-paid against the job's
-    /// *remaining* budget; keys that do not fit run degraded.
+    /// the shared store still holds.
     fn admit_retry_to_node(&mut self, node_idx: usize, retry: RetryJob, now: f64) {
         let mut job = retry.job;
+        let id = JobId(job.report.id);
         if self.durable.is_some() {
             self.journal_append(JournalRecord::Retry {
-                id: job.id.0,
+                id: id.0,
                 node: node_idx as u32,
             });
         }
         let resume = self
             .checkpoints
-            .latest(job.id)
+            .latest(id)
             .map(|c| c.steps_done)
             .unwrap_or(0);
         if resume > 0 {
-            job.checkpoint_restores += 1;
+            job.report.checkpoint_restores += 1;
             self.obs
                 .counter_add(Clock::Sim, "nnrt_checkpoint_restores_total", &[], 1);
         }
-        job.retries += 1;
-        job.steps_done = resume;
+        job.report.retries += 1;
+        job.report.steps = resume;
         self.obs
             .counter_add(Clock::Sim, "nnrt_retries_total", &[], 1);
         self.obs.event(
             Clock::Sim,
             EventKind::Retry,
             now,
-            Some(job.id.0),
+            Some(id.0),
             Some(node_idx as u32),
             format!("resume from step {resume}"),
         );
-
-        let remaining_budget = self
-            .plan
-            .profiling_step_budget
-            .map_or(u32::MAX, |b| b.saturating_sub(job.budget_spent));
-        let prep = self.prepare_on_node(node_idx, job.id, &job.spec.graph, remaining_budget);
-        job.fitted_keys = prep.fitted_keys;
-        job.degraded_keys = prep.degraded_keys;
-        job.seeded_keys += prep.seeded_keys;
-        job.seed_steps_saved += prep.seed_steps_saved;
-        job.profiling_steps += prep.profiling_steps;
-        job.budget_spent = job.budget_spent.saturating_add(prep.profiling_steps);
-        if self.config.record_traces {
-            job.chrome_trace = prep.chrome_trace;
-        }
-        job.step_secs = prep.step_secs;
-        let profiling_secs = prep.profiling_steps as f64 * prep.step_secs;
-        job.profiling_secs += profiling_secs;
-
-        let node = &mut self.nodes[node_idx];
-        // A re-admission cannot happen before the time it was attempted.
-        node.clock = node.clock.max(now) + profiling_secs;
-        node.residents.push_back(job);
+        self.prepare_on_node(node_idx, job, now);
     }
 
-    /// Profiles `graph` on node `node_idx`'s device, publishes the fitted
-    /// curves into the shared store under the node's signature, measures
-    /// one training step, and (when tracing is on) renders the step's
-    /// Chrome trace — the backend-dispatched core shared by fresh
-    /// admissions and crash re-admissions.
-    fn prepare_on_node(
-        &mut self,
-        node_idx: usize,
-        id: JobId,
-        graph: &DataflowGraph,
-        budget: u32,
-    ) -> PreparedJob {
+    /// Warm-starts `job` on node `node_idx` at time `now`, the core shared
+    /// by fresh admissions and crash re-admissions. Profiles the job's graph
+    /// on the node's device from whatever the shared store holds, within
+    /// the job's remaining profiling budget (keys that do not fit run
+    /// degraded), publishes the fitted curves, measures one training step
+    /// and merges the result into the job's report. The profiling is charged
+    /// to the node's clock, which first catches up with `now`; then the job
+    /// becomes resident.
+    fn prepare_on_node(&mut self, node_idx: usize, mut job: RunningJob, now: f64) {
         let (signature, backend) = {
             let node = &self.nodes[node_idx];
             (node.signature, node.backend)
         };
+        let id = JobId(job.report.id);
+        let graph = &job.spec.graph;
         let catalog = OpCatalog::new(graph);
         let keys = catalog.keys().to_vec();
         let warm = self.store.lookup(signature, &keys);
         let pool = ProfilerPool::new(self.config.profile_threads);
-        match backend {
+        let budget = self
+            .plan
+            .profiling_step_budget
+            .map_or(u32::MAX, |b| b.saturating_sub(job.budget_spent));
+        let (published, profiling_steps, degraded_keys, step_secs, chrome_trace) = match backend {
             // A cluster head profiles exactly like a KNL node (its members
             // are KNLs running the per-node scheduler); the multi-node step
             // is then simulated on top of the measured single-node step.
@@ -1430,24 +1366,13 @@ impl Fleet {
                 config.seed = self.job_seed(id);
                 let mut runtime =
                     Runtime::prepare_warm_pooled(graph, node_cost, config, &warm, budget, pool);
-                // Publish everything this job measured (and refresh what it
-                // reused). The journal gets the same delta: it is a
-                // write-ahead log over the store, so a crash between
-                // snapshot flushes loses no measured key.
-                let published = runtime.model().export();
-                self.store.insert_many(signature, &published);
-                if self.durable.is_some() {
-                    self.journal_append(JournalRecord::StoreInsert {
-                        machine: signature,
-                        profiles: published,
-                    });
-                }
                 // Per-key climb events come from the merged outcome, which
                 // is in canonical key order for every worker count — never
                 // from the profiler's worker threads, whose interleaving is
                 // wall-clock-dependent.
                 let at = self.nodes[node_idx].clock;
-                for c in &runtime.fit_outcome().climbs {
+                let fit = runtime.fit_outcome();
+                for c in &fit.climbs {
                     self.obs.counter_add(
                         Clock::Sim,
                         "nnrt_profile_measurements_total",
@@ -1466,6 +1391,8 @@ impl Fleet {
                         ),
                     );
                 }
+                job.report.seeded_keys += fit.seeded_keys;
+                job.report.seed_steps_saved += fit.steps_saved;
                 runtime.record_trace(self.config.record_traces);
                 let step = runtime.run_step(graph);
                 let step_secs = if backend == NodeBackend::Cluster {
@@ -1473,39 +1400,24 @@ impl Fleet {
                 } else {
                     step.total_secs
                 };
-                PreparedJob {
+                (
+                    runtime.model().export(),
+                    runtime.model().profiling_steps,
+                    runtime.degraded_keys().len(),
                     step_secs,
-                    profiling_steps: runtime.model().profiling_steps,
-                    degraded_keys: runtime.degraded_keys().len(),
-                    seeded_keys: runtime.fit_outcome().seeded_keys,
-                    seed_steps_saved: runtime.fit_outcome().steps_saved,
-                    fitted_keys: keys
-                        .iter()
-                        .filter(|k| runtime.model().contains(k))
-                        .cloned()
-                        .collect(),
-                    warm_keys: warm.len(),
-                    total_keys: keys.len(),
-                    chrome_trace: self
-                        .config
+                    self.config
                         .record_traces
                         .then(|| export_chrome_trace(graph, &step.timings)),
-                }
+                )
             }
+            // Cross-shape seeding is a KNL-profiler feature, so GPU jobs
+            // leave the seeding counts alone.
             NodeBackend::Gpu => {
                 let spec = self.nodes[node_idx].gpu_spec;
                 let mut config = self.config.gpu;
                 config.profile.seed = self.job_seed(id);
                 let runtime =
                     GpuRuntime::prepare_warm_pooled(graph, spec, config, &warm, budget, pool);
-                let published = runtime.profile().export();
-                self.store.insert_many(signature, &published);
-                if self.durable.is_some() {
-                    self.journal_append(JournalRecord::StoreInsert {
-                        machine: signature,
-                        profiles: published,
-                    });
-                }
                 let step = runtime.run_step(graph);
                 let at = self.nodes[node_idx].clock;
                 for (lane, ops) in step.lane_summary() {
@@ -1524,27 +1436,65 @@ impl Fleet {
                     &[("node", &node_idx.to_string())],
                     f64::from(step.streams_used),
                 );
-                PreparedJob {
-                    step_secs: step.total_secs,
-                    profiling_steps: runtime.profile().profiling_steps,
-                    degraded_keys: runtime.degraded_keys().len(),
-                    // Cross-shape seeding is a KNL-profiler feature.
-                    seeded_keys: 0,
-                    seed_steps_saved: 0,
-                    fitted_keys: keys
-                        .iter()
-                        .filter(|k| runtime.profile().contains(k))
-                        .cloned()
-                        .collect(),
-                    warm_keys: warm.len(),
-                    total_keys: keys.len(),
-                    chrome_trace: self.config.record_traces.then(|| {
-                        // One trace lane per CUDA stream.
-                        export_lane_chrome_trace(graph, &step.timings, &step.streams)
-                    }),
-                }
+                (
+                    runtime.profile().export(),
+                    runtime.profile().profiling_steps,
+                    runtime.degraded_keys().len(),
+                    step.total_secs,
+                    // One trace lane per CUDA stream.
+                    self.config
+                        .record_traces
+                        .then(|| export_lane_chrome_trace(graph, &step.timings, &step.streams)),
+                )
             }
+        };
+        // Publish everything this job measured (and refresh what it
+        // reused). The journal gets the same delta: it is a write-ahead log
+        // over the store, so a crash between snapshot flushes loses no
+        // measured key. `published` is sorted by key.
+        job.fitted_keys = keys
+            .iter()
+            .filter(|k| {
+                published
+                    .binary_search_by(|p| (p.kind, &p.shape).cmp(&(k.0, &k.1)))
+                    .is_ok()
+            })
+            .cloned()
+            .collect();
+        self.store.insert_many(signature, &published);
+        if self.durable.is_some() {
+            self.journal_append(JournalRecord::StoreInsert {
+                machine: signature,
+                profiles: published,
+            });
         }
+
+        if job.report.retries == 0 {
+            // A fresh admission. The cold first job of each (model, device
+            // class) sets the baseline profiling cost; later jobs report how
+            // much they skipped.
+            let cold_key = format!("{}@{}", job.spec.model, backend.name());
+            let cold_steps = *self
+                .cold_steps_by_model
+                .entry(cold_key)
+                .or_insert(profiling_steps);
+            job.report.profiling_steps_saved = cold_steps.saturating_sub(profiling_steps);
+            job.report.warm_keys = warm.len();
+            job.report.total_keys = keys.len();
+        }
+        let profiling_secs = profiling_steps as f64 * step_secs;
+        let report = &mut job.report;
+        report.node = node_idx as u32;
+        report.profiling_steps += profiling_steps;
+        report.profiling_secs += profiling_secs;
+        report.degraded_keys = degraded_keys;
+        report.step_secs = step_secs;
+        report.chrome_trace = chrome_trace;
+        job.budget_spent = job.budget_spent.saturating_add(profiling_steps);
+
+        let node = &mut self.nodes[node_idx];
+        node.clock = node.clock.max(now) + profiling_secs;
+        node.residents.push_back(job);
     }
 
     /// Simulates one multi-node training step of `graph` on the cluster a
@@ -1669,7 +1619,7 @@ impl Fleet {
                 for job in evicted {
                     if self.durable.is_some() {
                         self.journal_append(JournalRecord::Evict {
-                            id: job.id.0,
+                            id: job.report.id,
                             at: start,
                         });
                     }
@@ -1679,9 +1629,9 @@ impl Fleet {
                         Clock::Sim,
                         EventKind::Evict,
                         start,
-                        Some(job.id.0),
+                        Some(job.report.id),
                         Some(idx as u32),
-                        format!("at step {}", job.steps_done),
+                        format!("at step {}", job.report.steps),
                     );
                     self.retries.push(RetryJob {
                         job,
@@ -1745,7 +1695,7 @@ impl Fleet {
             a.eligible_at
                 .partial_cmp(&b.eligible_at)
                 .expect("finite backoff times")
-                .then(a.job.id.cmp(&b.job.id))
+                .then(a.job.report.id.cmp(&b.job.report.id))
         });
         let mut i = 0;
         while i < self.retries.len() {
@@ -1794,18 +1744,20 @@ impl Fleet {
         } else {
             1.0
         };
-        let measured = job.step_secs * slow;
+        let measured = job.report.step_secs * slow;
         node.clock += measured;
-        node.health.observe(job.step_secs, measured);
-        job.steps_done += 1;
+        node.health.observe(job.report.step_secs, measured);
+        job.report.steps += 1;
         let clock = node.clock;
+        let id = JobId(job.report.id);
+        let steps_done = job.report.steps;
         let interval = self.config.checkpoint_interval;
-        if job.steps_done < job.spec.steps {
-            if interval > 0 && job.steps_done.is_multiple_of(interval) {
+        if steps_done < job.spec.steps {
+            if interval > 0 && steps_done.is_multiple_of(interval) {
                 self.checkpoints.save(
-                    job.id,
+                    id,
                     Checkpoint {
-                        steps_done: job.steps_done,
+                        steps_done,
                         fitted_keys: job.fitted_keys.clone(),
                         at: clock,
                     },
@@ -1816,14 +1768,14 @@ impl Fleet {
                     Clock::Sim,
                     EventKind::Checkpoint,
                     clock,
-                    Some(job.id.0),
+                    Some(id.0),
                     Some(node_idx as u32),
-                    format!("step {}", job.steps_done),
+                    format!("step {steps_done}"),
                 );
                 if self.durable.is_some() {
                     self.journal_append(JournalRecord::Checkpoint {
-                        id: job.id.0,
-                        steps_done: job.steps_done,
+                        id: id.0,
+                        steps_done,
                         at: clock,
                         fitted_keys: job.fitted_keys.clone(),
                     });
@@ -1831,57 +1783,35 @@ impl Fleet {
             }
             self.nodes[node_idx].residents.push_back(job);
         } else {
-            self.checkpoints.remove(job.id);
+            self.checkpoints.remove(id);
             self.obs
                 .counter_add(Clock::Sim, "nnrt_jobs_completed_total", &[], 1);
             self.obs.observe(
                 Clock::Sim,
                 "nnrt_job_duration_seconds",
                 &[],
-                (clock - job.submitted_at).max(0.0),
+                (clock - job.report.submitted_at).max(0.0),
             );
             self.obs.event(
                 Clock::Sim,
                 EventKind::Complete,
                 clock,
-                Some(job.id.0),
+                Some(id.0),
                 Some(node_idx as u32),
-                format!("{} ({} steps)", job.spec.name, job.steps_done),
+                format!("{} ({steps_done} steps)", job.spec.name),
             );
             if self.durable.is_some() {
                 self.journal_append(JournalRecord::Complete {
-                    id: job.id.0,
-                    name: job.spec.name.clone(),
-                    model: job.spec.model.clone(),
-                    steps: job.steps_done,
+                    id: id.0,
+                    name: job.spec.name,
+                    model: job.spec.model,
+                    steps: steps_done,
                     node: node_idx as u32,
                     at: clock,
                 });
             }
-            self.completed.push(JobReport {
-                id: job.id.0,
-                name: job.spec.name,
-                model: job.spec.model,
-                node: node_idx as u32,
-                priority: job.spec.priority,
-                weight: job.spec.weight,
-                steps: job.steps_done,
-                submitted_at: job.submitted_at,
-                queue_latency_secs: job.queue_latency,
-                profiling_steps: job.profiling_steps,
-                profiling_steps_saved: job.profiling_steps_saved,
-                warm_keys: job.warm_keys,
-                total_keys: job.total_keys,
-                retries: job.retries,
-                checkpoint_restores: job.checkpoint_restores,
-                degraded_keys: job.degraded_keys,
-                seeded_keys: job.seeded_keys,
-                seed_steps_saved: job.seed_steps_saved,
-                step_secs: job.step_secs,
-                profiling_secs: job.profiling_secs,
-                completed_at: clock,
-                chrome_trace: job.chrome_trace,
-            });
+            job.report.completed_at = clock;
+            self.completed.push(job.report);
             self.place_queued();
         }
     }
@@ -2157,31 +2087,11 @@ impl Fleet {
                 if let Some(ckpt) = checkpoints.remove(&id) {
                     fleet.checkpoints.save(JobId(id), ckpt);
                 }
-                // A fresh RunningJob shell: the retry path re-profiles on
-                // whatever node takes the job and resumes from the saved
-                // checkpoint, accounting the restart honestly as a retry.
+                // The retry path re-profiles on whatever node takes the job
+                // and resumes from the saved checkpoint, accounting the
+                // restart honestly as a retry.
                 fleet.retries.push(RetryJob {
-                    job: RunningJob {
-                        id: JobId(id),
-                        spec: job.spec,
-                        step_secs: 0.0,
-                        steps_done: 0,
-                        submitted_at: 0.0,
-                        queue_latency: 0.0,
-                        profiling_steps: 0,
-                        profiling_steps_saved: 0,
-                        warm_keys: 0,
-                        total_keys: 0,
-                        profiling_secs: 0.0,
-                        chrome_trace: None,
-                        fitted_keys: Vec::new(),
-                        budget_spent: 0,
-                        retries: 0,
-                        checkpoint_restores: 0,
-                        degraded_keys: 0,
-                        seeded_keys: 0,
-                        seed_steps_saved: 0,
-                    },
+                    job: RunningJob::new(JobId(id), job.spec, 0.0, 0.0),
                     eligible_at: 0.0,
                     backoff_secs: INITIAL_BACKOFF_SECS,
                 });
@@ -2399,12 +2309,12 @@ mod tests {
                 let resident_on = fleet
                     .nodes
                     .iter()
-                    .position(|n| n.residents.iter().any(|r| r.id == id));
+                    .position(|n| n.residents.iter().any(|r| r.report.id == j.id));
                 let (phase, node) = if let Some(c) = fleet.completed.iter().find(|c| c.id == j.id) {
                     (JobPhase::Completed, Some(c.node))
                 } else if let Some(n) = resident_on {
                     (JobPhase::Running, Some(n as u32))
-                } else if fleet.retries.iter().any(|r| r.job.id == id) {
+                } else if fleet.retries.iter().any(|r| r.job.report.id == j.id) {
                     (JobPhase::Retrying, None)
                 } else {
                     assert!(fleet.queue.iter().any(|q| q.id == id));
