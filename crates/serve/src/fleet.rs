@@ -1479,6 +1479,11 @@ impl Fleet {
                 .entry(cold_key)
                 .or_insert(profiling_steps);
             job.report.profiling_steps_saved = cold_steps.saturating_sub(profiling_steps);
+        }
+        // The key counts describe the job's first admission in this
+        // process: its placement, or for a job `recover` resumed, its first
+        // re-admission.
+        if job.report.total_keys == 0 {
             job.report.warm_keys = warm.len();
             job.report.total_keys = keys.len();
         }

@@ -8,6 +8,7 @@
 //! admitted, with zero lost profile-store keys.
 
 use nnrt::prelude::*;
+use nnrt::sched::OpCatalog;
 use nnrt::serve::{
     replay, DurabilityConfig, Fleet, FleetConfig, JobSpec, JournalRecord, ProfileStore,
     RecoverError, StoreError, JOURNAL_FILE, SNAPSHOT_FILE,
@@ -127,6 +128,7 @@ fn recovery_succeeds_at_every_journal_record_boundary() {
     let (journal, initial_snapshot, _, all_names, final_store) = record_run(&dir, 3);
     let boundaries = record_boundaries(&journal);
     assert!(boundaries.len() > 10, "the run must leave a real history");
+    let total_keys = OpCatalog::new(&dcgan(4).graph).keys().len();
 
     for (i, &cut) in boundaries.iter().enumerate() {
         let prefix = &journal[..cut];
@@ -170,6 +172,14 @@ fn recovery_succeeds_at_every_journal_record_boundary() {
             .map(|j| j.name.clone())
             .collect();
         let report = fleet.run();
+        // A resumed job counts its graph's keys like a fresh one.
+        for j in report.jobs.iter().filter(|j| j.retries >= 1) {
+            assert_eq!(
+                j.total_keys, total_keys,
+                "crash point {i}: resumed job {} must report its key count",
+                j.name
+            );
+        }
         let resumed: BTreeSet<String> = report.jobs.iter().map(|j| j.name.clone()).collect();
         assert!(
             prior.is_disjoint(&resumed),
