@@ -393,28 +393,16 @@ impl HillClimbModel {
     /// Profiles every key of `catalog` with the hill-climbing search.
     pub fn fit(catalog: &OpCatalog, measurer: &mut Measurer, cfg: HillClimbConfig) -> Self {
         let mut model = HillClimbModel::default();
-        model.fit_missing(catalog, measurer, cfg);
+        model.fit_missing_budgeted(catalog, measurer, cfg, u32::MAX);
         model
     }
 
-    /// Profiles only the keys of `catalog` the model does not yet cover —
-    /// the warm-start path: a job whose keys were already measured (by an
-    /// earlier job on the same machine) skips those climbs entirely, and
-    /// `profiling_steps`/`measurements` grow only by the incremental cost.
-    /// Returns the number of newly profiled keys.
-    pub fn fit_missing(
-        &mut self,
-        catalog: &OpCatalog,
-        measurer: &mut Measurer,
-        cfg: HillClimbConfig,
-    ) -> usize {
-        self.fit_missing_budgeted(catalog, measurer, cfg, u32::MAX)
-            .new_keys
-    }
-
-    /// Like [`HillClimbModel::fit_missing`], but under a profiling budget of
-    /// `budget_steps` simulated training steps. A profiling step measures one
-    /// `(threads, mode)` point of every key concurrently, and each key needs
+    /// Profiles only the keys of `catalog` the model does not yet cover,
+    /// under a profiling budget of `budget_steps` simulated training steps.
+    /// This is the warm-start path: a job whose keys were already measured
+    /// (by an earlier job on the same machine) skips those climbs entirely,
+    /// and `profiling_steps`/`measurements` grow only by the incremental
+    /// cost. A profiling step measures one `(threads, mode)` point of every key concurrently, and each key needs
     /// two climbs (compact + scatter), so the budget caps every climb at
     /// `budget_steps / 2` samples. Keys whose climb is truncated by the cap
     /// before converging are *degraded*: their partial curves are discarded
@@ -794,15 +782,19 @@ mod tests {
         let mut warm = HillClimbModel::default();
         warm.import(&cold.export());
         let mut m2 = Measurer::new(KnlCostModel::knl(), NoiseModel::none(), 123);
-        let new_keys = warm.fit_missing(&catalog, &mut m2, cfg);
+        let new_keys = warm
+            .fit_missing_budgeted(&catalog, &mut m2, cfg, u32::MAX)
+            .new_keys;
         assert_eq!(new_keys, 0);
         assert_eq!(warm.profiling_steps, 0);
         assert_eq!(m2.measurements_taken(), 0);
 
-        // Cold fit through fit_missing matches plain fit.
+        // Cold fit through fit_missing_budgeted matches plain fit.
         let mut m3 = Measurer::new(KnlCostModel::knl(), NoiseModel::none(), 123);
         let mut scratch = HillClimbModel::default();
-        let fresh = scratch.fit_missing(&catalog, &mut m3, cfg);
+        let fresh = scratch
+            .fit_missing_budgeted(&catalog, &mut m3, cfg, u32::MAX)
+            .new_keys;
         assert_eq!(fresh, catalog.keys().len());
         assert_eq!(scratch.profiling_steps, cold.profiling_steps);
         assert_eq!(scratch.measurements, cold.measurements);

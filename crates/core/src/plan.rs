@@ -115,11 +115,6 @@ impl ThreadPlan {
         }
     }
 
-    /// Planned configuration with the model's predicted time, if any.
-    pub fn planned(&self, key: &OpKey) -> Option<(u32, SharingMode, f64)> {
-        self.assignments.get(key).copied()
-    }
-
     /// The framework-default intra-op parallelism.
     pub fn default_intra(&self) -> u32 {
         self.default_intra

@@ -177,11 +177,6 @@ impl GpuProfile {
         self.curves.contains_key(key)
     }
 
-    /// The fitted curve pair of `key`.
-    pub fn curves_for(&self, key: &OpKey) -> Option<&[Curve; 2]> {
-        self.curves.get(key)
-    }
-
     /// The launch configuration the fitted curves recommend for `key`
     /// (sampled minimum of each axis), or the TF default for unfitted /
     /// degraded keys.

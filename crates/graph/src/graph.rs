@@ -309,11 +309,6 @@ impl ReadyTracker {
         self.ready.iter().copied()
     }
 
-    /// Number of currently ready nodes.
-    pub fn num_ready(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Pops the oldest ready node (FIFO), if any.
     pub fn pop_fifo(&mut self) -> Option<NodeId> {
         self.ready.pop_front()

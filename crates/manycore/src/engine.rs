@@ -222,15 +222,6 @@ impl Engine {
         Ok(r.remaining / r.rate.max(1e-12))
     }
 
-    /// Longest estimated remaining time among running jobs (used by the
-    /// paper's Strategy 3: a candidate must not outlast the ongoing ops).
-    pub fn max_remaining_secs(&self) -> Option<f64> {
-        self.jobs
-            .iter()
-            .map(|r| r.remaining / r.rate.max(1e-12))
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
-    }
-
     /// The recorded event trace (empty unless [`Engine::record_trace`] is on).
     pub fn trace(&self) -> &[EngineEvent] {
         &self.trace

@@ -29,16 +29,12 @@
 pub mod common;
 pub mod datasets;
 mod dcgan;
-pub mod distributed;
 mod inception;
 mod lstm;
 mod resnet;
 mod transformer;
 
 pub use dcgan::dcgan;
-pub use distributed::{
-    data_parallel_variant, paper_models_data_parallel, pipeline_variant, DistributedSpec,
-};
 pub use inception::inception_v3;
 pub use lstm::lstm;
 pub use resnet::resnet50;

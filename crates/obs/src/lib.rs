@@ -244,14 +244,6 @@ impl Obs {
     pub fn chrome_trace(&self, filter: Option<Clock>) -> String {
         events::to_chrome_trace(&self.events_snapshot(filter))
     }
-
-    /// How many events each domain has dropped to its ring bound.
-    pub fn events_dropped(&self, clock: Clock) -> u64 {
-        if !self.config.enabled {
-            return 0;
-        }
-        self.events.lock().dropped(clock)
-    }
 }
 
 impl Default for Obs {

@@ -277,11 +277,6 @@ impl FleetServer {
         self.addr
     }
 
-    /// Whether a `Shutdown` request has stopped the server.
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Blocks until a `Shutdown` request stops the server, then returns the
     /// final [`nnrt_serve::FleetReport`] JSON the shutdown flushed (`None`
     /// only if the service thread died without one).

@@ -1030,11 +1030,6 @@ impl Fleet {
         self.plan = plan;
     }
 
-    /// The armed fault plan (fault-free by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// The shared profile store.
     pub fn store(&self) -> &Arc<ProfileStore> {
         &self.store
