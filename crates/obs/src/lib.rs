@@ -25,7 +25,7 @@
 //!   byte-compared surfaces only ever include the sim domain.
 //!
 //! The registry ([`Registry`]) holds counters, gauges, and fixed-bucket
-//! histograms with exact quantile readout, keyed by `(name, labels)`.
+//! histograms (bucket counts, sum and count), keyed by `(name, labels)`.
 //! Events ([`Event`]) live in a bounded per-domain ring ([`EventBuf`]),
 //! exportable as JSONL or a merged chrome-trace. [`Obs`] wraps both behind
 //! mutexes so a fleet, its RPC server, and its CLI introspection can share
@@ -41,7 +41,7 @@ mod registry;
 
 pub use encode::{parse_exposition, Exposition, Sample};
 pub use events::{Event, EventBuf, EventKind};
-pub use registry::{Registry, DEFAULT_BUCKETS, HISTOGRAM_SAMPLE_CAP};
+pub use registry::{Registry, DEFAULT_BUCKETS};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -177,20 +177,6 @@ impl Obs {
             return None;
         }
         self.registry.lock().gauge(clock, name, labels)
-    }
-
-    /// Exact `q`-quantile of a histogram's retained samples, if any.
-    pub fn quantile(
-        &self,
-        clock: Clock,
-        name: &str,
-        labels: &[(&str, &str)],
-        q: f64,
-    ) -> Option<f64> {
-        if !self.config.enabled {
-            return None;
-        }
-        self.registry.lock().quantile(clock, name, labels, q)
     }
 
     /// Appends an event to its clock domain's ring and returns its

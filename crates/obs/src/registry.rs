@@ -18,11 +18,6 @@ pub const DEFAULT_BUCKETS: [f64; 11] = [
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3, 1e4,
 ];
 
-/// How many raw samples a histogram retains for exact quantile readout.
-/// Beyond the cap new samples still land in buckets/sum/count but are
-/// dropped from the quantile set (and counted in `samples_dropped`).
-pub const HISTOGRAM_SAMPLE_CAP: usize = 4096;
-
 /// Series identity: name, clock domain, and sorted label pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct SeriesKey {
@@ -63,7 +58,7 @@ impl Series {
     }
 }
 
-/// Fixed-bucket histogram with retained samples for exact quantiles.
+/// Fixed-bucket histogram.
 #[derive(Debug, Clone)]
 struct Hist {
     /// Cumulative-style per-bucket counts; `counts[i]` counts samples
@@ -72,8 +67,6 @@ struct Hist {
     counts: Vec<u64>,
     sum: f64,
     count: u64,
-    samples: Vec<f64>,
-    samples_dropped: u64,
 }
 
 impl Hist {
@@ -82,8 +75,6 @@ impl Hist {
             counts: vec![0; DEFAULT_BUCKETS.len() + 1],
             sum: 0.0,
             count: 0,
-            samples: Vec::new(),
-            samples_dropped: 0,
         }
     }
 
@@ -95,23 +86,6 @@ impl Hist {
         self.counts[idx] += 1;
         self.sum += v;
         self.count += 1;
-        if self.samples.len() < HISTOGRAM_SAMPLE_CAP {
-            self.samples.push(v);
-        } else {
-            self.samples_dropped += 1;
-        }
-    }
-
-    /// Exact nearest-rank quantile over the retained samples.
-    fn quantile(&self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("histogram samples are not NaN"));
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-        Some(sorted[rank.min(sorted.len() - 1)])
     }
 }
 
@@ -172,20 +146,6 @@ impl Registry {
     pub fn gauge(&self, clock: Clock, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         match self.series.get(&SeriesKey::new(clock, name, labels)) {
             Some(Series::Gauge(g)) => Some(*g),
-            _ => None,
-        }
-    }
-
-    /// Exact `q`-quantile of a histogram's retained samples.
-    pub fn quantile(
-        &self,
-        clock: Clock,
-        name: &str,
-        labels: &[(&str, &str)],
-        q: f64,
-    ) -> Option<f64> {
-        match self.series.get(&SeriesKey::new(clock, name, labels)) {
-            Some(Series::Histogram(h)) => h.quantile(q),
             _ => None,
         }
     }
@@ -293,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_exact_quantiles() {
+    fn histogram_buckets_count_every_observation() {
         let mut r = Registry::new();
         for v in [0.5e-6, 2e-6, 3e-3, 0.2, 5.0, 2e4] {
             r.observe(Clock::Wall, "h", &[], v);
@@ -304,27 +264,6 @@ mod tests {
         assert!(text.contains("h_bucket{clock=\"wall\",le=\"0.00001\"} 2\n"));
         assert!(text.contains("h_bucket{clock=\"wall\",le=\"+Inf\"} 6\n"));
         assert!(text.contains("h_count{clock=\"wall\"} 6\n"));
-        assert_eq!(r.quantile(Clock::Wall, "h", &[], 0.0), Some(0.5e-6));
-        assert_eq!(r.quantile(Clock::Wall, "h", &[], 0.5), Some(3e-3));
-        assert_eq!(r.quantile(Clock::Wall, "h", &[], 1.0), Some(2e4));
-    }
-
-    #[test]
-    fn quantile_cap_drops_but_still_counts() {
-        let mut r = Registry::new();
-        for i in 0..(HISTOGRAM_SAMPLE_CAP + 10) {
-            r.observe(Clock::Sim, "h", &[], i as f64);
-        }
-        let text = r.expose(None);
-        assert!(text.contains(&format!(
-            "h_count{{clock=\"sim\"}} {}\n",
-            HISTOGRAM_SAMPLE_CAP + 10
-        )));
-        // Quantiles read the retained prefix only.
-        assert_eq!(
-            r.quantile(Clock::Sim, "h", &[], 1.0),
-            Some((HISTOGRAM_SAMPLE_CAP - 1) as f64)
-        );
     }
 
     #[test]
