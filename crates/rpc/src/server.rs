@@ -105,6 +105,11 @@ pub const DEFAULT_PIPELINE_DEPTH: usize = 16;
 /// Retry hint carried by connection-cap rejections, seconds.
 pub const CONNECTION_RETRY_SECS: f64 = 0.5;
 
+/// Most `(model, batch)` graphs the service thread caches. The key is
+/// client-chosen, so past the cap a new key's graph is built for its
+/// submission but not kept.
+const GRAPH_CACHE_CAP: usize = 64;
+
 /// When the fleet executes queued work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DrainPolicy {
@@ -646,7 +651,8 @@ struct ServiceLoop {
     /// `(model, batch)` → built graph, so repeated submissions of one model
     /// family do not rebuild multi-thousand-op graphs per request. Graph
     /// clones share one body, so every job admitted from the cache holds
-    /// the cached graph itself, not a copy.
+    /// the cached graph itself, not a copy. Holds at most
+    /// [`GRAPH_CACHE_CAP`] keys.
     graphs: HashMap<(String, u64), DataflowGraph>,
     /// Wall-clock origin for RPC event timestamps.
     epoch: Instant,
@@ -795,7 +801,9 @@ impl ServiceLoop {
                 let batch = (spec.batch > 0).then_some(spec.batch as usize);
                 match nnrt_models::by_name(&spec.model, batch) {
                     Some(model) => {
-                        self.graphs.insert(graph_key, model.graph.clone());
+                        if self.graphs.len() < GRAPH_CACHE_CAP {
+                            self.graphs.insert(graph_key, model.graph.clone());
+                        }
                         model.graph
                     }
                     None => {
@@ -838,5 +846,43 @@ impl ServiceLoop {
                 retry_after_secs: None,
             }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn graph_cache_stays_bounded_under_distinct_batches() {
+        let (_inbox, commands) = mpsc::sync_channel(1);
+        let (replies, _answers) = mpsc::channel();
+        let mut service = ServiceLoop {
+            fleet: Fleet::new(FleetConfig {
+                queue_capacity: 2 * GRAPH_CACHE_CAP,
+                ..FleetConfig::default()
+            }),
+            config: ServerConfig::default(),
+            commands,
+            replies,
+            waker: Waker::new().expect("waker"),
+            stop: Arc::new(AtomicBool::new(false)),
+            final_report: Arc::new(Mutex::new(None)),
+            graphs: HashMap::new(),
+            epoch: Instant::now(),
+        };
+        for batch in 1..=GRAPH_CACHE_CAP as u64 + 8 {
+            let spec = SubmitSpec {
+                batch,
+                ..SubmitSpec::new("dcgan")
+            };
+            let response = service.submit(spec);
+            assert!(
+                matches!(response, Response::Submitted { .. }),
+                "batch {batch} must be admitted, got {response:?}"
+            );
+            assert!(service.graphs.len() <= GRAPH_CACHE_CAP);
+        }
+        assert_eq!(service.graphs.len(), GRAPH_CACHE_CAP);
     }
 }
