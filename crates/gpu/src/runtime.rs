@@ -717,4 +717,23 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn strategy_json_is_a_mode_tagged_object() {
+        let cases = [
+            (GpuStrategy::Serial, r#"{"mode":"serial"}"#),
+            (
+                GpuStrategy::Static { streams: 3 },
+                r#"{"mode":"static","streams":3}"#,
+            ),
+            (
+                GpuStrategy::default(),
+                r#"{"mode":"corun_controlled","max_streams":4,"demand_budget":1.15}"#,
+            ),
+        ];
+        for (strategy, text) in cases {
+            assert_eq!(serde_json::to_string(&strategy).unwrap(), text);
+            assert_eq!(serde_json::from_str::<GpuStrategy>(text).unwrap(), strategy);
+        }
+    }
 }
