@@ -28,13 +28,13 @@ trap 'rm -rf "$tmpdir"' EXIT
 echo "== paper records (sim-domain results pinned across commits) =="
 # The benches rewrite experiments/<id>.json; each regenerated record must
 # equal the committed one byte for byte.
-paper_records="table1 table2 fig1 fig3 fig4 fig5 table3 table4 table6 cluster_scaling cluster_overlap gpu_streams ablation_regression_directed"
+paper_records="table1 table2 fig1 fig3 fig4 fig5 table3 table4 table5 table6 cluster_scaling cluster_overlap gpu_streams ablation_regression_directed chaos_recovery"
 for id in $paper_records; do cp "experiments/$id.json" "$tmpdir/$id.json"; done
 cargo bench -q --offline -p nnrt-bench --bench table1_parallelism_grid --bench table2_input_size \
   --bench fig1_op_scaling --bench fig3_ablation --bench fig4_corun_events --bench fig5_gpu_intraop \
-  --bench table3_corun_strategies --bench table4_regression --bench table6_top_ops \
-  --bench cluster_scaling --bench cluster_overlap --bench table7_streams \
-  --bench ablation_regression_directed \
+  --bench table3_corun_strategies --bench table4_regression --bench table5_hillclimb \
+  --bench table6_top_ops --bench cluster_scaling --bench cluster_overlap --bench table7_streams \
+  --bench ablation_regression_directed --bench chaos_recovery \
   > "$tmpdir/paper-records.out"
 for id in $paper_records; do
   cmp "$tmpdir/$id.json" "experiments/$id.json" \
