@@ -28,7 +28,7 @@ use crate::profile::{GpuProfile, GpuProfileConfig};
 use nnrt_graph::{DataflowGraph, NodeId, OpKey};
 use nnrt_sched::exec::NodeTiming;
 use nnrt_sched::{OpCatalog, ProfilerPool};
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, ObjectWriter, Serialize, Value};
 
 /// How ready kernels are packed onto streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,30 +63,22 @@ impl Default for GpuStrategy {
 // The vendored serde derive only covers fieldless enums, so the tagged
 // object shape is written out by hand.
 impl Serialize for GpuStrategy {
-    fn to_json_value(&self) -> Value {
-        let obj = |fields: Vec<(&str, Value)>| {
-            Value::Object(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
+    fn write_json(&self, out: &mut String) {
+        let obj = ObjectWriter::new(out);
         match self {
-            GpuStrategy::Serial => obj(vec![("mode", Value::Str("serial".to_string()))]),
-            GpuStrategy::Static { streams } => obj(vec![
-                ("mode", Value::Str("static".to_string())),
-                ("streams", Value::Uint(*streams as u64)),
-            ]),
+            GpuStrategy::Serial => obj.field("mode", "serial"),
+            GpuStrategy::Static { streams } => {
+                obj.field("mode", "static").field("streams", streams)
+            }
             GpuStrategy::CorunControlled {
                 max_streams,
                 demand_budget,
-            } => obj(vec![
-                ("mode", Value::Str("corun_controlled".to_string())),
-                ("max_streams", Value::Uint(*max_streams as u64)),
-                ("demand_budget", Value::Float(*demand_budget)),
-            ]),
+            } => obj
+                .field("mode", "corun_controlled")
+                .field("max_streams", max_streams)
+                .field("demand_budget", demand_budget),
         }
+        .end();
     }
 }
 

@@ -103,8 +103,8 @@ struct Body {
 }
 
 impl Serialize for DataflowGraph {
-    fn to_json_value(&self) -> Value {
-        self.body.to_json_value()
+    fn write_json(&self, out: &mut String) {
+        self.body.write_json(out);
     }
 }
 

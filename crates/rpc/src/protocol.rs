@@ -27,7 +27,7 @@
 
 use nnrt_obs::Event;
 use nnrt_serve::{JobStatus, StoreStats};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, ObjectWriter, Serialize, Value};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -330,15 +330,6 @@ pub enum Response {
 // enums, so Request/Response are written out by hand).
 // ---------------------------------------------------------------------------
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn tag_of(v: &Value) -> Result<&str, SerdeError> {
     v.get("type")
         .and_then(Value::as_str)
@@ -351,22 +342,18 @@ fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, SerdeError> {
 }
 
 impl Serialize for Request {
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
+        let obj = ObjectWriter::new(out).field("type", self.kind());
         match self {
-            Request::Submit(spec) => obj(vec![
-                ("type", Value::Str("submit".to_string())),
-                ("spec", spec.to_json_value()),
-            ]),
-            Request::Status { job_id } => obj(vec![
-                ("type", Value::Str("status".to_string())),
-                ("job_id", Value::Uint(*job_id)),
-            ]),
-            Request::ListJobs => obj(vec![("type", Value::Str("list_jobs".to_string()))]),
-            Request::Snapshot => obj(vec![("type", Value::Str("snapshot".to_string()))]),
-            Request::Metrics => obj(vec![("type", Value::Str("metrics".to_string()))]),
-            Request::Events => obj(vec![("type", Value::Str("events".to_string()))]),
-            Request::Shutdown => obj(vec![("type", Value::Str("shutdown".to_string()))]),
+            Request::Submit(spec) => obj.field("spec", spec),
+            Request::Status { job_id } => obj.field("job_id", job_id),
+            Request::ListJobs
+            | Request::Snapshot
+            | Request::Metrics
+            | Request::Events
+            | Request::Shutdown => obj,
         }
+        .end();
     }
 }
 
@@ -390,41 +377,21 @@ impl Deserialize for Request {
 }
 
 impl Serialize for Response {
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
+        let obj = ObjectWriter::new(out);
         match self {
-            Response::Submitted { job_id } => obj(vec![
-                ("type", Value::Str("submitted".to_string())),
-                ("job_id", Value::Uint(*job_id)),
-            ]),
-            Response::Job(status) => obj(vec![
-                ("type", Value::Str("job".to_string())),
-                ("job", status.to_json_value()),
-            ]),
-            Response::Jobs(jobs) => obj(vec![
-                ("type", Value::Str("jobs".to_string())),
-                ("jobs", jobs.to_json_value()),
-            ]),
-            Response::Snapshot(info) => obj(vec![
-                ("type", Value::Str("snapshot".to_string())),
-                ("store", info.to_json_value()),
-            ]),
-            Response::Metrics { text } => obj(vec![
-                ("type", Value::Str("metrics".to_string())),
-                ("text", Value::Str(text.clone())),
-            ]),
-            Response::Events(events) => obj(vec![
-                ("type", Value::Str("events".to_string())),
-                ("events", events.to_json_value()),
-            ]),
-            Response::Bye { report } => obj(vec![
-                ("type", Value::Str("bye".to_string())),
-                ("report", Value::Str(report.clone())),
-            ]),
-            Response::Error(frame) => obj(vec![
-                ("type", Value::Str("error".to_string())),
-                ("error", frame.to_json_value()),
-            ]),
+            Response::Submitted { job_id } => {
+                obj.field("type", "submitted").field("job_id", job_id)
+            }
+            Response::Job(status) => obj.field("type", "job").field("job", status),
+            Response::Jobs(jobs) => obj.field("type", "jobs").field("jobs", jobs),
+            Response::Snapshot(info) => obj.field("type", "snapshot").field("store", info),
+            Response::Metrics { text } => obj.field("type", "metrics").field("text", text),
+            Response::Events(events) => obj.field("type", "events").field("events", events),
+            Response::Bye { report } => obj.field("type", "bye").field("report", report),
+            Response::Error(frame) => obj.field("type", "error").field("error", frame),
         }
+        .end();
     }
 }
 

@@ -13,7 +13,7 @@
 //! generated from a seed ([`FaultPlan::from_seed`]) or hand-written by a
 //! test that wants one precise failure.
 
-use serde::{Serialize, Value};
+use serde::{ObjectWriter, Serialize};
 
 /// Initial re-admission backoff after a crash evicts a job, seconds.
 pub const INITIAL_BACKOFF_SECS: f64 = 1.0;
@@ -73,44 +73,35 @@ impl FaultEvent {
 // The vendored serde derive only covers fieldless enums, so the tagged
 // object shape is written out by hand.
 impl Serialize for FaultEvent {
-    fn to_json_value(&self) -> Value {
-        let obj = |fields: Vec<(&str, Value)>| {
-            Value::Object(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
+    fn write_json(&self, out: &mut String) {
+        let obj = ObjectWriter::new(out);
         match self {
             FaultEvent::NodeCrash {
                 node,
                 at,
                 down_secs,
-            } => obj(vec![
-                ("type", Value::Str("node_crash".to_string())),
-                ("node", Value::Uint(*node as u64)),
-                ("at", Value::Float(*at)),
-                ("down_secs", Value::Float(*down_secs)),
-            ]),
+            } => obj
+                .field("type", "node_crash")
+                .field("node", node)
+                .field("at", at)
+                .field("down_secs", down_secs),
             FaultEvent::NodeSlowdown {
                 node,
                 at,
                 factor,
                 duration_secs,
-            } => obj(vec![
-                ("type", Value::Str("node_slowdown".to_string())),
-                ("node", Value::Uint(*node as u64)),
-                ("at", Value::Float(*at)),
-                ("factor", Value::Float(*factor)),
-                ("duration_secs", Value::Float(*duration_secs)),
-            ]),
-            FaultEvent::StoreCorruption { at, drop_fraction } => obj(vec![
-                ("type", Value::Str("store_corruption".to_string())),
-                ("at", Value::Float(*at)),
-                ("drop_fraction", Value::Float(*drop_fraction)),
-            ]),
+            } => obj
+                .field("type", "node_slowdown")
+                .field("node", node)
+                .field("at", at)
+                .field("factor", factor)
+                .field("duration_secs", duration_secs),
+            FaultEvent::StoreCorruption { at, drop_fraction } => obj
+                .field("type", "store_corruption")
+                .field("at", at)
+                .field("drop_fraction", drop_fraction),
         }
+        .end();
     }
 }
 

@@ -49,7 +49,7 @@
 use nnrt_graph::{DataflowGraph, OpKey};
 use nnrt_manycore::MachineSignature;
 use nnrt_sched::KeyProfile;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, ObjectWriter, Serialize, Value};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -241,15 +241,6 @@ impl JournalRecord {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn tag_of(v: &Value) -> Result<&str, SerdeError> {
     v.get("type")
         .and_then(Value::as_str)
@@ -262,13 +253,12 @@ fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, SerdeError> {
 }
 
 impl Serialize for JournalRecord {
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
+        let obj = ObjectWriter::new(out).field("type", self.tag());
         match self {
-            JournalRecord::Header { format, version } => obj(vec![
-                ("type", Value::Str("header".to_string())),
-                ("format", Value::Str(format.clone())),
-                ("version", Value::Uint(*version)),
-            ]),
+            JournalRecord::Header { format, version } => {
+                obj.field("format", format).field("version", version)
+            }
             JournalRecord::Admit {
                 id,
                 name,
@@ -277,48 +267,31 @@ impl Serialize for JournalRecord {
                 priority,
                 weight,
                 graph,
-            } => obj(vec![
-                ("type", Value::Str("admit".to_string())),
-                ("id", Value::Uint(*id)),
-                ("name", Value::Str(name.clone())),
-                ("model", Value::Str(model.clone())),
-                ("steps", Value::Uint(*steps as u64)),
-                ("priority", Value::Uint(*priority as u64)),
-                ("weight", Value::Float(*weight)),
-                ("graph", graph.to_json_value()),
-            ]),
-            JournalRecord::Place { id, node } => obj(vec![
-                ("type", Value::Str("place".to_string())),
-                ("id", Value::Uint(*id)),
-                ("node", Value::Uint(*node as u64)),
-            ]),
-            JournalRecord::StoreInsert { machine, profiles } => obj(vec![
-                ("type", Value::Str("store_insert".to_string())),
-                ("machine", machine.to_json_value()),
-                ("profiles", profiles.to_json_value()),
-            ]),
+            } => obj
+                .field("id", id)
+                .field("name", name)
+                .field("model", model)
+                .field("steps", steps)
+                .field("priority", priority)
+                .field("weight", weight)
+                .field("graph", graph),
+            JournalRecord::Place { id, node } | JournalRecord::Retry { id, node } => {
+                obj.field("id", id).field("node", node)
+            }
+            JournalRecord::StoreInsert { machine, profiles } => {
+                obj.field("machine", machine).field("profiles", profiles)
+            }
             JournalRecord::Checkpoint {
                 id,
                 steps_done,
                 at,
                 fitted_keys,
-            } => obj(vec![
-                ("type", Value::Str("checkpoint".to_string())),
-                ("id", Value::Uint(*id)),
-                ("steps_done", Value::Uint(*steps_done as u64)),
-                ("at", Value::Float(*at)),
-                ("fitted_keys", fitted_keys.to_json_value()),
-            ]),
-            JournalRecord::Evict { id, at } => obj(vec![
-                ("type", Value::Str("evict".to_string())),
-                ("id", Value::Uint(*id)),
-                ("at", Value::Float(*at)),
-            ]),
-            JournalRecord::Retry { id, node } => obj(vec![
-                ("type", Value::Str("retry".to_string())),
-                ("id", Value::Uint(*id)),
-                ("node", Value::Uint(*node as u64)),
-            ]),
+            } => obj
+                .field("id", id)
+                .field("steps_done", steps_done)
+                .field("at", at)
+                .field("fitted_keys", fitted_keys),
+            JournalRecord::Evict { id, at } => obj.field("id", id).field("at", at),
             JournalRecord::Complete {
                 id,
                 name,
@@ -326,16 +299,15 @@ impl Serialize for JournalRecord {
                 steps,
                 node,
                 at,
-            } => obj(vec![
-                ("type", Value::Str("complete".to_string())),
-                ("id", Value::Uint(*id)),
-                ("name", Value::Str(name.clone())),
-                ("model", Value::Str(model.clone())),
-                ("steps", Value::Uint(*steps as u64)),
-                ("node", Value::Uint(*node as u64)),
-                ("at", Value::Float(*at)),
-            ]),
+            } => obj
+                .field("id", id)
+                .field("name", name)
+                .field("model", model)
+                .field("steps", steps)
+                .field("node", node)
+                .field("at", at),
         }
+        .end();
     }
 }
 
