@@ -17,7 +17,7 @@ use nnrt_manycore::MachineSignature;
 use nnrt_sched::KeyProfile;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// Snapshot format tag; snapshots from other tools are rejected.
@@ -116,11 +116,21 @@ impl StoreStats {
     }
 }
 
+/// One machine's share of the store, maintained incrementally on
+/// insert/remove/touch.
+#[derive(Default)]
+struct MachineEntries {
+    /// Serialized bytes held by the machine's entries.
+    bytes: u64,
+    /// The machine's keys in eviction order: least recently used first,
+    /// ties broken by key order.
+    lru: BTreeSet<(u64, StoreKey)>,
+}
+
 struct Inner {
     entries: HashMap<StoreKey, Entry>,
-    /// Serialized bytes currently held per machine (entries with that
-    /// signature), maintained incrementally on insert/remove.
-    bytes_by_machine: HashMap<MachineSignature, u64>,
+    /// Machines holding at least one entry, in signature order.
+    machines: BTreeMap<MachineSignature, MachineEntries>,
     clock: u64,
     capacity: usize,
     /// Per-machine serialized-byte quota ([`u64::MAX`] = unbounded).
@@ -167,7 +177,7 @@ impl ProfileStore {
         ProfileStore {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
-                bytes_by_machine: HashMap::new(),
+                machines: BTreeMap::new(),
                 clock: 0,
                 capacity,
                 byte_quota: per_machine_bytes,
@@ -198,13 +208,23 @@ impl ProfileStore {
     /// `machine`, bumping their recency. The result is the warm-start input
     /// for [`nnrt_sched::Runtime::prepare_warm_pooled`].
     pub fn lookup(&self, machine: MachineSignature, keys: &[OpKey]) -> Vec<KeyProfile> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.clock += 1;
         let now = inner.clock;
         let mut hits = Vec::new();
         for key in keys {
             let store_key = (machine, key.0, key.1.clone());
             if let Some(entry) = inner.entries.get_mut(&store_key) {
+                let lru = &mut inner
+                    .machines
+                    .get_mut(&machine)
+                    .expect("entry's machine")
+                    .lru;
+                let mut slot = (entry.last_used, store_key);
+                lru.remove(&slot);
+                slot.0 = now;
+                lru.insert(slot);
                 entry.last_used = now;
                 hits.push(entry.profile.clone());
                 inner.stats.hits += 1;
@@ -224,15 +244,14 @@ impl ProfileStore {
     pub fn machine_bytes(&self, machine: MachineSignature) -> u64 {
         self.inner
             .lock()
-            .bytes_by_machine
+            .machines
             .get(&machine)
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |m| m.bytes)
     }
 
     /// Serialized bytes currently held across all machines.
     pub fn total_bytes(&self) -> u64 {
-        self.inner.lock().bytes_by_machine.values().sum()
+        self.inner.lock().machines.values().map(|m| m.bytes).sum()
     }
 
     /// Serialized size of one curve pair — the unit the byte quota charges.
@@ -245,21 +264,25 @@ impl ProfileStore {
     /// Inserts one entry, keeping the per-machine byte accounting exact
     /// when an existing entry is overwritten.
     fn insert_entry(inner: &mut Inner, key: StoreKey, profile: KeyProfile, last_used: u64) {
-        let machine = key.0;
         let bytes = Self::entry_bytes(&profile);
-        let old_bytes = inner
-            .entries
-            .insert(
-                key,
-                Entry {
-                    profile,
-                    last_used,
-                    bytes,
-                },
-            )
-            .map_or(0, |old| old.bytes);
-        let held = inner.bytes_by_machine.entry(machine).or_default();
-        *held = held.saturating_sub(old_bytes) + bytes;
+        let held = inner.machines.entry(key.0).or_default();
+        let old = inner.entries.insert(
+            key.clone(),
+            Entry {
+                profile,
+                last_used,
+                bytes,
+            },
+        );
+        let mut slot = (last_used, key);
+        if let Some(old) = old {
+            held.bytes -= old.bytes;
+            slot.0 = old.last_used;
+            held.lru.remove(&slot);
+            slot.0 = last_used;
+        }
+        held.bytes += bytes;
+        held.lru.insert(slot);
     }
 
     /// Removes one entry, releasing its bytes. Returns the bytes released.
@@ -267,8 +290,11 @@ impl ProfileStore {
         let Some(entry) = inner.entries.remove(key) else {
             return 0;
         };
-        if let Some(held) = inner.bytes_by_machine.get_mut(&key.0) {
-            *held = held.saturating_sub(entry.bytes);
+        let held = inner.machines.get_mut(&key.0).expect("entry's machine");
+        held.bytes -= entry.bytes;
+        held.lru.remove(&(entry.last_used, key.clone()));
+        if held.lru.is_empty() {
+            inner.machines.remove(&key.0);
         }
         entry.bytes
     }
@@ -290,15 +316,11 @@ impl ProfileStore {
         Self::evict_over_limits(&mut inner);
     }
 
-    /// The least recently used entry (ties broken by key order, so eviction
-    /// is deterministic), optionally restricted to one machine's entries.
-    fn lru_victim(inner: &Inner, machine: Option<MachineSignature>) -> Option<StoreKey> {
-        inner
-            .entries
-            .iter()
-            .filter(|(k, _)| machine.is_none_or(|m| k.0 == m))
-            .min_by(|a, b| a.1.last_used.cmp(&b.1.last_used).then(a.0.cmp(b.0)))
-            .map(|(k, _)| k.clone())
+    /// Evicts one entry and counts it.
+    fn evict(inner: &mut Inner, victim: StoreKey) {
+        let bytes = Self::remove_entry(inner, &victim);
+        inner.stats.evictions += 1;
+        inner.stats.evicted_bytes += bytes;
     }
 
     fn evict_over_limits(inner: &mut Inner) {
@@ -306,29 +328,27 @@ impl ProfileStore {
         // in signature order (deterministic); each sheds LRU entries until
         // it fits the quota or only one entry remains (the newest survivor
         // always stays — see `with_limits`).
-        loop {
-            let over: Option<MachineSignature> = inner
-                .bytes_by_machine
-                .iter()
-                .filter(|&(m, &b)| {
-                    b > inner.byte_quota && inner.entries.keys().filter(|k| k.0 == *m).count() >= 2
-                })
-                .map(|(m, _)| *m)
-                .min();
-            let Some(machine) = over else {
-                break;
-            };
-            let victim = Self::lru_victim(inner, Some(machine)).expect("machine holds entries");
-            let bytes = Self::remove_entry(inner, &victim);
-            inner.stats.evictions += 1;
-            inner.stats.evicted_bytes += bytes;
+        let quota = inner.byte_quota;
+        while let Some(held) = inner
+            .machines
+            .values()
+            .find(|m| m.bytes > quota && m.lru.len() >= 2)
+        {
+            let (_, victim) = held.lru.first().expect("machine holds entries").clone();
+            Self::evict(inner, victim);
         }
-        // Secondary bound: the global LRU entry cap.
+        // Secondary bound: the global LRU entry cap. The victim is the
+        // least recently used entry of all (ties broken by key order, so
+        // eviction is deterministic).
         while inner.entries.len() > inner.capacity {
-            let victim = Self::lru_victim(inner, None).expect("non-empty map above capacity");
-            let bytes = Self::remove_entry(inner, &victim);
-            inner.stats.evictions += 1;
-            inner.stats.evicted_bytes += bytes;
+            let (_, victim) = inner
+                .machines
+                .values()
+                .filter_map(|m| m.lru.first())
+                .min()
+                .expect("non-empty store above capacity")
+                .clone();
+            Self::evict(inner, victim);
         }
     }
 
@@ -434,6 +454,7 @@ impl ProfileStore {
 mod tests {
     use super::*;
     use nnrt_sched::Curve;
+    use proptest::prelude::*;
 
     fn profile(kind: OpKind, dims: &[usize]) -> KeyProfile {
         KeyProfile {
@@ -728,5 +749,201 @@ mod tests {
             Err(StoreError::Corrupt(_))
         ));
         assert!(store.is_empty(), "failed restores must not partially apply");
+    }
+
+    /// The eviction rule with every victim found by a scan over all
+    /// entries: the reference the indexed store must match.
+    struct ScanModel {
+        entries: HashMap<StoreKey, (KeyProfile, u64)>,
+        clock: u64,
+        capacity: usize,
+        quota: u64,
+        stats: StoreStats,
+    }
+
+    impl ScanModel {
+        fn machine_bytes(&self, m: MachineSignature) -> u64 {
+            self.entries
+                .iter()
+                .filter(|(k, _)| k.0 == m)
+                .map(|(_, (p, _))| ProfileStore::entry_bytes(p))
+                .sum()
+        }
+
+        fn victim(&self, machine: Option<MachineSignature>) -> Option<StoreKey> {
+            self.entries
+                .iter()
+                .filter(|(k, _)| machine.is_none_or(|m| k.0 == m))
+                .min_by(|a, b| a.1 .1.cmp(&b.1 .1).then(a.0.cmp(b.0)))
+                .map(|(k, _)| k.clone())
+        }
+
+        fn evict(&mut self, key: StoreKey) {
+            let (p, _) = self.entries.remove(&key).expect("victim present");
+            self.stats.evictions += 1;
+            self.stats.evicted_bytes += ProfileStore::entry_bytes(&p);
+        }
+
+        fn evict_over_limits(&mut self) {
+            loop {
+                let machines: BTreeSet<MachineSignature> =
+                    self.entries.keys().map(|k| k.0).collect();
+                let over = machines.into_iter().find(|&m| {
+                    self.machine_bytes(m) > self.quota
+                        && self.entries.keys().filter(|k| k.0 == m).count() >= 2
+                });
+                let Some(m) = over else { break };
+                let victim = self.victim(Some(m)).expect("machine holds entries");
+                self.evict(victim);
+            }
+            while self.entries.len() > self.capacity {
+                let victim = self.victim(None).expect("non-empty");
+                self.evict(victim);
+            }
+        }
+
+        fn insert_many(&mut self, m: MachineSignature, profiles: &[KeyProfile]) {
+            self.clock += 1;
+            for p in profiles {
+                self.entries
+                    .insert((m, p.kind, p.shape.clone()), (p.clone(), self.clock));
+            }
+            self.evict_over_limits();
+        }
+
+        fn lookup(&mut self, m: MachineSignature, keys: &[OpKey]) -> Vec<KeyProfile> {
+            self.clock += 1;
+            let mut hits = Vec::new();
+            for key in keys {
+                if let Some((p, last_used)) = self.entries.get_mut(&(m, key.0, key.1.clone())) {
+                    *last_used = self.clock;
+                    hits.push(p.clone());
+                    self.stats.hits += 1;
+                } else {
+                    self.stats.misses += 1;
+                }
+            }
+            hits
+        }
+
+        fn restore(&mut self, text: &str) {
+            let snap: Snapshot = serde_json::from_str(text).expect("valid snapshot");
+            for e in snap.entries {
+                let key = (e.machine, e.kind, e.shape.clone());
+                let last_used = self.entries.get(&key).map_or(0, |(_, t)| *t);
+                let profile = KeyProfile {
+                    kind: e.kind,
+                    shape: e.shape,
+                    compact: e.compact,
+                    scatter: e.scatter,
+                };
+                self.entries.insert(key, (profile, last_used));
+            }
+            self.evict_over_limits();
+        }
+
+        fn corrupt(&mut self, seed: u64, fraction: f64) {
+            let mut keys: Vec<StoreKey> = self.entries.keys().cloned().collect();
+            keys.sort();
+            let victims = (keys.len() as f64 * fraction).floor() as usize;
+            let mut scored: Vec<(u64, usize)> = (0..keys.len())
+                .map(|i| (crate::chaos::mix64(seed ^ i as u64), i))
+                .collect();
+            scored.sort_unstable();
+            for &(_, i) in scored.iter().take(victims) {
+                self.entries.remove(&keys[i]);
+            }
+        }
+
+        /// The model's contents in the store's snapshot format.
+        fn snapshot(&self) -> String {
+            let copy = ProfileStore::with_capacity(usize::MAX);
+            for (k, (p, _)) in &self.entries {
+                copy.insert_many(k.0, std::slice::from_ref(p));
+            }
+            copy.snapshot()
+        }
+    }
+
+    /// One generated store operation: `(op, machine, keys, seed)`. Keys
+    /// are `(kind, dim, samples)` triples from small ranges so they
+    /// collide often; `samples` varies the entry's byte size.
+    type Op = (u8, u64, Vec<(usize, usize, usize)>, u64);
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (
+            0u8..4,
+            1u64..4,
+            proptest::collection::vec((0usize..3, 1usize..4, 1usize..4), 1..5),
+            0u64..64,
+        )
+    }
+
+    fn profiles_of(keys: &[(usize, usize, usize)]) -> Vec<KeyProfile> {
+        const KINDS: [OpKind; 3] = [OpKind::MatMul, OpKind::Relu, OpKind::Conv2D];
+        keys.iter()
+            .map(|&(kind, dim, samples)| KeyProfile {
+                kind: KINDS[kind],
+                shape: Shape(vec![dim]),
+                compact: Curve {
+                    samples: (1..=samples as u32).map(|t| (t, 1.0 / t as f64)).collect(),
+                },
+                scatter: Curve {
+                    samples: vec![(1, 0.5)],
+                },
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+        #[test]
+        fn indexed_eviction_matches_the_scan_rule(
+            capacity in 1usize..7,
+            quota in proptest::sample::select(vec![u64::MAX, 60, 150, 300]),
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let store = ProfileStore::with_limits(capacity, quota);
+            let mut model = ScanModel {
+                entries: HashMap::new(),
+                clock: 0,
+                capacity,
+                quota,
+                stats: StoreStats::default(),
+            };
+            for (op, machine, keys, seed) in ops {
+                let m = MachineSignature(machine);
+                let profiles = profiles_of(&keys);
+                match op {
+                    0 => {
+                        store.insert_many(m, &profiles);
+                        model.insert_many(m, &profiles);
+                    }
+                    1 => {
+                        let keys: Vec<OpKey> = profiles.iter().map(KeyProfile::key).collect();
+                        prop_assert_eq!(store.lookup(m, &keys), model.lookup(m, &keys));
+                    }
+                    2 => {
+                        let other = ProfileStore::with_capacity(usize::MAX);
+                        other.insert_many(m, &profiles);
+                        other.insert_many(MachineSignature(seed % 3 + 1), &profiles[1..]);
+                        let text = other.snapshot();
+                        store.restore(&text).expect("valid snapshot");
+                        model.restore(&text);
+                    }
+                    _ => {
+                        let fraction = (seed % 5) as f64 / 4.0;
+                        store.corrupt_deterministic(seed, fraction);
+                        model.corrupt(seed, fraction);
+                    }
+                }
+                prop_assert_eq!(store.snapshot(), model.snapshot());
+                prop_assert_eq!(store.stats(), model.stats);
+                for sig in 1..4 {
+                    let sig = MachineSignature(sig);
+                    prop_assert_eq!(store.machine_bytes(sig), model.machine_bytes(sig));
+                }
+            }
+        }
     }
 }
