@@ -4,14 +4,17 @@
 //! against digests committed with the code.
 //!
 //! Each case is one output file: a `nnrt serve --json` report, the
-//! `--events` JSONL stream, or the full-history journal and store snapshot
-//! of an in-process durable chaos run. `fixtures/fleet_golden.txt` holds
+//! `--events` JSONL stream, the full-history journal and store snapshot
+//! of an in-process durable chaos run, or the report and recovery
+//! accounting of a fleet recovered from that run's directory halfway
+//! through. `fixtures/fleet_golden.txt` holds
 //! `case length fnv1a64` per case. On a mismatch the failure names every
 //! case that moved and prints the recomputed table.
 
 use nnrt::prelude::*;
 use nnrt::serve::{
     DurabilityConfig, FaultPlan, Fleet, FleetConfig, JobSpec, JournalRecord, JOURNAL_FILE,
+    SNAPSHOT_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -70,29 +73,68 @@ fn dcgan_fleet(config: FleetConfig, jobs: usize) -> Fleet {
     fleet
 }
 
-/// A durable chaos run with no periodic flush, read after the last tick
-/// and before the final flush rotates the journal, so the journal holds
-/// the whole transition history. Returns `(journal, store snapshot)`.
-fn durable_chaos_run(dir: &Path) -> (Vec<u8>, Vec<u8>) {
-    let config = FleetConfig {
+/// The durable chaos fleet in `dir`: six dcgan jobs on two nodes, a seeded
+/// fault plan, and no periodic flush, so the journal holds the whole
+/// transition history.
+fn durable_chaos_fleet(dir: &Path) -> Fleet {
+    let config = chaos_config(None);
+    let horizon = dcgan_fleet(config.clone(), 6).run().makespan_secs;
+    let mut fleet = dcgan_fleet(chaos_config(Some(dir)), 6);
+    fleet.set_fault_plan(FaultPlan::from_seed(7, 2, horizon));
+    fleet
+}
+
+fn chaos_config(dir: Option<&Path>) -> FleetConfig {
+    FleetConfig {
         node_count: 2,
         checkpoint_interval: 1,
+        durability: dir.map(|dir| {
+            let mut durability = DurabilityConfig::new(dir);
+            durability.flush_interval_secs = f64::INFINITY;
+            durability
+        }),
         ..FleetConfig::default()
-    };
-    let horizon = dcgan_fleet(config.clone(), 6).run().makespan_secs;
-    let mut durability = DurabilityConfig::new(dir);
-    durability.flush_interval_secs = f64::INFINITY;
-    let mut fleet = dcgan_fleet(
-        FleetConfig {
-            durability: Some(durability),
-            ..config
-        },
-        6,
-    );
-    fleet.set_fault_plan(FaultPlan::from_seed(7, 2, horizon));
-    while fleet.tick() {}
+    }
+}
+
+/// A durable chaos run read after the last tick and before the final
+/// flush rotates the journal. Returns `(journal, store snapshot, ticks)`.
+fn durable_chaos_run(dir: &Path) -> (Vec<u8>, Vec<u8>, usize) {
+    let mut fleet = durable_chaos_fleet(dir);
+    let mut ticks = 0;
+    while fleet.tick() {
+        ticks += 1;
+    }
     let journal = std::fs::read(dir.join(JOURNAL_FILE)).expect("journal exists");
-    (journal, fleet.store().snapshot().into_bytes())
+    (journal, fleet.store().snapshot().into_bytes(), ticks)
+}
+
+/// Runs the durable chaos fleet for `ticks` ticks, recovers a second fleet
+/// from a copy of its directory, and runs that to completion. Returns
+/// `(recovered report JSON, RecoveryReport JSON)`.
+///
+/// The pinned `RecoveryReport` has `journal_records` zeroed: that field
+/// counts records of the log format, whose bytes the journal case already
+/// pins. Everything else in it (the job partition, the store keys, the
+/// tail accounting) and the recovered run itself must not depend on how
+/// the journal encodes its records.
+fn recovered_chaos_run(dir: &Path, ticks: usize) -> (Vec<u8>, Vec<u8>) {
+    let mut fleet = durable_chaos_fleet(dir);
+    for _ in 0..ticks {
+        assert!(fleet.tick(), "the run outlasts {ticks} ticks");
+    }
+    let copy = dir.join("copy");
+    std::fs::create_dir_all(&copy).expect("create copy dir");
+    for file in [JOURNAL_FILE, SNAPSHOT_FILE] {
+        std::fs::copy(dir.join(file), copy.join(file)).expect("copy durable file");
+    }
+    let (mut recovered, mut recovery) =
+        Fleet::recover(chaos_config(Some(&copy))).expect("the copy recovers");
+    recovery.journal_records = 0;
+    (
+        recovered.run().to_json().into_bytes(),
+        recovery.to_json().into_bytes(),
+    )
 }
 
 /// `(case, length, digest)` for every pinned output.
@@ -135,7 +177,7 @@ fn computed() -> Vec<(String, usize, u64)> {
     std::fs::remove_dir_all(&dir).ok();
 
     let dir = tmpdir("durable");
-    let (journal, store) = durable_chaos_run(&dir);
+    let (journal, store, ticks) = durable_chaos_run(&dir);
     std::fs::remove_dir_all(&dir).ok();
     let tags: Vec<&str> = nnrt::serve::replay(&journal)
         .records
@@ -150,6 +192,12 @@ fn computed() -> Vec<(String, usize, u64)> {
     }
     outputs.push(("durable-chaos.journal.log", journal));
     outputs.push(("durable-chaos.store.json", store));
+
+    let dir = tmpdir("recovered");
+    let (report, recovery) = recovered_chaos_run(&dir, ticks / 2);
+    std::fs::remove_dir_all(&dir).ok();
+    outputs.push(("durable-chaos.recovered.json", report));
+    outputs.push(("durable-chaos.recovery.json", recovery));
 
     outputs
         .into_iter()
