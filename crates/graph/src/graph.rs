@@ -150,6 +150,19 @@ impl DataflowGraph {
         self.add(OpInstance::new(kind, shape), deps)
     }
 
+    /// Whether `self` and `other` are handles to one body (clones of one
+    /// graph), as opposed to equal graphs built apart.
+    pub fn same_body(&self, other: &DataflowGraph) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
+    }
+
+    /// Address of the body: two live handles have the same address exactly
+    /// when [`Self::same_body`] holds. A table keyed by it must hold a
+    /// handle too, or a freed body's address can be reused by another graph.
+    pub fn body_addr(&self) -> usize {
+        Arc::as_ptr(&self.body) as usize
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.body.nodes.len()
@@ -452,7 +465,12 @@ mod tests {
     fn clone_shares_the_body() {
         let g = diamond();
         let c = g.clone();
-        assert!(Arc::ptr_eq(&g.body, &c.body));
+        assert!(g.same_body(&c));
+        assert_eq!(g.body_addr(), c.body_addr());
+        let apart = diamond();
+        assert_eq!(g, apart);
+        assert!(!g.same_body(&apart), "equal graphs built apart");
+        assert_ne!(g.body_addr(), apart.body_addr());
     }
 
     #[test]
@@ -460,7 +478,7 @@ mod tests {
         let g = diamond();
         let mut c = g.clone();
         let sink = c.add_op(OpKind::Relu, Shape::nhwc(1, 8, 8, 16), &[NodeId(3)]);
-        assert!(!Arc::ptr_eq(&g.body, &c.body));
+        assert!(!g.same_body(&c));
         assert_eq!(g.len(), 4);
         assert_eq!(g.sinks(), vec![NodeId(3)]);
         assert!(g.succs(NodeId(3)).is_empty());

@@ -51,6 +51,10 @@ fn graph() -> DataflowGraph {
 fn journal_records() -> Vec<JournalRecord> {
     vec![
         JournalRecord::header(),
+        JournalRecord::Graph {
+            id: 4,
+            graph: graph(),
+        },
         JournalRecord::Admit {
             id: 7,
             name: "dcgan-7".to_string(),
@@ -58,7 +62,7 @@ fn journal_records() -> Vec<JournalRecord> {
             steps: 3,
             priority: 2,
             weight: 1.5,
-            graph: graph(),
+            graph: 4,
         },
         JournalRecord::Place { id: 7, node: 1 },
         JournalRecord::StoreInsert {
@@ -309,8 +313,9 @@ const EXPECTED: &[(&str, &str)] = &[
     ("value_pretty", "{\n  \"a\": [\n    1,\n    -2,\n    2.5,\n    {}\n  ],\n  \"b\": {\n    \"c\": null,\n    \"d\": [\n      []\n    ]\n  },\n  \"e\": \"s:,{\"\n}"),
     ("fault_plan", "{\"events\":[{\"type\":\"node_crash\",\"node\":1,\"at\":3.0,\"down_secs\":0.5},{\"type\":\"node_slowdown\",\"node\":0,\"at\":1.25,\"factor\":2.0,\"duration_secs\":10.0},{\"type\":\"store_corruption\",\"at\":7.0,\"drop_fraction\":0.3}],\"profiling_step_budget\":null,\"seed\":99}"),
     ("fault_plan_pretty", "{\n  \"events\": [\n    {\n      \"type\": \"node_crash\",\n      \"node\": 1,\n      \"at\": 3.0,\n      \"down_secs\": 0.5\n    },\n    {\n      \"type\": \"node_slowdown\",\n      \"node\": 0,\n      \"at\": 1.25,\n      \"factor\": 2.0,\n      \"duration_secs\": 10.0\n    },\n    {\n      \"type\": \"store_corruption\",\n      \"at\": 7.0,\n      \"drop_fraction\": 0.3\n    }\n  ],\n  \"profiling_step_budget\": null,\n  \"seed\": 99\n}"),
-    ("journal_header", "{\"type\":\"header\",\"format\":\"nnrt-job-journal\",\"version\":1}"),
-    ("journal_admit", "{\"type\":\"admit\",\"id\":7,\"name\":\"dcgan-7\",\"model\":\"dcgan\",\"steps\":3,\"priority\":2,\"weight\":1.5,\"graph\":{\"nodes\":[{\"kind\":\"Conv2D\",\"shape\":[4,8,8,3],\"aux\":{\"kernel_h\":1,\"kernel_w\":1,\"stride\":1,\"c_out\":0}},{\"kind\":\"Relu\",\"shape\":[4,8,8,16],\"aux\":{\"kernel_h\":1,\"kernel_w\":1,\"stride\":1,\"c_out\":0}},{\"kind\":\"MatMul\",\"shape\":[4,1024],\"aux\":{\"kernel_h\":1,\"kernel_w\":1,\"stride\":1,\"c_out\":0}}],\"preds\":[[],[0],[0,1]],\"succs\":[[1,2],[2],[]]}}"),
+    ("journal_header", "{\"type\":\"header\",\"format\":\"nnrt-job-journal\",\"version\":2}"),
+    ("journal_graph", "{\"type\":\"graph\",\"id\":4,\"graph\":{\"nodes\":[{\"kind\":\"Conv2D\",\"shape\":[4,8,8,3],\"aux\":{\"kernel_h\":1,\"kernel_w\":1,\"stride\":1,\"c_out\":0}},{\"kind\":\"Relu\",\"shape\":[4,8,8,16],\"aux\":{\"kernel_h\":1,\"kernel_w\":1,\"stride\":1,\"c_out\":0}},{\"kind\":\"MatMul\",\"shape\":[4,1024],\"aux\":{\"kernel_h\":1,\"kernel_w\":1,\"stride\":1,\"c_out\":0}}],\"preds\":[[],[0],[0,1]],\"succs\":[[1,2],[2],[]]}}"),
+    ("journal_admit", "{\"type\":\"admit\",\"id\":7,\"name\":\"dcgan-7\",\"model\":\"dcgan\",\"steps\":3,\"priority\":2,\"weight\":1.5,\"graph\":4}"),
     ("journal_place", "{\"type\":\"place\",\"id\":7,\"node\":1}"),
     ("journal_store_insert", "{\"type\":\"store_insert\",\"machine\":12297829382473034410,\"profiles\":[{\"kind\":\"Conv2D\",\"shape\":[4,8,8,3],\"compact\":{\"samples\":[[1,0.25],[4,0.0625]]},\"scatter\":{\"samples\":[[1,0.3],[68,0.00001]]}}]}"),
     ("journal_checkpoint", "{\"type\":\"checkpoint\",\"id\":7,\"steps_done\":2,\"at\":12.0,\"fitted_keys\":[[\"Relu\",[4,8,8,16]]]}"),

@@ -48,6 +48,7 @@ use nnrt_sched::{
     export_chrome_trace, export_lane_chrome_trace, OpCatalog, ProfilerPool, Runtime, RuntimeConfig,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
@@ -291,14 +292,61 @@ struct RetryJob {
     backoff_secs: f64,
 }
 
-/// The live durability machinery of one fleet: the open journal plus the
-/// flush schedule. Present only when [`FleetConfig::durability`] is set.
+/// The live durability machinery of one fleet: the open journal, the graph
+/// records its current file holds, and the flush schedule. Present only
+/// when [`FleetConfig::durability`] is set.
 struct Durable {
     journal: Journal,
+    graphs: GraphTable,
     dir: PathBuf,
     flush_interval_secs: f64,
     /// Simulated time of the next background flush.
     next_flush_at: f64,
+}
+
+/// The `graph` records one journal file holds, keyed by graph body: a job
+/// whose body the file already has names that record instead of writing
+/// the graph again. Each entry keeps a handle to its body, so the address
+/// key cannot be reused by another graph while the table lives.
+#[derive(Default)]
+struct GraphTable {
+    ids: HashMap<usize, (u64, DataflowGraph)>,
+}
+
+impl GraphTable {
+    /// The record id of `graph`'s body, plus the `graph` record to write
+    /// before its first `admit` when the file does not hold it yet.
+    fn intern(&mut self, graph: &DataflowGraph) -> (u64, Option<JournalRecord>) {
+        let next = self.ids.len() as u64;
+        match self.ids.entry(graph.body_addr()) {
+            Entry::Occupied(e) => {
+                let (id, held) = e.get();
+                debug_assert!(held.same_body(graph));
+                (*id, None)
+            }
+            Entry::Vacant(e) => {
+                e.insert((next, graph.clone()));
+                let rec = JournalRecord::Graph {
+                    id: next,
+                    graph: graph.clone(),
+                };
+                (next, Some(rec))
+            }
+        }
+    }
+}
+
+/// The `admit` record of job `id`, naming its graph by record id.
+fn admit_record(id: u64, spec: &JobSpec, graph: u64) -> JournalRecord {
+    JournalRecord::Admit {
+        id,
+        name: spec.name.clone(),
+        model: spec.model.clone(),
+        steps: spec.steps,
+        priority: spec.priority,
+        weight: spec.weight,
+        graph,
+    }
 }
 
 /// A job that completed in a *previous* process incarnation, recovered from
@@ -826,6 +874,7 @@ impl Fleet {
         });
         self.durable = Some(Durable {
             journal,
+            graphs: GraphTable::default(),
             dir: cfg.dir,
             flush_interval_secs: cfg.flush_interval_secs,
             next_flush_at: cfg.flush_interval_secs,
@@ -888,12 +937,14 @@ impl Fleet {
         );
     }
 
-    /// The compacted prologue a journal rotation installs: completions
-    /// (prior incarnations' and this one's), then every live job in id
-    /// (= admission) order with its placement state and latest checkpoint.
-    /// Store contents are *not* re-recorded — the snapshot flushed at the
-    /// same instant covers them.
-    fn compacted_records(&self) -> Vec<JournalRecord> {
+    /// The compacted prologue a journal rotation installs, with the graph
+    /// table of the file it starts: completions (prior incarnations' and
+    /// this one's), then every live job in id (= admission) order with its
+    /// placement state and latest checkpoint, each distinct graph body
+    /// written once before the first `admit` naming it. Store contents are
+    /// *not* re-recorded — the snapshot flushed at the same instant covers
+    /// them.
+    fn compacted_records(&self) -> (Vec<JournalRecord>, GraphTable) {
         enum Whereabouts {
             Queued,
             Resident(u32),
@@ -937,16 +988,11 @@ impl Fleet {
             ));
         }
         live.sort_by_key(|(id, _, _)| *id);
+        let mut graphs = GraphTable::default();
         for (id, spec, whereabouts) in live {
-            recs.push(JournalRecord::Admit {
-                id,
-                name: spec.name.clone(),
-                model: spec.model.clone(),
-                steps: spec.steps,
-                priority: spec.priority,
-                weight: spec.weight,
-                graph: spec.graph.clone(),
-            });
+            let (graph, new) = graphs.intern(&spec.graph);
+            recs.extend(new);
+            recs.push(admit_record(id, spec, graph));
             match whereabouts {
                 Whereabouts::Queued => {}
                 Whereabouts::Resident(node) => recs.push(JournalRecord::Place { id, node }),
@@ -963,7 +1009,7 @@ impl Fleet {
                 });
             }
         }
-        recs
+        (recs, graphs)
     }
 
     /// Writes the store snapshot atomically and rotates the journal to the
@@ -974,7 +1020,7 @@ impl Fleet {
         if self.durable.is_none() {
             return;
         }
-        let prologue = self.compacted_records();
+        let (prologue, graphs) = self.compacted_records();
         let snapshot = self.store.snapshot();
         let snapshot_bytes = snapshot.len();
         let records = prologue.len();
@@ -983,6 +1029,7 @@ impl Fleet {
             .and_then(|()| d.journal.rotate(&prologue));
         match result {
             Ok(()) => {
+                d.graphs = graphs;
                 self.obs
                     .counter_add(Clock::Wall, "nnrt_flush_cuts_total", &[], 1);
                 self.obs.event(
@@ -1139,17 +1186,9 @@ impl Fleet {
         let id = JobId(self.next_id);
         let now = self.now();
         let hint = self.saturation_hint();
-        // Build the admit record up front (the queue consumes the spec);
+        // Keep a copy for the journal (the queue consumes the spec);
         // rejected submissions never reach the journal.
-        let rec = self.durable.is_some().then(|| JournalRecord::Admit {
-            id: id.0,
-            name: spec.name.clone(),
-            model: spec.model.clone(),
-            steps: spec.steps,
-            priority: spec.priority,
-            weight: spec.weight,
-            graph: spec.graph.clone(),
-        });
+        let journaled = self.durable.is_some().then(|| spec.clone());
         let name = spec.name.clone();
         if let Err(e) = self.queue.submit(id, spec, now, hint) {
             self.obs
@@ -1169,10 +1208,24 @@ impl Fleet {
         self.obs
             .event(Clock::Sim, EventKind::Admit, now, Some(id.0), None, name);
         self.next_id += 1;
-        if let Some(rec) = rec {
-            self.journal_append(rec);
+        if let Some(spec) = journaled {
+            self.journal_admit(id.0, &spec);
         }
         Ok(id)
+    }
+
+    /// Journals job `id`'s admission: its graph's `graph` record first when
+    /// the current log file does not hold that body yet, then the `admit`
+    /// naming it.
+    fn journal_admit(&mut self, id: u64, spec: &JobSpec) {
+        let Some(d) = self.durable.as_mut() else {
+            return;
+        };
+        let (graph, new) = d.graphs.intern(&spec.graph);
+        if let Some(rec) = new {
+            self.journal_append(rec);
+        }
+        self.journal_append(admit_record(id, spec, graph));
     }
 
     /// How long a rejected submitter should wait before retrying: the
@@ -1982,6 +2035,7 @@ impl Fleet {
             spec: JobSpec,
             placed: bool,
         }
+        let mut graphs: HashMap<u64, DataflowGraph> = HashMap::new();
         let mut admitted: BTreeMap<u64, AdmittedJob> = BTreeMap::new();
         let mut completed: Vec<PriorCompleted> = Vec::new();
         let mut checkpoints: BTreeMap<u64, Checkpoint> = BTreeMap::new();
@@ -1994,6 +2048,9 @@ impl Fleet {
                         "duplicate header record mid-log".to_string(),
                     ));
                 }
+                JournalRecord::Graph { id, graph } => {
+                    graphs.insert(id, graph);
+                }
                 JournalRecord::Admit {
                     id,
                     name,
@@ -2003,6 +2060,12 @@ impl Fleet {
                     weight,
                     graph,
                 } => {
+                    // Jobs naming one record share its body.
+                    let graph = graphs.get(&graph).cloned().ok_or_else(|| {
+                        RecoverError::Journal(format!(
+                            "job {id} names graph record {graph}, which no earlier record defines"
+                        ))
+                    })?;
                     admitted.insert(
                         id,
                         AdmittedJob {
@@ -2264,6 +2327,125 @@ mod tests {
             priority: 0,
             weight: 1.0,
         }
+    }
+
+    /// A durable one-node config in a fresh scratch directory, with no
+    /// periodic flush, so the journal only rotates when a test asks.
+    fn durable_config(tag: &str) -> (FleetConfig, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("nnrt-fleet-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut durability = DurabilityConfig::new(&dir);
+        durability.flush_interval_secs = f64::INFINITY;
+        let config = FleetConfig {
+            node_count: 1,
+            max_jobs_per_node: 1,
+            durability: Some(durability),
+            ..FleetConfig::default()
+        };
+        (config, dir)
+    }
+
+    fn spec_on(name: &str, graph: &DataflowGraph) -> JobSpec {
+        JobSpec {
+            name: name.to_string(),
+            model: "dcgan".to_string(),
+            graph: graph.clone(),
+            steps: 2,
+            priority: 0,
+            weight: 1.0,
+        }
+    }
+
+    /// `(graph record ids, graph ids the admits name)` of the journal in
+    /// `dir`, in log order, checking that every admit names an earlier
+    /// graph record.
+    fn graph_refs(dir: &std::path::Path) -> (Vec<u64>, Vec<u64>) {
+        let bytes = std::fs::read(dir.join(JOURNAL_FILE)).expect("journal exists");
+        let (mut defined, mut named) = (Vec::new(), Vec::new());
+        for rec in replay(&bytes).records {
+            match rec {
+                JournalRecord::Graph { id, .. } => defined.push(id),
+                JournalRecord::Admit { graph, .. } => {
+                    assert!(defined.contains(&graph), "admit names graph {graph} early");
+                    named.push(graph);
+                }
+                _ => {}
+            }
+        }
+        (defined, named)
+    }
+
+    #[test]
+    fn rotation_writes_one_graph_record_per_distinct_live_body() {
+        let (config, dir) = durable_config("graph-records");
+        let a = nnrt_models::dcgan(4).graph;
+        let apart = nnrt_models::dcgan(4).graph;
+        let c = nnrt_models::dcgan(8).graph;
+        assert_eq!(a, apart, "equal graphs built apart are still two bodies");
+        let mut fleet = Fleet::new(config);
+        for (i, g) in [&a, &c, &a, &apart, &c, &a].into_iter().enumerate() {
+            fleet.submit(spec_on(&format!("j{i}"), g)).unwrap();
+        }
+        assert_eq!(graph_refs(&dir), (vec![0, 1, 2], vec![0, 1, 0, 2, 1, 0]));
+
+        // Run one job to completion so the cut drops it, then rotate: the
+        // new file numbers the live bodies from 0 in first-write order.
+        while fleet.completed.is_empty() {
+            assert!(fleet.tick());
+        }
+        fleet.flush_durable();
+        assert_eq!(graph_refs(&dir), (vec![0, 1, 2], vec![0, 1, 2, 0, 1]));
+
+        // Appends after the cut name the prologue's records, and a new
+        // body gets the next id of this file.
+        fleet.submit(spec_on("j6", &apart)).unwrap();
+        fleet
+            .submit(spec_on("j7", &nnrt_models::dcgan(2).graph))
+            .unwrap();
+        let (defined, named) = graph_refs(&dir);
+        assert_eq!(defined, vec![0, 1, 2, 3]);
+        assert_eq!(named[named.len() - 2..], [2, 3]);
+
+        // Once every job has finished, the final cut holds no graph.
+        fleet.run();
+        assert_eq!(graph_refs(&dir), (vec![], vec![]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovered_jobs_naming_one_graph_record_share_its_body() {
+        let (config, dir) = durable_config("graph-sharing");
+        let a = nnrt_models::dcgan(4).graph;
+        let b = nnrt_models::dcgan(8).graph;
+        let mut fleet = Fleet::new(config.clone());
+        for (i, g) in [&a, &b, &a, &a, &b].into_iter().enumerate() {
+            fleet.submit(spec_on(&format!("j{i}"), g)).unwrap();
+        }
+        // Place one job, so recovery takes both the retry and queue paths.
+        assert!(fleet.tick());
+        drop(fleet);
+
+        let (recovered, report) = Fleet::recover(config).expect("recovers");
+        assert_eq!(report.jobs_resumed.len(), 1);
+        assert_eq!(report.jobs_requeued.len(), 4);
+        let specs: Vec<&JobSpec> = recovered
+            .retries
+            .iter()
+            .map(|r| &r.job.spec)
+            .chain(recovered.queue.iter().map(|q| &q.spec))
+            .collect();
+        for x in &specs {
+            for y in &specs {
+                assert_eq!(
+                    x.graph.same_body(&y.graph),
+                    x.graph == y.graph,
+                    "{} and {}",
+                    x.name,
+                    y.name
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Steps `fleet` one tick at a time, checking after every tick that

@@ -3,12 +3,14 @@
 //! A durable fleet (see [`crate::fleet::DurabilityConfig`]) appends one
 //! [`JournalRecord`] to an on-disk log for every state transition the run
 //! loop performs — admit, place, store publication, checkpoint, evict,
-//! retry, complete. Together with the periodically flushed
-//! [`crate::ProfileStore`] snapshot, the journal makes the whole process
-//! crash-safe: `kill -9` at any instant loses nothing that was admitted and
-//! no curve that was measured, because every store publication is journaled
-//! as a delta *after* the snapshot it follows (the journal is a true WAL
-//! over the store, not just over job metadata).
+//! retry, complete. Training graphs are not transitions: each distinct
+//! graph body is written once per log file, as a `graph` record that the
+//! `admit` records of every job training it name by id. Together with the
+//! periodically flushed [`crate::ProfileStore`] snapshot, the journal makes
+//! the whole process crash-safe: `kill -9` at any instant loses nothing that
+//! was admitted and no curve that was measured, because every store
+//! publication is journaled as a delta *after* the snapshot it follows (the
+//! journal is a true WAL over the store, not just over job metadata).
 //!
 //! ## Record framing
 //!
@@ -45,6 +47,16 @@
 //! records until the first framing or checksum failure and reports the
 //! undecodable tail's byte count; recovery applies the valid prefix and
 //! discards the tail — exactly the write-ahead-log contract.
+//!
+//! ## Graph records
+//!
+//! A `graph` record's id is local to its log file: ids count up from 0 in
+//! first-write order, and an `admit` always names a `graph` record that
+//! comes earlier in the same file. A rotation starts the count again and
+//! writes each live job's graph once, before the first `admit` naming it,
+//! so a cut prologue is as large as the distinct graphs it holds, not the
+//! jobs. A torn tail can drop an `admit` after its `graph`, never the
+//! reverse, because records are appended in order.
 
 use nnrt_graph::{DataflowGraph, OpKey};
 use nnrt_manycore::MachineSignature;
@@ -58,7 +70,7 @@ use std::path::{Path, PathBuf};
 /// Journal format tag; logs from other tools are rejected.
 pub const JOURNAL_FORMAT: &str = "nnrt-job-journal";
 /// Journal schema version; bumped on incompatible record-layout changes.
-pub const JOURNAL_VERSION: u64 = 1;
+pub const JOURNAL_VERSION: u64 = 2;
 /// File name of the record log inside a durable directory.
 pub const JOURNAL_FILE: &str = "journal.log";
 /// File name of the profile-store snapshot inside a durable directory.
@@ -126,9 +138,10 @@ impl fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-/// One durable fleet state transition.
+/// One durable fleet state transition, or a training graph those
+/// transitions name.
 ///
-/// `Admit` carries the full job spec (including the training graph) so a
+/// `Admit` carries the job spec and the id of its `Graph` record, so a
 /// never-placed job can be re-enqueued from the journal alone;
 /// `StoreInsert` carries the fitted curves a job published, making the
 /// journal a write-ahead log over the [`crate::ProfileStore`] — a crash
@@ -141,6 +154,14 @@ pub enum JournalRecord {
         format: String,
         /// Always [`JOURNAL_VERSION`] for logs this build writes.
         version: u64,
+    },
+    /// A training graph (one step's dataflow), written once per log file
+    /// for each distinct graph body the file's `admit` records name.
+    Graph {
+        /// Id of this record within its log file (0, 1, … in write order).
+        id: u64,
+        /// The graph.
+        graph: DataflowGraph,
     },
     /// A job entered the admission queue.
     Admit {
@@ -156,8 +177,9 @@ pub enum JournalRecord {
         priority: u8,
         /// Deadline weight.
         weight: f64,
-        /// The training graph (one step's dataflow).
-        graph: DataflowGraph,
+        /// Id of the `graph` record, earlier in the same log file, holding
+        /// the job's training graph.
+        graph: u64,
     },
     /// A queued job was placed onto a node.
     Place {
@@ -230,6 +252,7 @@ impl JournalRecord {
     pub fn tag(&self) -> &'static str {
         match self {
             JournalRecord::Header { .. } => "header",
+            JournalRecord::Graph { .. } => "graph",
             JournalRecord::Admit { .. } => "admit",
             JournalRecord::Place { .. } => "place",
             JournalRecord::StoreInsert { .. } => "store_insert",
@@ -259,6 +282,7 @@ impl Serialize for JournalRecord {
             JournalRecord::Header { format, version } => {
                 obj.field("format", format).field("version", version)
             }
+            JournalRecord::Graph { id, graph } => obj.field("id", id).field("graph", graph),
             JournalRecord::Admit {
                 id,
                 name,
@@ -318,6 +342,10 @@ impl Deserialize for JournalRecord {
                 format: String::from_json_value(field(v, "format")?)?,
                 version: u64::from_json_value(field(v, "version")?)?,
             }),
+            "graph" => Ok(JournalRecord::Graph {
+                id: u64::from_json_value(field(v, "id")?)?,
+                graph: DataflowGraph::from_json_value(field(v, "graph")?)?,
+            }),
             "admit" => Ok(JournalRecord::Admit {
                 id: u64::from_json_value(field(v, "id")?)?,
                 name: String::from_json_value(field(v, "name")?)?,
@@ -325,7 +353,7 @@ impl Deserialize for JournalRecord {
                 steps: u32::from_json_value(field(v, "steps")?)?,
                 priority: u8::from_json_value(field(v, "priority")?)?,
                 weight: f64::from_json_value(field(v, "weight")?)?,
-                graph: DataflowGraph::from_json_value(field(v, "graph")?)?,
+                graph: u64::from_json_value(field(v, "graph")?)?,
             }),
             "place" => Ok(JournalRecord::Place {
                 id: u64::from_json_value(field(v, "id")?)?,
@@ -530,6 +558,10 @@ mod tests {
 
     fn sample_records() -> Vec<JournalRecord> {
         vec![
+            JournalRecord::Graph {
+                id: 0,
+                graph: nnrt_models::dcgan(4).graph,
+            },
             JournalRecord::Admit {
                 id: 0,
                 name: "dcgan-0".to_string(),
@@ -537,7 +569,7 @@ mod tests {
                 steps: 2,
                 priority: 1,
                 weight: 1.5,
-                graph: nnrt_models::dcgan(4).graph,
+                graph: 0,
             },
             JournalRecord::Place { id: 0, node: 1 },
             JournalRecord::StoreInsert {

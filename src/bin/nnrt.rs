@@ -554,8 +554,9 @@ fn run_journal(args: &[String]) -> ExitCode {
     let replay = nnrt::serve::replay(&bytes);
     // Every tag appears in the output, zero or not, so pollers can key on
     // `complete` before the first completion lands.
-    const TAGS: [&str; 8] = [
+    const TAGS: [&str; 9] = [
         "header",
+        "graph",
         "admit",
         "place",
         "store_insert",

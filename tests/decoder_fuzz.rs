@@ -3,14 +3,17 @@
 //! same for both: arbitrary truncation or corruption of valid bytes yields
 //! a *typed* error — never a panic, and never a silently wrong record.
 
+use nnrt::graph::{DataflowGraph, OpKind, Shape};
 use nnrt::rpc::{read_frame, FrameError, Request};
 use nnrt::serve::{decode_record, encode_record, replay, JournalRecord};
 use proptest::prelude::*;
 
-/// Valid journal records spanning every non-graph-carrying payload shape
-/// (ids, floats, strings, empty vectors). `Admit` carries a full dataflow
-/// graph and is exercised by the round-trip tests in the journal module;
-/// fuzzing bit flips does not need multi-kilobyte payloads.
+/// Valid journal records spanning every payload shape (ids, floats,
+/// strings, empty vectors, a graph). `Admit` names its graph by id, so it
+/// is as small as the others; `Graph` carries a three-node graph whose
+/// shapes vary, since fuzzing bit flips does not need the multi-kilobyte
+/// graphs of the real models. `StoreInsert` is left to the round-trip
+/// tests in the journal module.
 fn arb_name() -> sample::Select<&'static str> {
     sample::select(vec![
         "",
@@ -18,6 +21,16 @@ fn arb_name() -> sample::Select<&'static str> {
         "résumé \"x\"\\n",
         "a-very-long-job-name-indeed",
     ])
+}
+
+/// A three-node graph: conv → relu → matmul, the matmul also depending on
+/// the conv.
+fn three_node_graph(batch: usize, width: usize) -> DataflowGraph {
+    let mut g = DataflowGraph::new();
+    let a = g.add_op(OpKind::Conv2D, Shape::nhwc(batch, 8, 8, 3), &[]);
+    let b = g.add_op(OpKind::Relu, Shape::nhwc(batch, 8, 8, 16), &[a]);
+    g.add_op(OpKind::MatMul, Shape::mat(batch, width), &[a, b]);
+    g
 }
 
 fn arb_record() -> impl Strategy<Value = JournalRecord> {
@@ -29,6 +42,32 @@ fn arb_record() -> impl Strategy<Value = JournalRecord> {
             format: format.to_string(),
             version
         }),
+        (id.clone(), 1usize..64, 1usize..4096).prop_map(|(id, batch, width)| {
+            JournalRecord::Graph {
+                id,
+                graph: three_node_graph(batch, width),
+            }
+        }),
+        (
+            id.clone(),
+            arb_name(),
+            arb_name(),
+            small.clone(),
+            0u8..=u8::MAX,
+            finite.clone(),
+            id.clone()
+        )
+            .prop_map(|(id, name, model, steps, priority, weight, graph)| {
+                JournalRecord::Admit {
+                    id,
+                    name: name.to_string(),
+                    model: model.to_string(),
+                    steps,
+                    priority,
+                    weight,
+                    graph,
+                }
+            }),
         (id.clone(), small.clone()).prop_map(|(id, node)| JournalRecord::Place { id, node }),
         (id.clone(), small.clone(), finite.clone()).prop_map(|(id, steps_done, at)| {
             JournalRecord::Checkpoint {

@@ -10,8 +10,8 @@
 use nnrt::prelude::*;
 use nnrt::sched::OpCatalog;
 use nnrt::serve::{
-    replay, DurabilityConfig, Fleet, FleetConfig, JobSpec, JournalRecord, ProfileStore,
-    RecoverError, StoreError, JOURNAL_FILE, SNAPSHOT_FILE,
+    encode_record, replay, DurabilityConfig, Fleet, FleetConfig, JobSpec, JournalRecord,
+    ProfileStore, RecoverError, StoreError, JOURNAL_FILE, JOURNAL_FORMAT, SNAPSHOT_FILE,
 };
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -342,4 +342,44 @@ fn corrupt_journal_tail_is_discarded_with_exact_accounting() {
     );
     std::fs::remove_dir_all(&d).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_dangling_graph_id_or_an_old_version_is_a_typed_journal_error() {
+    let admit = JournalRecord::Admit {
+        id: 0,
+        name: "dcgan-0".to_string(),
+        model: "dcgan".to_string(),
+        steps: 2,
+        priority: 0,
+        weight: 1.0,
+        graph: 9,
+    };
+    let mut graph = DataflowGraph::new();
+    graph.add_op(OpKind::MatMul, Shape::mat(8, 8), &[]);
+    let defined_elsewhere = JournalRecord::Graph { id: 3, graph };
+    let old_header = JournalRecord::Header {
+        format: JOURNAL_FORMAT.to_string(),
+        version: 1,
+    };
+    for (case, records, needle) in [
+        (
+            "dangling",
+            vec![JournalRecord::header(), defined_elsewhere, admit.clone()],
+            "graph record 9",
+        ),
+        ("v1", vec![old_header, admit], "version 1 is not supported"),
+    ] {
+        let dir = tmpdir(case);
+        let bytes: Vec<u8> = records.iter().flat_map(encode_record).collect();
+        std::fs::write(dir.join(JOURNAL_FILE), bytes).expect("write journal");
+        match Fleet::recover(config_with(Some(dir.clone()))) {
+            Err(RecoverError::Journal(msg)) => {
+                assert!(msg.contains(needle), "{case}: unexpected message {msg:?}")
+            }
+            Ok(_) => panic!("{case}: recovery must reject the journal"),
+            Err(other) => panic!("{case}: expected RecoverError::Journal, got {other}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
