@@ -40,7 +40,8 @@ fn main() {
     table.print("Online vs oracle: share of the achievable improvement captured");
     record.notes(
         "The online runtime captures most of what an omniscient packer \
-         achieves; the residue is the price of noisy predictions, the \
+         achieves on ResNet-50 and DCGAN but a third or less on Inception-v3 \
+         and LSTM; the residue is the price of noisy predictions, the \
          Strategy 2 pinning rule, and the conservative co-run admission test.",
     );
     record.write();
