@@ -179,21 +179,22 @@ echo "durable run byte-identical to in-memory run (6 jobs, seed 7)"
 # The kill -9 drill: start a durable run, kill it dead mid-run, restart
 # with --recover, and require the merged completion set to equal an
 # uninterrupted run's — with zero lost profile-store keys. 40 jobs on a
-# single profiling worker keeps the run in flight long enough (~1.7 s)
-# for the journal poll below to catch a placement before completion.
+# single profiling worker run for about 0.3 s (2-core host, release
+# build), so the poll below must be cheap: it greps the journal counts
+# every 10 ms instead of starting a Python interpreter per poll, which
+# took long enough that the run finished before the kill.
 drill="$tmpdir/drill"
 ./target/release/nnrt serve 40 2 7 --durable "$drill" --profile-threads 1 --json \
   > "$tmpdir/drill-run.json" 2> "$tmpdir/drill-run.err" &
 drill_pid=$!
 # Wait until the run is genuinely mid-flight: at least one job placed.
 placed=0
-for _ in $(seq 1 300); do
+for _ in $(seq 1 1500); do
   placed="$(./target/release/nnrt journal "$drill" --json 2>/dev/null \
-    | python3 -c 'import json,sys; print(json.load(sys.stdin)["counts"]["place"])' \
-    || echo 0)"
-  [ "$placed" -ge 1 ] && break
+    | sed -n 's/.*"place":\([0-9]*\).*/\1/p' || true)"
+  [ "${placed:-0}" -ge 1 ] && break
   kill -0 "$drill_pid" 2>/dev/null || break
-  sleep 0.05
+  sleep 0.01
 done
 if kill -9 "$drill_pid" 2>/dev/null; then
   wait "$drill_pid" 2>/dev/null || true
