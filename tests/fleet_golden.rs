@@ -7,9 +7,9 @@
 //! `--events` JSONL stream, the full-history journal and store snapshot
 //! of an in-process durable chaos run, or the report and recovery
 //! accounting of a fleet recovered from that run's directory halfway
-//! through. `fixtures/fleet_golden.txt` holds
-//! `case length fnv1a64` per case. On a mismatch the failure names every
-//! case that moved and prints the recomputed table.
+//! through. `fixtures/fleet_golden.txt` holds `case length fnv1a64` per
+//! case. On a mismatch the failure names every case that moved and prints
+//! the recomputed table.
 
 use nnrt::prelude::*;
 use nnrt::serve::{
@@ -77,8 +77,7 @@ fn dcgan_fleet(config: FleetConfig, jobs: usize) -> Fleet {
 /// fault plan, and no periodic flush, so the journal holds the whole
 /// transition history.
 fn durable_chaos_fleet(dir: &Path) -> Fleet {
-    let config = chaos_config(None);
-    let horizon = dcgan_fleet(config.clone(), 6).run().makespan_secs;
+    let horizon = dcgan_fleet(chaos_config(None), 6).run().makespan_secs;
     let mut fleet = dcgan_fleet(chaos_config(Some(dir)), 6);
     fleet.set_fault_plan(FaultPlan::from_seed(7, 2, horizon));
     fleet
