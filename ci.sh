@@ -43,6 +43,10 @@ for id in $paper_records; do
     || { echo "experiments/$id.json changed: the paper's simulated results moved" >&2; exit 1; }
 done
 echo "paper records unchanged ($paper_records)"
+# The per-step digests behind those records: a moved digest names the
+# model and the configuration (strategy set, TF baseline or event trace)
+# whose simulated step changed.
+cargo test -q --offline -p nnrt-sched --test step_golden
 
 echo "== chaos suite (pinned seed 99) =="
 cargo test -q --offline --test chaos_fleet

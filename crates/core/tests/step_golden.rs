@@ -6,11 +6,12 @@
 //! configuration.
 //!
 //! The digests in `fixtures/step_golden.txt` are FNV-1a over the bit
-//! patterns of `total_secs`, every `NodeTiming` and every `per_kind` row.
+//! patterns of `total_secs`, every `NodeTiming` and every `per_kind` row;
+//! the `trace` rows digest the engine's event trace of one step instead.
 //! On a mismatch the failure message prints the full recomputed table.
 
 use nnrt_graph::DataflowGraph;
-use nnrt_manycore::KnlCostModel;
+use nnrt_manycore::{EventKind, KnlCostModel};
 use nnrt_sched::{OpCatalog, Runtime, RuntimeConfig, StepReport, TfExecutor, TfExecutorConfig};
 
 const GOLDEN: &str = include_str!("fixtures/step_golden.txt");
@@ -62,6 +63,24 @@ fn digest(report: &StepReport) -> u64 {
     h.0
 }
 
+/// Digest of a step's engine event trace: every event's time bits, kind,
+/// job, tag and co-running count.
+fn trace_digest(report: &StepReport) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(report.trace.len() as u64);
+    for ev in &report.trace {
+        h.f64(ev.time);
+        h.u64(match ev.kind {
+            EventKind::Start => 0,
+            EventKind::Finish => 1,
+        });
+        h.u64(ev.job.0);
+        h.u64(ev.tag);
+        h.u64(ev.corunning as u64);
+    }
+    h.0
+}
+
 /// The `nnrt serve` job mix: each model at the batch size the fleet runs.
 fn serve_mix() -> Vec<(&'static str, DataflowGraph)> {
     vec![
@@ -83,12 +102,20 @@ fn computed() -> Vec<(String, String, u64)> {
             ("s12", RuntimeConfig::s12_only()),
             ("s123", RuntimeConfig::s123()),
         ] {
-            let rt = Runtime::prepare(&graph, cost.clone(), config);
-            rows.push((
-                model.to_string(),
-                name.to_string(),
-                digest(&rt.run_step(&graph)),
-            ));
+            let mut rt = Runtime::prepare(&graph, cost.clone(), config);
+            let step = digest(&rt.run_step(&graph));
+            rows.push((model.to_string(), name.to_string(), step));
+            if model == "dcgan/16" && name == "default" {
+                // The Figure 4 trace: recording it must not move the step.
+                rt.record_trace(true);
+                let traced = rt.run_step(&graph);
+                assert_eq!(digest(&traced), step, "trace recording moved the step");
+                rows.push((
+                    model.to_string(),
+                    "trace".to_string(),
+                    trace_digest(&traced),
+                ));
+            }
         }
         let catalog = OpCatalog::new(&graph);
         // The recommendation runs one op at a time; the 4 x 34 pool puts
