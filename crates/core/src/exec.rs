@@ -8,7 +8,6 @@ use nnrt_graph::{DataflowGraph, NodeId, OpKind, ReadyTracker};
 use nnrt_manycore::{
     CostModel, Engine, JobId, KnlCostModel, PlacementRequest, SharingMode, SlotPreference,
 };
-use std::collections::HashMap;
 
 /// A launch decision made by a policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,14 +25,16 @@ pub(crate) struct ExecContext<'a> {
     pub cost: &'a KnlCostModel,
     pub engine: Engine,
     pub tracker: ReadyTracker,
-    /// Last intra-op parallelism used per kind (Strategy 2's motivation: a
-    /// change costs `reconfig_cost`).
-    last_threads: HashMap<OpKind, u32>,
-    /// Per-kind accumulated busy time and instance count.
-    per_kind: HashMap<OpKind, (f64, usize)>,
+    /// Last intra-op parallelism used per kind, indexed by `OpKind as
+    /// usize` (Strategy 2's motivation: a change costs `reconfig_cost`).
+    last_threads: [Option<u32>; OpKind::ALL.len()],
+    /// Per-kind accumulated busy time and instance count, indexed the same
+    /// way.
+    per_kind: [(f64, usize); OpKind::ALL.len()],
     /// Predicted durations of running jobs (for Strategy 3's throughput
-    /// check): job -> (start, predicted duration).
-    predictions: HashMap<JobId, (f64, f64)>,
+    /// check): `(job, start, predicted duration)`, one entry per running
+    /// job.
+    predictions: Vec<(JobId, f64, f64)>,
     /// Per-node timing records (always collected; they also feed the
     /// interference-feedback adaptation of §III-D's discussion).
     timings: Vec<NodeTiming>,
@@ -81,23 +82,33 @@ impl<'a> ExecContext<'a> {
             cost,
             engine,
             tracker: ReadyTracker::new(graph),
-            last_threads: HashMap::new(),
-            per_kind: HashMap::new(),
-            predictions: HashMap::new(),
-            timings: Vec::new(),
+            last_threads: [None; OpKind::ALL.len()],
+            per_kind: [(0.0, 0); OpKind::ALL.len()],
+            predictions: Vec::new(),
+            timings: Vec::with_capacity(graph.len()),
         }
     }
 
     /// Launches `launch`, charging a reconfiguration penalty when a tunable
     /// kind changes its thread count between consecutive instances.
     /// `predicted` is the policy's predicted duration (for throughput checks);
-    /// pass the true nominal when the policy has no model.
-    pub fn launch(&mut self, launch: Launch, predicted: f64) {
+    /// pass the true nominal when the policy has no model. `solo` is the
+    /// cost model's solo time of the launch, which the caller has at hand
+    /// (policies derive it once per operation and configuration).
+    pub fn launch(&mut self, launch: Launch, predicted: f64, solo: f64) {
         let op = self.graph.op(launch.node);
         let profile = *self.catalog.profile(launch.node);
-        let mut nominal = self.cost.solo_time(&profile, launch.threads, launch.mode);
+        debug_assert_eq!(
+            solo.to_bits(),
+            self.cost
+                .solo_time(&profile, launch.threads, launch.mode)
+                .to_bits(),
+            "solo time of {launch:?}"
+        );
+        let mut nominal = solo;
         if op.kind.is_tunable() {
-            match self.last_threads.insert(op.kind, launch.threads) {
+            let last = &mut self.last_threads[op.kind as usize];
+            match last.replace(launch.threads) {
                 Some(prev) if prev != launch.threads => {
                     nominal += self.cost.params().reconfig_cost;
                 }
@@ -116,7 +127,7 @@ impl<'a> ExecContext<'a> {
             .launch(profile, nominal, &request, launch.node.0 as u64)
             .expect("engine accepts a validated launch");
         self.predictions
-            .insert(job, (self.engine.now(), predicted.max(nominal)));
+            .push((job, self.engine.now(), predicted.max(nominal)));
     }
 
     /// Advances to the next completion; returns `false` when nothing ran.
@@ -126,14 +137,15 @@ impl<'a> ExecContext<'a> {
         };
         let node = NodeId(outcome.tag as u32);
         let kind = self.graph.op(node).kind;
-        let e = self.per_kind.entry(kind).or_insert((0.0, 0));
+        let e = &mut self.per_kind[kind as usize];
         e.0 += outcome.finish - outcome.start;
         e.1 += 1;
-        let predicted = self
+        let at = self
             .predictions
-            .remove(&outcome.job)
-            .map(|(_, d)| d)
-            .unwrap_or(outcome.nominal);
+            .iter()
+            .position(|&(job, _, _)| job == outcome.job)
+            .expect("every running job has a prediction");
+        let (_, _, predicted) = self.predictions.swap_remove(at);
         self.timings.push(NodeTiming {
             node: outcome.tag as u32,
             start: outcome.start,
@@ -156,20 +168,21 @@ impl<'a> ExecContext<'a> {
     pub fn predicted_max_remaining(&self) -> Option<f64> {
         let now = self.engine.now();
         self.predictions
-            .values()
-            .map(|&(start, dur)| (start + dur - now).max(0.0))
+            .iter()
+            .map(|&(_, start, dur)| (start + dur - now).max(0.0))
             .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
     }
 
     /// Finalizes the step into a report.
     pub fn finish(mut self) -> StepReport {
         let total_secs = self.engine.now();
-        let mut per_kind: Vec<(OpKind, f64, usize)> = self
-            .per_kind
+        let mut per_kind: Vec<(OpKind, f64, usize)> = OpKind::ALL
             .into_iter()
+            .map(|k| (k, self.per_kind[k as usize]))
+            .filter(|&(_, (_, n))| n > 0)
             .map(|(k, (t, n))| (k, t, n))
             .collect();
-        // Busy time descending; exact ties by kind, not hash-map order.
+        // Busy time descending; exact ties by kind.
         per_kind.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         StepReport {
             total_secs,
@@ -217,7 +230,7 @@ mod tests {
                     slot: SlotPreference::Primary,
                 };
                 let nominal = cost.solo_time(catalog.profile(node), t, SharingMode::Compact);
-                ctx.launch(launch, nominal);
+                ctx.launch(launch, nominal, nominal);
             }
             while ctx.advance() {}
             ctx.finish().total_secs
@@ -256,6 +269,7 @@ mod tests {
                     mode: SharingMode::Compact,
                     slot: SlotPreference::Primary,
                 },
+                nominal,
                 nominal,
             );
         }

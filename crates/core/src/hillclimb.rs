@@ -636,10 +636,18 @@ impl PerfModel for HillClimbModel {
         all.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
         // Distinct thread counts only: a candidate set of {26-compact,
         // 26-scatter, 30-compact} offers less scheduling freedom than
-        // {26, 22, 30}.
-        let mut seen = std::collections::HashSet::new();
-        all.retain(|&(p, _, _)| seen.insert(p));
-        all.truncate(n);
+        // {26, 22, 30}. The first `n` distinct counts stay in front.
+        let mut kept = 0;
+        for i in 0..all.len() {
+            if kept == n {
+                break;
+            }
+            if all[..kept].iter().all(|c| c.0 != all[i].0) {
+                all.swap(kept, i);
+                kept += 1;
+            }
+        }
+        all.truncate(kept);
         all
     }
 }

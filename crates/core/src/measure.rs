@@ -7,16 +7,28 @@
 //! machine a "measurement" is the cost model's solo time perturbed by the
 //! duration-dependent [`NoiseModel`].
 
-use nnrt_graph::{op_key, DataflowGraph, NodeId, OpKey};
+use nnrt_graph::{op_key, DataflowGraph, NodeId, OpAux, OpKey, OpKind, Shape};
 use nnrt_manycore::{CostModel, KnlCostModel, NoiseModel, SharingMode, WorkProfile};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 
-/// Per-graph cache of work profiles, indexed both by node and by op key.
+/// Per-graph cache of work profiles, indexed by node, by distinct operation
+/// and by op key.
+///
+/// A graph repeats operations (an LSTM unrolls one cell hundreds of
+/// times), so the catalog also numbers its *distinct operations* — equal
+/// kind, input shape and attributes — in first-appearance order: nodes
+/// running the same operation get the same profile and the same scheduling
+/// answers, which the step scheduler derives once per operation. Build the
+/// catalog once per graph and hand it to whatever needs it; a placement
+/// builds one.
 #[derive(Debug, Clone)]
 pub struct OpCatalog {
-    by_node: Vec<WorkProfile>,
+    /// Per node: its operation's index in `ops`.
+    op_of: Vec<u32>,
+    /// Per distinct operation: its profile and its key's index in `keys`.
+    ops: Vec<(WorkProfile, u32)>,
     by_key: HashMap<OpKey, WorkProfile>,
     counts: HashMap<OpKey, usize>,
     keys: Vec<OpKey>,
@@ -25,24 +37,75 @@ pub struct OpCatalog {
 impl OpCatalog {
     /// Builds the catalog for `graph`.
     pub fn new(graph: &DataflowGraph) -> Self {
-        let mut by_node = Vec::with_capacity(graph.len());
+        let mut op_of = Vec::with_capacity(graph.len());
+        // Each distinct operation's first node and instance count.
+        let mut first: Vec<(NodeId, usize)> = Vec::new();
+        let mut seen: HashMap<(OpKind, &Shape, OpAux), u32> = HashMap::new();
+        for (node, op) in graph.iter() {
+            let next = first.len() as u32;
+            let index = *seen.entry((op.kind, &op.shape, op.aux)).or_insert(next);
+            if index == next {
+                first.push((node, 0));
+            }
+            first[index as usize].1 += 1;
+            op_of.push(index);
+        }
         let mut by_key: HashMap<OpKey, WorkProfile> = HashMap::new();
         let mut counts: HashMap<OpKey, usize> = HashMap::new();
-        for (_, op) in graph.iter() {
+        let mut profiles = Vec::with_capacity(first.len());
+        for &(node, instances) in &first {
+            let op = graph.op(node);
             let profile = nnrt_graph::work_profile(op.kind, &op.shape, &op.aux);
             let key = op_key(op.kind, &op.shape);
             by_key.entry(key.clone()).or_insert(profile);
-            *counts.entry(key).or_default() += 1;
-            by_node.push(profile);
+            *counts.entry(key).or_default() += instances;
+            profiles.push(profile);
         }
         let mut keys: Vec<OpKey> = by_key.keys().cloned().collect();
         keys.sort();
+        let ops = first
+            .iter()
+            .zip(profiles)
+            .map(|(&(node, _), profile)| {
+                let op = graph.op(node);
+                let key = keys
+                    .binary_search_by(|k| (k.0, &k.1).cmp(&(op.kind, &op.shape)))
+                    .expect("every operation's key is cataloged");
+                (profile, key as u32)
+            })
+            .collect();
         OpCatalog {
-            by_node,
+            op_of,
+            ops,
             by_key,
             counts,
             keys,
         }
+    }
+
+    /// Number of nodes of the cataloged graph.
+    pub fn num_nodes(&self) -> usize {
+        self.op_of.len()
+    }
+
+    /// Number of distinct operations (kind, input shape and attributes).
+    pub fn num_ops(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Index of `node`'s operation, in `0..num_ops()`.
+    pub fn op_index(&self, node: NodeId) -> usize {
+        self.op_of[node.0 as usize] as usize
+    }
+
+    /// Profile of the operation with index `op`.
+    pub fn op_profile(&self, op: usize) -> &WorkProfile {
+        &self.ops[op].0
+    }
+
+    /// Key of the operation with index `op`.
+    pub fn op_key(&self, op: usize) -> &OpKey {
+        &self.keys[self.ops[op].1 as usize]
     }
 
     /// Number of instances of `key` in the graph (0 if absent). One
@@ -54,7 +117,7 @@ impl OpCatalog {
 
     /// Profile of a node.
     pub fn profile(&self, node: NodeId) -> &WorkProfile {
-        &self.by_node[node.0 as usize]
+        self.op_profile(self.op_index(node))
     }
 
     /// Profile of an op key (any instance with that kind and shape).
@@ -218,6 +281,39 @@ mod tests {
             .profile_of_key(&(OpKind::Conv2D, Shape::nhwc(8, 16, 16, 32)))
             .is_some());
         assert!(cat.profile_of_key(&(OpKind::Mul, Shape::vec1(1))).is_none());
+    }
+
+    #[test]
+    fn catalog_numbers_each_distinct_operation_once() {
+        let mut g = small_graph();
+        // Same kind and shape as node 0 but other attributes: same key,
+        // different operation.
+        g.add(
+            nnrt_graph::OpInstance::with_aux(
+                OpKind::Conv2D,
+                Shape::nhwc(8, 16, 16, 32),
+                OpAux::conv(1, 1, 64),
+            ),
+            &[],
+        );
+        let cat = OpCatalog::new(&g);
+        assert_eq!(cat.num_nodes(), g.len());
+        assert_eq!(cat.num_ops(), 3);
+        let ops: Vec<usize> = (0..g.len())
+            .map(|i| cat.op_index(NodeId(i as u32)))
+            .collect();
+        assert_eq!(ops, vec![0, 1, 0, 2], "first-appearance order");
+        for (node, op) in g.iter() {
+            let index = cat.op_index(node);
+            assert_eq!(cat.op_key(index), &op_key(op.kind, &op.shape));
+            assert_eq!(
+                cat.profile(node),
+                &nnrt_graph::work_profile(op.kind, &op.shape, &op.aux)
+            );
+        }
+        let conv = (OpKind::Conv2D, Shape::nhwc(8, 16, 16, 32));
+        assert_eq!(cat.key_count(&conv), 3, "every instance of the key counts");
+        assert_eq!(cat.profile_of_key(&conv), Some(cat.profile(NodeId(0))));
     }
 
     #[test]

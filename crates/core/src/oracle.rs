@@ -78,6 +78,7 @@ impl OracleScheduler {
                             slot: SlotPreference::Primary,
                         },
                         t,
+                        t,
                     );
                 }
             }

@@ -188,7 +188,28 @@ impl Runtime {
         profiling_budget: u32,
         pool: ProfilerPool,
     ) -> Self {
-        let catalog = OpCatalog::new(graph);
+        Self::prepare_from_catalog(
+            OpCatalog::new(graph),
+            cost,
+            config,
+            warm,
+            profiling_budget,
+            pool,
+        )
+    }
+
+    /// [`Runtime::prepare_warm_pooled`] over a catalog the caller already
+    /// built for the graph (a fleet placement builds one catalog, reads its
+    /// keys for the store lookup and hands it over here). The runtime keeps
+    /// the catalog: every [`Runtime::run_step`] schedules against it.
+    pub fn prepare_from_catalog(
+        catalog: OpCatalog,
+        cost: KnlCostModel,
+        config: RuntimeConfig,
+        warm: &[crate::hillclimb::KeyProfile],
+        profiling_budget: u32,
+        pool: ProfilerPool,
+    ) -> Self {
         let mut measurer = Measurer::new(cost.clone(), NoiseModel::default(), config.seed);
         let mut model = HillClimbModel::default();
         model.import(warm);
@@ -299,10 +320,18 @@ impl Runtime {
 
     /// Executes one training step of `graph` under the configured strategies.
     ///
-    /// `graph` must be the same graph (or a graph with identical keys) as the
-    /// one profiled in [`Runtime::prepare`].
+    /// `graph` must be the graph this runtime was prepared on: the step
+    /// schedules against the catalog built at preparation, not a fresh one.
+    ///
+    /// # Panics
+    ///
+    /// When `graph`'s node count differs from the prepared catalog's.
     pub fn run_step(&self, graph: &DataflowGraph) -> StepReport {
-        let catalog = OpCatalog::new(graph);
+        assert_eq!(
+            graph.len(),
+            self.catalog.num_nodes(),
+            "run_step graph must match the prepared catalog"
+        );
         let sched = SchedulerConfig {
             corun: self.config.s3,
             hyper_thread: self.config.s4,
@@ -310,12 +339,12 @@ impl Runtime {
             s2_tolerance: self.config.s2_tolerance,
             prefer_fewest_threads: self.config.prefer_fewest_threads,
         };
-        let mut ctx = ExecContext::new(graph, &catalog, &self.cost, self.record_trace);
+        let mut ctx = ExecContext::new(graph, &self.catalog, &self.cost, self.record_trace);
         let scheduler =
             StepScheduler::new(&ctx, &self.plan, self.perf_model(), &sched, &self.feedback);
         loop {
             while let Some(decision) = scheduler.next_launch(&ctx) {
-                ctx.launch(decision.launch, decision.predicted);
+                ctx.launch(decision.launch, decision.predicted, decision.nominal);
             }
             if !ctx.advance() {
                 break;

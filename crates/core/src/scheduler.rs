@@ -22,11 +22,12 @@
 
 use crate::exec::{ExecContext, Launch};
 use crate::feedback::InterferenceLog;
+use crate::measure::OpCatalog;
 use crate::plan::{PerfModel, ThreadPlan};
-use nnrt_graph::{op_key, NodeId, OpAux, OpKey, OpKind, Shape};
+use nnrt_graph::{NodeId, OpKind};
 use nnrt_manycore::{CostModel, SharingMode, SlotPreference};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cell::OnceCell;
 use std::ops::Range;
 
 /// Scheduler knobs (paper values by default).
@@ -60,19 +61,28 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// One scheduling decision: what to launch next, with its predicted duration.
+/// One scheduling decision: what to launch next, with its predicted
+/// duration and its solo (interference-free) duration.
 pub(crate) struct Decision {
     pub launch: Launch,
     pub predicted: f64,
+    pub nominal: f64,
 }
 
-/// A `(threads, mode, predicted seconds)` launch configuration.
-type Config = (u32, SharingMode, f64);
+/// A launch configuration of one operation.
+struct Config {
+    threads: u32,
+    mode: SharingMode,
+    /// The performance model's predicted seconds.
+    predicted: f64,
+    /// The cost model's solo seconds, computed the first time a node of
+    /// the operation launches with this configuration.
+    nominal: OnceCell<f64>,
+}
 
 /// What the scheduler needs to know about one operation — a kind, input
 /// shape and attributes — during a step.
 struct OpPlan {
-    key: OpKey,
     /// The Strategy-2 planned configuration.
     planned: Config,
     /// Predicted serial (1-thread) time — Strategy 4's "small operation"
@@ -88,60 +98,56 @@ struct OpPlan {
 /// with a kind it has been observed to clash with.
 ///
 /// The plan, the model and the graph are fixed while a step runs, and every
-/// node is ready at some point of it, so each node's planned configuration,
-/// candidates and serial time are derived once, up front, rather than on
-/// every poll while the node waits — and once per distinct operation, since
-/// nodes running the same operation get the same answers.
+/// node is ready at some point of it, so each operation's planned
+/// configuration, candidates and serial time are derived once, up front,
+/// rather than on every poll while a node waits — and once per distinct
+/// operation of the catalog, since nodes running the same operation get
+/// the same answers.
 pub(crate) struct StepScheduler<'a> {
     plan: &'a ThreadPlan,
     model: &'a dyn PerfModel,
     cfg: &'a SchedulerConfig,
     deny: &'a InterferenceLog,
-    /// Per node: its operation's index in `ops`.
-    op_of: Vec<usize>,
+    catalog: &'a OpCatalog,
+    /// Per distinct operation of `catalog`, by its index.
     ops: Vec<OpPlan>,
     candidates: Vec<Config>,
 }
 
 impl<'a> StepScheduler<'a> {
-    /// Derives every node's scheduling inputs for a step over `ctx`'s graph.
+    /// Derives every operation's scheduling inputs for a step over `ctx`'s
+    /// graph.
     pub fn new(
-        ctx: &ExecContext<'_>,
+        ctx: &ExecContext<'a>,
         plan: &'a ThreadPlan,
         model: &'a dyn PerfModel,
         cfg: &'a SchedulerConfig,
         deny: &'a InterferenceLog,
     ) -> Self {
+        let catalog = ctx.catalog;
         let mut sched = StepScheduler {
             plan,
             model,
             cfg,
             deny,
-            op_of: Vec::with_capacity(ctx.graph.len()),
-            ops: Vec::new(),
+            catalog,
+            ops: Vec::with_capacity(catalog.num_ops()),
             candidates: Vec::new(),
         };
         let topo = ctx.engine.topology();
         let max_threads = topo.num_cores() * topo.smt_per_core;
-        let mut seen: HashMap<(OpKind, &Shape, OpAux), usize> = HashMap::new();
-        for (node, op) in ctx.graph.iter() {
-            let next = sched.ops.len();
-            let index = *seen.entry((op.kind, &op.shape, op.aux)).or_insert(next);
-            sched.op_of.push(index);
-            if index < next {
-                continue;
-            }
-            let key = op_key(op.kind, &op.shape);
-            let profile = ctx.catalog.profile(node);
-            let (threads, mode) = plan.threads_for(&key);
-            let threads = threads.min(max_threads).max(1);
+        for op in 0..catalog.num_ops() {
+            let key = catalog.op_key(op);
+            let profile = catalog.op_profile(op);
+            let (planned_threads, mode) = plan.threads_for(key);
+            let threads = planned_threads.min(max_threads).max(1);
             let predicted = model
-                .predict(&key, threads, mode)
+                .predict(key, threads, mode)
                 .unwrap_or_else(|| ctx.cost.solo_time(profile, threads, mode));
             let serial = model
-                .predict(&key, 1, SharingMode::Compact)
+                .predict(key, 1, SharingMode::Compact)
                 .unwrap_or_else(|| ctx.cost.solo_time(profile, 1, SharingMode::Compact));
-            let mut cands = sched.candidate_set(ctx, node, &key);
+            let mut cands = sched.candidate_set(ctx, op, (planned_threads, mode));
             if cfg.prefer_fewest_threads {
                 // Fewest threads first: maximize room for further co-runs
                 // (the paper picks 18 threads over the faster 20).
@@ -150,10 +156,11 @@ impl<'a> StepScheduler<'a> {
                 cands.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
             }
             let start = sched.candidates.len();
-            sched.candidates.extend(cands);
+            sched
+                .candidates
+                .extend(cands.into_iter().map(|(t, m, p)| Config::new(t, m, p)));
             sched.ops.push(OpPlan {
-                key,
-                planned: (threads, mode, predicted),
+                planned: Config::new(threads, mode, predicted),
                 serial,
                 candidates: start..sched.candidates.len(),
             });
@@ -162,18 +169,22 @@ impl<'a> StepScheduler<'a> {
     }
 
     fn op(&self, node: NodeId) -> &OpPlan {
-        &self.ops[self.op_of[node.0 as usize]]
+        &self.ops[self.catalog.op_index(node)]
     }
 
     /// Picks the next launch, or `None` to wait for a completion.
     pub fn next_launch(&self, ctx: &ExecContext<'_>) -> Option<Decision> {
         let mut ready = ctx.tracker.ready().peekable();
         let first = *ready.peek()?;
-        let running_kinds: Vec<OpKind> = ctx
-            .engine
-            .running()
-            .map(|(_, tag)| ctx.graph.op(NodeId(tag as u32)).kind)
-            .collect();
+        // The kinds running now, needed only to consult a non-empty log.
+        let running_kinds: Vec<OpKind> = if self.deny.is_empty() {
+            Vec::new()
+        } else {
+            ctx.engine
+                .running()
+                .map(|(_, tag)| ctx.graph.op(NodeId(tag as u32)).kind)
+                .collect()
+        };
         let allowed =
             |kind: OpKind| -> bool { running_kinds.iter().all(|&r| !self.deny.is_denied(kind, r)) };
 
@@ -182,7 +193,7 @@ impl<'a> StepScheduler<'a> {
             if ctx.engine.num_running() > 0 {
                 return None;
             }
-            return Some(self.planned_decision(first));
+            return Some(self.planned_decision(ctx, first));
         }
 
         let free = ctx.engine.free_cores();
@@ -190,12 +201,12 @@ impl<'a> StepScheduler<'a> {
             // Idle machine: run the most time-consuming ready op (fallback rule).
             let node = ready
                 .max_by(|&a, &b| {
-                    let ta = self.op(a).planned.2;
-                    let tb = self.op(b).planned.2;
+                    let ta = self.op(a).planned.predicted;
+                    let tb = self.op(b).planned.predicted;
                     ta.partial_cmp(&tb).unwrap()
                 })
                 .expect("ready non-empty");
-            return Some(self.planned_decision(node));
+            return Some(self.planned_decision(ctx, node));
         }
 
         // Strategy 3: find a candidate that fits the idle cores and does not
@@ -206,19 +217,9 @@ impl<'a> StepScheduler<'a> {
                 if !allowed(ctx.graph.op(node).kind) {
                     continue;
                 }
-                for &(threads, mode, predicted) in
-                    &self.candidates[self.op(node).candidates.clone()]
-                {
-                    if threads <= free && predicted <= max_remaining {
-                        return Some(Decision {
-                            launch: Launch {
-                                node,
-                                threads,
-                                mode,
-                                slot: SlotPreference::Primary,
-                            },
-                            predicted,
-                        });
+                for cand in &self.candidates[self.op(node).candidates.clone()] {
+                    if cand.threads <= free && cand.predicted <= max_remaining {
+                        return Some(self.decision(ctx, node, cand, SlotPreference::Primary));
                     }
                 }
             }
@@ -244,13 +245,14 @@ impl<'a> StepScheduler<'a> {
                             let tb = self.op(b).serial;
                             ta.partial_cmp(&tb).unwrap()
                         })?;
-                    let op = self.op(node);
-                    let (planned_threads, _) = self.plan.threads_for(&op.key);
+                    let op = self.catalog.op_index(node);
+                    let key = self.catalog.op_key(op);
+                    let (planned_threads, _) = self.plan.threads_for(key);
                     let threads = planned_threads.min(ht_room).max(1);
                     let predicted = self
                         .model
-                        .predict(&op.key, threads, SharingMode::Compact)
-                        .unwrap_or(op.serial);
+                        .predict(key, threads, SharingMode::Compact)
+                        .unwrap_or(self.ops[op].serial);
                     // Throughput guards: the scavenger must not outlast the
                     // running ops, and the wide op must keep (an estimated)
                     // >= 85% of its throughput under the SMT pairing. A bad
@@ -258,10 +260,10 @@ impl<'a> StepScheduler<'a> {
                     // individual operations" — exactly what the paper's
                     // discussion says the runtime should avoid.
                     let max_remaining = ctx.predicted_max_remaining().unwrap_or(0.0);
+                    let small = self.catalog.op_profile(op);
                     let wide_ok = ctx
                         .widest_running_profile()
                         .map(|wide| {
-                            let small = ctx.catalog.profile(node);
                             let ratio = ctx.cost.params().core_share_ratio(&[
                                 (wide.cache_pressure, wide.mem_intensity, 1),
                                 (small.cache_pressure, small.mem_intensity, 1),
@@ -270,15 +272,13 @@ impl<'a> StepScheduler<'a> {
                         })
                         .unwrap_or(false);
                     if predicted <= max_remaining && wide_ok {
-                        return Some(Decision {
-                            launch: Launch {
-                                node,
-                                threads,
-                                mode: SharingMode::Compact,
-                                slot: SlotPreference::HyperThread,
-                            },
-                            predicted,
-                        });
+                        let scavenger = Config::new(threads, SharingMode::Compact, predicted);
+                        return Some(self.decision(
+                            ctx,
+                            node,
+                            &scavenger,
+                            SlotPreference::HyperThread,
+                        ));
                     }
                 }
             }
@@ -288,25 +288,45 @@ impl<'a> StepScheduler<'a> {
     }
 
     /// Decision for launching `node` with its planned configuration.
-    fn planned_decision(&self, node: NodeId) -> Decision {
-        let (threads, mode, predicted) = self.op(node).planned;
+    fn planned_decision(&self, ctx: &ExecContext<'_>, node: NodeId) -> Decision {
+        self.decision(ctx, node, &self.op(node).planned, SlotPreference::Primary)
+    }
+
+    /// Decision for launching `node` with `config` in `slot`.
+    fn decision(
+        &self,
+        ctx: &ExecContext<'_>,
+        node: NodeId,
+        config: &Config,
+        slot: SlotPreference,
+    ) -> Decision {
+        let nominal = *config.nominal.get_or_init(|| {
+            ctx.cost
+                .solo_time(ctx.catalog.profile(node), config.threads, config.mode)
+        });
         Decision {
             launch: Launch {
                 node,
-                threads,
-                mode,
-                slot: SlotPreference::Primary,
+                threads: config.threads,
+                mode: config.mode,
+                slot,
             },
-            predicted,
+            predicted: config.predicted,
+            nominal,
         }
     }
 
-    /// The candidate set of a ready op, with the S2-consistency override
-    /// applied, fastest first.
-    fn candidate_set(&self, ctx: &ExecContext<'_>, node: NodeId, key: &OpKey) -> Vec<Config> {
-        let profile = ctx.catalog.profile(node);
-        let (planned_threads, planned_mode) = self.plan.threads_for(key);
-        if !ctx.graph.op(node).kind.is_tunable() {
+    /// The candidate set of operation `op` whose plan is `planned`, with
+    /// the S2-consistency override applied, fastest first.
+    fn candidate_set(
+        &self,
+        ctx: &ExecContext<'_>,
+        op: usize,
+        (planned_threads, planned_mode): (u32, SharingMode),
+    ) -> Vec<(u32, SharingMode, f64)> {
+        let key = self.catalog.op_key(op);
+        let profile = self.catalog.op_profile(op);
+        if !key.0.is_tunable() {
             // Eigen ops: the framework default is the only option.
             let predicted = self
                 .model
@@ -332,6 +352,17 @@ impl<'a> StepScheduler<'a> {
         cands.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
         cands.dedup_by_key(|c| c.0);
         cands
+    }
+}
+
+impl Config {
+    fn new(threads: u32, mode: SharingMode, predicted: f64) -> Self {
+        Config {
+            threads,
+            mode,
+            predicted,
+            nominal: OnceCell::new(),
+        }
     }
 }
 
@@ -386,8 +417,7 @@ mod tests {
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
         let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
         let d1 = sched.next_launch(&ctx).expect("first launch");
-        let predicted = d1.predicted;
-        ctx.launch(d1.launch, predicted);
+        ctx.launch(d1.launch, d1.predicted, d1.nominal);
         assert!(
             sched.next_launch(&ctx).is_none(),
             "serial mode must not co-run"
@@ -412,7 +442,7 @@ mod tests {
             "planned conv threads should leave idle cores, got {p1}"
         );
         let pred = d1.predicted;
-        ctx.launch(d1.launch, pred);
+        ctx.launch(d1.launch, pred, d1.nominal);
         // The sibling fits into the leftover cores (same predicted time).
         let d2 = sched.next_launch(&ctx).expect("sibling co-runs");
         assert!(d2.launch.threads <= 68 - p1);
@@ -438,7 +468,7 @@ mod tests {
             Shape::nhwc(64, 17, 17, 512)
         );
         let pred = d1.predicted;
-        ctx.launch(d1.launch, pred);
+        ctx.launch(d1.launch, pred, d1.nominal);
         // The tiny op fits and finishes earlier: it may co-run.
         if let Some(d2) = sched.next_launch(&ctx) {
             assert!(d2.predicted <= pred);
@@ -497,8 +527,7 @@ mod tests {
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
         let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
         let d = sched.next_launch(&ctx).unwrap();
-        let pred = d.predicted;
-        ctx.launch(d.launch, pred);
+        ctx.launch(d.launch, d.predicted, d.nominal);
         // The successor is not ready while its predecessor runs.
         assert!(sched.next_launch(&ctx).is_none());
     }
@@ -523,8 +552,7 @@ mod tests {
         // Launch the wide op (it is the most time-consuming).
         let d = sched.next_launch(&ctx).unwrap();
         assert_eq!(d.launch.threads, 68);
-        let pred = d.predicted;
-        ctx.launch(d.launch, pred);
+        ctx.launch(d.launch, d.predicted, d.nominal);
         // Free cores = 0; any further launch must be an HT scavenger.
         if let Some(d2) = sched.next_launch(&ctx) {
             assert_eq!(d2.launch.slot, SlotPreference::HyperThread);
@@ -537,8 +565,7 @@ mod tests {
         let mut ctx2 = ExecContext::new(&g, &catalog, &cost, false);
         let sched = StepScheduler::new(&ctx2, &plan, &model, &no_s4, &deny);
         let d = sched.next_launch(&ctx2).unwrap();
-        let pred = d.predicted;
-        ctx2.launch(d.launch, pred);
+        ctx2.launch(d.launch, d.predicted, d.nominal);
         assert!(sched.next_launch(&ctx2).is_none());
     }
 }

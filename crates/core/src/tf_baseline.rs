@@ -83,7 +83,7 @@ impl TfExecutor {
                 };
                 let profile = *ctx.catalog.profile(node);
                 let nominal = cost.solo_time(&profile, self.cfg.intra_op, SharingMode::Compact);
-                ctx.launch(launch, nominal);
+                ctx.launch(launch, nominal, nominal);
             }
             if !ctx.advance() {
                 break;

@@ -78,12 +78,25 @@ impl GpuProfile {
         budget: u32,
         pool: ProfilerPool,
     ) -> Self {
-        let catalog = OpCatalog::new(graph);
-        let keys = catalog.keys().to_vec();
+        Self::fit_catalog(model, &OpCatalog::new(graph), config, warm, budget, pool)
+    }
+
+    /// [`GpuProfile::fit_missing_pooled`] over a catalog the caller already
+    /// built for the graph.
+    pub fn fit_catalog(
+        model: &GpuModel,
+        catalog: &OpCatalog,
+        config: GpuProfileConfig,
+        warm: &[KeyProfile],
+        budget: u32,
+        pool: ProfilerPool,
+    ) -> Self {
+        // The catalog's keys are sorted, so a warm key is found by bisection.
+        let keys = catalog.keys();
         let mut profile = GpuProfile::default();
         for kp in warm {
             let key = kp.key();
-            if keys.contains(&key)
+            if keys.binary_search(&key).is_ok()
                 && !kp.compact.samples.is_empty()
                 && !kp.scatter.samples.is_empty()
             {

@@ -309,15 +309,28 @@ impl GpuRuntime {
         budget: u32,
         pool: ProfilerPool,
     ) -> Self {
+        Self::prepare_from_catalog(&OpCatalog::new(graph), spec, config, warm, budget, pool)
+    }
+
+    /// [`GpuRuntime::prepare_warm_pooled`] over a catalog the caller
+    /// already built for the graph; [`GpuRuntime::run_step`] then takes
+    /// that graph.
+    pub fn prepare_from_catalog(
+        catalog: &OpCatalog,
+        spec: GpuSpec,
+        config: GpuRuntimeConfig,
+        warm: &[nnrt_sched::KeyProfile],
+        budget: u32,
+        pool: ProfilerPool,
+    ) -> Self {
         let model = GpuModel::new(spec);
-        let profile =
-            GpuProfile::fit_missing_pooled(&model, graph, config.profile, warm, budget, pool);
-        let catalog = OpCatalog::new(graph);
-        let mut launches = Vec::with_capacity(graph.len());
-        let mut keys = Vec::with_capacity(graph.len());
-        for (id, op) in graph.iter() {
-            let kernel = kernel_for(op.kind, catalog.profile(id));
-            let key = nnrt_graph::op_key(op.kind, &op.shape);
+        let profile = GpuProfile::fit_catalog(&model, catalog, config.profile, warm, budget, pool);
+        let mut launches = Vec::with_capacity(catalog.num_nodes());
+        let mut keys = Vec::with_capacity(catalog.num_nodes());
+        for node in 0..catalog.num_nodes() {
+            let op = catalog.op_index(NodeId(node as u32));
+            let key = catalog.op_key(op).clone();
+            let kernel = kernel_for(key.0, catalog.op_profile(op));
             let launch_config = if config.tuned {
                 profile.config_for(&key)
             } else {

@@ -90,18 +90,8 @@ struct Running {
     demand: f64,
     /// Cache/mesh footprint: `cache_pressure` scaled the same way.
     footprint: f64,
-    /// Bit `c % 64` of word `c / 64` is set when the job holds core `c`.
-    core_mask: Vec<u64>,
-}
-
-impl Running {
-    /// Whether the two jobs have no physical core in common.
-    fn disjoint_from(&self, other: &Running) -> bool {
-        self.core_mask
-            .iter()
-            .zip(&other.core_mask)
-            .all(|(a, b)| a & b == 0)
-    }
+    /// Hardware contexts the job holds across its cores.
+    contexts: f64,
 }
 
 /// The discrete-event co-run engine.
@@ -111,13 +101,24 @@ pub struct Engine {
     map: CoreMap,
     /// Running jobs in id (launch) order.
     jobs: Vec<Running>,
+    /// The cores each running job holds, `mask_words` words per job,
+    /// parallel to `jobs`: bit `c % 64` of word `c / 64` is set when the
+    /// job holds core `c`.
+    core_masks: Vec<u64>,
+    mask_words: usize,
     /// Per physical core, the `(job id, contexts)` of every job holding a
-    /// context there, in id order.
-    residents: Vec<Vec<(u64, u32)>>,
+    /// context there, in id order: core `c`'s are the first `occupants[c]`
+    /// of the `slots` entries from `c * slots`.
+    residents: Vec<(u64, u32)>,
+    occupants: Vec<usize>,
+    /// Jobs one core can hold: one per hardware context, and at least two,
+    /// since a hyper-thread rider joins a core holding one context.
+    slots: usize,
+    /// Cores with two or more jobs among their residents.
+    shared_cores: usize,
     /// Scratch for [`Engine::recompute_rates`], parallel to `jobs`: each
-    /// job's context-weighted sum of per-core issue ratios, and its
-    /// context count.
-    smt_ratio: Vec<(f64, f64)>,
+    /// job's context-weighted sum of per-core issue ratios.
+    smt_ratio: Vec<f64>,
     /// Scratch for [`Engine::recompute_rates`]: one shared core's residents
     /// as [`KnlParams::core_share_ratio`] takes them, and each one's
     /// `(index in jobs, ratio relative to running alone)`.
@@ -133,11 +134,17 @@ impl Engine {
     /// A fresh engine over `topo` with interference constants from `params`.
     pub fn new(topo: Topology, params: KnlParams) -> Self {
         let cores = topo.num_cores() as usize;
+        let slots = (topo.smt_per_core as usize).max(2);
         Engine {
             params,
             map: CoreMap::new(topo),
             jobs: Vec::new(),
-            residents: vec![Vec::new(); cores],
+            core_masks: Vec::new(),
+            mask_words: cores.div_ceil(64),
+            residents: vec![(0, 0); cores * slots],
+            occupants: vec![0; cores],
+            slots,
+            shared_cores: 0,
             smt_ratio: Vec::new(),
             core_residents: Vec::new(),
             core_shares: Vec::new(),
@@ -251,13 +258,21 @@ impl Engine {
         let placement = self.map.allocate(request)?;
         let id = self.next_id;
         self.next_id += 1;
-        let ncores = self.residents.len();
-        let mut core_mask = vec![0u64; ncores.div_ceil(64)];
+        let ncores = self.occupants.len();
+        let mask_start = self.core_masks.len();
+        self.core_masks.resize(mask_start + self.mask_words, 0);
+        let core_mask = &mut self.core_masks[mask_start..];
+        let mut contexts = 0;
         for &(core, ctx) in &placement.cores {
+            contexts += ctx;
             let c = core.0 as usize;
             core_mask[c / 64] |= 1 << (c % 64);
-            // Ids only grow, so pushing keeps every core's list in id order.
-            self.residents[c].push((id, ctx));
+            // Ids only grow, so appending keeps every core's list in id order.
+            let n = self.occupants[c];
+            assert!(n < self.slots, "core {c} holds more jobs than contexts");
+            self.residents[c * self.slots + n] = (id, ctx);
+            self.occupants[c] = n + 1;
+            self.shared_cores += usize::from(n == 1);
         }
         let cores = placement.num_cores() as f64;
         self.jobs.push(Running {
@@ -271,7 +286,7 @@ impl Engine {
             remaining: nominal.max(1e-12),
             rate: 1.0,
             started: self.now,
-            core_mask,
+            contexts: contexts as f64,
         });
         self.recompute_rates();
         if self.record_trace {
@@ -300,8 +315,23 @@ impl Engine {
             r.remaining = (r.remaining - dt * r.rate).max(0.0);
         }
         let finished = self.jobs.remove(index);
+        let w = self.mask_words;
+        self.core_masks.drain(index * w..(index + 1) * w);
         for &(core, _) in &finished.placement.cores {
-            self.residents[core.0 as usize].retain(|&(id, _)| id != finished.id);
+            let c = core.0 as usize;
+            let n = self.occupants[c];
+            self.occupants[c] = n - 1;
+            if n == 1 {
+                // The finished job held the core alone.
+                continue;
+            }
+            self.shared_cores -= usize::from(n == 2);
+            let held = &mut self.residents[c * self.slots..c * self.slots + n];
+            let at = held
+                .iter()
+                .position(|&(id, _)| id == finished.id)
+                .expect("a finished job resides on its cores");
+            held.copy_within(at + 1.., at);
         }
         self.map.release(&finished.placement);
         self.recompute_rates();
@@ -347,7 +377,12 @@ impl Engine {
         let Engine {
             params,
             jobs,
+            core_masks,
+            mask_words,
             residents,
+            occupants,
+            slots,
+            shared_cores,
             smt_ratio,
             core_residents,
             core_shares,
@@ -373,15 +408,30 @@ impl Engine {
         // pipeline, so its SMT sibling runs almost for free, which is what
         // makes the paper's Strategy 4 profitable.
         smt_ratio.clear();
-        smt_ratio.resize(jobs.len(), (0.0, 0.0));
+        if *shared_cores == 0 {
+            // Every core is exclusive: each job's ratios sum to its whole
+            // context count, exactly, so the walk is skipped.
+            smt_ratio.extend(jobs.iter().map(|r| r.contexts));
+        } else {
+            smt_ratio.resize(jobs.len(), 0.0);
+        }
         let mut last_shared: &[(u64, u32)] = &[];
-        for occupants in residents.iter() {
-            match occupants.as_slice() {
+        // A job's cores mostly sit next to each other, so the last lone
+        // occupant's index usually serves the next core too.
+        let mut last_alone = (u64::MAX, 0);
+        let walk = if *shared_cores == 0 {
+            0
+        } else {
+            occupants.len()
+        };
+        for (held, &n) in residents.chunks_exact(*slots).zip(&occupants[..walk]) {
+            match &held[..n] {
                 [] => {}
                 &[(id, ctx)] => {
-                    let e = &mut smt_ratio[index_of(id)];
-                    e.0 += ctx as f64; // ratio 1.0 per context
-                    e.1 += ctx as f64;
+                    if id != last_alone.0 {
+                        last_alone = (id, index_of(id));
+                    }
+                    smt_ratio[last_alone.1] += ctx as f64; // ratio 1.0 per context
                 }
                 shared => {
                     // Cores holding the same contexts of the same jobs share
@@ -409,19 +459,18 @@ impl Engine {
                         last_shared = shared;
                     }
                     for (&(_, ctx), &(i, relative)) in shared.iter().zip(core_shares.iter()) {
-                        let e = &mut smt_ratio[i];
-                        e.0 += relative * ctx as f64;
-                        e.1 += ctx as f64;
+                        smt_ratio[i] += relative * ctx as f64;
                     }
                 }
             }
         }
 
         let total_demand: f64 = jobs.iter().map(|r| r.demand).sum();
+        let mask = |i: usize| &core_masks[i * *mask_words..(i + 1) * *mask_words];
         for i in 0..jobs.len() {
-            let (sum, ctxs) = smt_ratio[i];
-            let smt_factor = if ctxs > 0.0 { sum / ctxs } else { 1.0 };
             let me = &jobs[i];
+            // Every job holds at least one context.
+            let smt_factor = smt_ratio[i] / me.contexts;
             let bw_others = total_demand - me.demand;
             let bw_factor = 1.0 + params.bw_interference * me.profile.mem_intensity * bw_others;
             // Cross-job cache/mesh interference: core-disjoint co-runners
@@ -432,10 +481,11 @@ impl Engine {
             // directory and mesh traffic, which is what keeps three- and
             // four-way co-running from scaling linearly.
             let mut disjoint = 0;
+            let mine = mask(i);
             let cache_others: f64 = jobs
                 .iter()
                 .enumerate()
-                .filter(|&(k, other)| k != i && other.disjoint_from(me))
+                .filter(|&(k, _)| k != i && mine.iter().zip(mask(k)).all(|(a, b)| a & b == 0))
                 .map(|(_, other)| {
                     disjoint += 1;
                     other.footprint
@@ -823,8 +873,74 @@ mod tests {
         Ok(())
     }
 
+    /// Checks the engine's incremental indexes — the per-core resident
+    /// table, the shared-core count, each job's context count and core
+    /// mask — against a scan of the running jobs' placements.
+    fn assert_indexes_match_the_scan(e: &Engine) -> Result<(), TestCaseError> {
+        let ncores = e.occupants.len();
+        let holds = |r: &Running, c: usize| {
+            r.placement
+                .cores
+                .iter()
+                .find(|&&(core, _)| core.0 as usize == c)
+                .map(|&(_, ctx)| (r.id, ctx))
+        };
+        let mut shared = 0;
+        for c in 0..ncores {
+            let want: Vec<(u64, u32)> = e.jobs.iter().filter_map(|r| holds(r, c)).collect();
+            let got = &e.residents[c * e.slots..c * e.slots + e.occupants[c]];
+            prop_assert_eq!(got, &want[..], "residents of core {}", c);
+            shared += usize::from(want.len() >= 2);
+        }
+        prop_assert_eq!(e.shared_cores, shared);
+        let w = e.mask_words;
+        prop_assert_eq!(e.core_masks.len(), e.jobs.len() * w);
+        for (i, r) in e.jobs.iter().enumerate() {
+            prop_assert_eq!(r.contexts, r.placement.num_contexts() as f64);
+            let mask = &e.core_masks[i * w..(i + 1) * w];
+            for c in 0..ncores {
+                let bit = (mask[c / 64] >> (c % 64)) & 1 == 1;
+                prop_assert_eq!(
+                    bit,
+                    holds(r, c).is_some(),
+                    "mask of job {} core {}",
+                    r.id,
+                    c
+                );
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn incremental_indexes_match_the_scan(
+            knl in proptest::sample::select(vec![true, false]),
+            steps in proptest::collection::vec(arb_step(), 1..60),
+        ) {
+            let topo = if knl { Topology::knl() } else { Topology::tiny(5) };
+            let mut e = Engine::new(topo, KnlParams::default());
+            for (tag, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Launch(profile, nominal, req) => {
+                        if e.num_running() < 6 {
+                            let _ = e.launch(profile, nominal, &req, tag as u64);
+                        }
+                    }
+                    Step::Advance => {
+                        e.advance_next();
+                    }
+                }
+                assert_indexes_match_the_scan(&e)?;
+            }
+            while e.advance_next().is_some() {
+                assert_indexes_match_the_scan(&e)?;
+            }
+            prop_assert_eq!(e.shared_cores, 0);
+            prop_assert!(e.occupants.iter().all(|&n| n == 0));
+        }
 
         #[test]
         fn rates_match_the_reference_formulation(

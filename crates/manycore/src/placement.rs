@@ -114,22 +114,66 @@ impl Placement {
     }
 }
 
+/// Every core of `topo`, in the order `mode` fills them.
+fn fill_order(topo: &Topology, mode: SharingMode) -> impl Iterator<Item = CoreId> {
+    let (tiles, cpt) = (topo.tiles, topo.cores_per_tile);
+    // Core `tile * cpt + slot`, walked in (outer, inner) order.
+    let (outer, inner, outer_stride, inner_stride) = match mode {
+        // Pairwise in id order: cores 0,1 share tile 0, etc.
+        SharingMode::Compact => (tiles, cpt, cpt, 1),
+        // One per tile first: by (index within tile, tile id).
+        SharingMode::Scatter => (cpt, tiles, 1, cpt),
+    };
+    (0..outer)
+        .flat_map(move |o| (0..inner).map(move |i| CoreId(o * outer_stride + i * inner_stride)))
+}
+
 /// Tracks per-core context occupancy and allocates placements.
+///
+/// Besides the per-core counts the map keeps the machine-wide tallies the
+/// co-run scheduler polls on every decision (free cores, cores with one
+/// busy context, busy contexts), updated as each core's count changes, and
+/// the order each sharing mode fills cores in, derived once from the
+/// topology. Every query is then O(1) and an allocation walks only as far
+/// as the cores it takes.
 #[derive(Debug, Clone)]
 pub struct CoreMap {
     topo: Topology,
     /// Contexts in use on each core, `0..=smt_per_core`.
     used: Vec<u32>,
+    /// Cores with `used == 0`.
+    free_cores: u32,
+    /// Cores with `used == 1`.
+    single_cores: u32,
+    /// Sum of `used`.
+    busy_contexts: u32,
+    /// Every core in the order [`SharingMode::Compact`] fills them, then
+    /// every core in the order [`SharingMode::Scatter`] does.
+    fill_order: [Vec<CoreId>; 2],
 }
 
 impl CoreMap {
     /// An empty machine with the given topology.
     pub fn new(topo: Topology) -> Self {
-        let cores = topo.num_cores() as usize;
+        let cores = topo.num_cores();
+        let fill_order = SharingMode::ALL.map(|mode| fill_order(&topo, mode).collect());
         CoreMap {
             topo,
-            used: vec![0; cores],
+            used: vec![0; cores as usize],
+            free_cores: cores,
+            single_cores: 0,
+            busy_contexts: 0,
+            fill_order,
         }
+    }
+
+    /// Sets the contexts in use on `core`, keeping the tallies current.
+    fn set_used(&mut self, core: CoreId, n: u32) {
+        let u = &mut self.used[core.0 as usize];
+        let old = std::mem::replace(u, n);
+        self.free_cores = self.free_cores - u32::from(old == 0) + u32::from(n == 0);
+        self.single_cores = self.single_cores - u32::from(old == 1) + u32::from(n == 1);
+        self.busy_contexts = self.busy_contexts - old + n;
     }
 
     /// The topology this map allocates over.
@@ -139,12 +183,12 @@ impl CoreMap {
 
     /// Number of cores with no contexts in use.
     pub fn free_cores(&self) -> u32 {
-        self.used.iter().filter(|&&u| u == 0).count() as u32
+        self.free_cores
     }
 
     /// Number of completely free contexts across the machine.
     pub fn free_contexts(&self) -> u32 {
-        self.used.iter().map(|&u| self.topo.smt_per_core - u).sum()
+        self.topo.num_contexts() - self.busy_contexts
     }
 
     /// Number of cores with exactly one busy context (candidates for a
@@ -152,7 +196,7 @@ impl CoreMap {
     /// context keeps Strategy 4 from piling jobs three and four deep onto a
     /// core, which would throttle the wide op it is trying to ride along.
     pub fn ht_capacity(&self) -> u32 {
-        self.used.iter().filter(|&&u| u == 1).count() as u32
+        self.single_cores
     }
 
     /// Contexts in use on `core`.
@@ -183,22 +227,14 @@ impl CoreMap {
 
     /// Free cores in the order `mode` fills them.
     fn free_core_order(&self, mode: SharingMode) -> impl Iterator<Item = CoreId> + '_ {
-        let (tiles, cpt) = (self.topo.tiles, self.topo.cores_per_tile);
-        // Core `tile * cpt + slot`, walked in (outer, inner) order.
-        let (outer, inner, outer_stride, inner_stride) = match mode {
-            // Pairwise in id order: cores 0,1 share tile 0, etc.
-            SharingMode::Compact => (tiles, cpt, cpt, 1),
-            // One per tile first: by (index within tile, tile id).
-            SharingMode::Scatter => (cpt, tiles, 1, cpt),
-        };
-        (0..outer)
-            .flat_map(move |o| (0..inner).map(move |i| o * outer_stride + i * inner_stride))
-            .filter(|&c| self.used[c as usize] == 0)
-            .map(CoreId)
+        self.fill_order[mode as usize]
+            .iter()
+            .copied()
+            .filter(|c| self.used[c.0 as usize] == 0)
     }
 
     fn allocate_primary(&mut self, req: &PlacementRequest) -> Result<Placement, MachineError> {
-        let free = self.free_cores();
+        let free = self.free_cores;
         if free == 0 {
             return Err(MachineError::PlacementUnsatisfiable {
                 requested: req.threads,
@@ -213,17 +249,25 @@ impl CoreMap {
         // allocator).
         let placed = req.threads.min(ncores * self.topo.smt_per_core);
         let (depth, extra) = (placed / ncores, placed % ncores);
-        let mut cores: Vec<(CoreId, u32)> = self
-            .free_core_order(req.mode)
-            .take(ncores as usize)
-            .zip(0..)
-            .map(|(core, i)| (core, depth + u32::from(i < extra)))
-            .collect();
+        let mut cores = Vec::with_capacity(ncores as usize);
+        cores.extend(
+            self.free_core_order(req.mode)
+                .take(ncores as usize)
+                .zip(0..)
+                .map(|(core, i)| (core, depth + u32::from(i < extra))),
+        );
         cores[0].1 += req.threads - placed;
+        // Every chosen core was free.
+        let (mut singles, mut contexts) = (0, 0);
         for &(core, n) in &cores {
-            self.used[core.0 as usize] =
-                (self.used[core.0 as usize] + n).min(self.topo.smt_per_core);
+            let u = n.min(self.topo.smt_per_core);
+            self.used[core.0 as usize] = u;
+            singles += u32::from(u == 1);
+            contexts += u;
         }
+        self.free_cores -= ncores;
+        self.single_cores += singles;
+        self.busy_contexts += contexts;
         Ok(Placement {
             threads: req.threads,
             mode: req.mode,
@@ -233,24 +277,28 @@ impl CoreMap {
     }
 
     fn allocate_ht(&mut self, req: &PlacementRequest) -> Result<Placement, MachineError> {
-        let mut candidates: Vec<CoreId> = (0..self.topo.num_cores())
-            .map(CoreId)
-            .filter(|c| self.used[c.0 as usize] == 1)
-            .collect();
-        if (candidates.len() as u32) < req.threads {
+        if self.single_cores < req.threads {
             return Err(MachineError::PlacementUnsatisfiable {
                 requested: req.threads,
-                available: candidates.len() as u32,
+                available: self.single_cores,
             });
         }
-        candidates.truncate(req.threads as usize);
-        for &core in &candidates {
-            self.used[core.0 as usize] += 1;
+        // The first `threads` cores, in id order, holding one context.
+        let mut cores = Vec::with_capacity(req.threads as usize);
+        cores.extend(
+            (0..self.topo.num_cores())
+                .map(CoreId)
+                .filter(|c| self.used[c.0 as usize] == 1)
+                .take(req.threads as usize)
+                .map(|c| (c, 1)),
+        );
+        for &(core, _) in &cores {
+            self.set_used(core, 2);
         }
         Ok(Placement {
             threads: req.threads,
             mode: req.mode,
-            cores: candidates.into_iter().map(|c| (c, 1)).collect(),
+            cores,
             hyper_thread: true,
         })
     }
@@ -294,7 +342,8 @@ impl CoreMap {
             });
         }
         for &(core, n) in &cores {
-            self.used[core.0 as usize] += n;
+            let u = self.used[core.0 as usize];
+            self.set_used(core, u + n);
         }
         Ok(Placement {
             threads: req.threads,
@@ -307,8 +356,8 @@ impl CoreMap {
     /// Returns a placement's contexts to the free pool.
     pub fn release(&mut self, placement: &Placement) {
         for &(core, n) in &placement.cores {
-            let u = &mut self.used[core.0 as usize];
-            *u = u.saturating_sub(n);
+            let u = self.used[core.0 as usize];
+            self.set_used(core, u.saturating_sub(n));
         }
     }
 }
@@ -479,8 +528,90 @@ mod tests {
         ]
     }
 
+    /// Free cores in `mode`'s fill order, rebuilt by walking the tiles on
+    /// every call: the formulation the precomputed orders replace.
+    fn scanned_fill_order(map: &CoreMap, mode: SharingMode) -> Vec<CoreId> {
+        let (tiles, cpt) = (map.topo.tiles, map.topo.cores_per_tile);
+        let walk: Vec<u32> = match mode {
+            SharingMode::Compact => (0..tiles)
+                .flat_map(|t| (0..cpt).map(move |i| t * cpt + i))
+                .collect(),
+            SharingMode::Scatter => (0..cpt)
+                .flat_map(|i| (0..tiles).map(move |t| t * cpt + i))
+                .collect(),
+        };
+        walk.into_iter()
+            .filter(|&c| map.used[c as usize] == 0)
+            .map(CoreId)
+            .collect()
+    }
+
+    /// Checks every incremental tally and order of `map` against a scan of
+    /// its per-core counts.
+    fn assert_tallies_match_the_scan(map: &CoreMap) -> Result<(), TestCaseError> {
+        let count = |want: u32| map.used.iter().filter(|&&u| u == want).count() as u32;
+        prop_assert_eq!(map.free_cores(), count(0));
+        prop_assert_eq!(map.ht_capacity(), count(1));
+        let free_contexts: u32 = map.used.iter().map(|&u| map.topo.smt_per_core - u).sum();
+        prop_assert_eq!(map.free_contexts(), free_contexts);
+        for mode in SharingMode::ALL {
+            let order: Vec<CoreId> = map.free_core_order(mode).collect();
+            prop_assert_eq!(order, scanned_fill_order(map, mode), "{:?} order", mode);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn incremental_tallies_match_the_scan(
+            knl in proptest::sample::select(vec![true, false]),
+            steps in proptest::collection::vec((arb_request(), 0usize..3), 1..60),
+        ) {
+            let topo = if knl { Topology::knl() } else { Topology::tiny(5) };
+            let mut map = CoreMap::new(topo);
+            let mut held: Vec<Placement> = Vec::new();
+            assert_tallies_match_the_scan(&map)?;
+            for (req, release) in steps {
+                if release == 0 && !held.is_empty() {
+                    let p = held.remove(held.len() / 3);
+                    map.release(&p);
+                    assert_tallies_match_the_scan(&map)?;
+                }
+                // A hyper-thread request takes the lowest-numbered cores
+                // holding one context, and fails naming how many there are.
+                let riders: Vec<CoreId> = (0..map.topo.num_cores())
+                    .map(CoreId)
+                    .filter(|c| map.used[c.0 as usize] == 1)
+                    .collect();
+                match map.allocate(&req) {
+                    Ok(p) => {
+                        if req.slot == SlotPreference::HyperThread {
+                            let want: Vec<(CoreId, u32)> = riders
+                                .iter()
+                                .take(req.threads as usize)
+                                .map(|&c| (c, 1))
+                                .collect();
+                            prop_assert_eq!(&p.cores, &want);
+                        }
+                        held.push(p);
+                    }
+                    Err(MachineError::PlacementUnsatisfiable { available, .. })
+                        if req.slot == SlotPreference::HyperThread =>
+                    {
+                        prop_assert_eq!(available as usize, riders.len());
+                    }
+                    Err(_) => {}
+                }
+                assert_tallies_match_the_scan(&map)?;
+            }
+            for p in held.drain(..) {
+                map.release(&p);
+                assert_tallies_match_the_scan(&map)?;
+            }
+            prop_assert_eq!(map.free_cores(), map.topo.num_cores());
+        }
 
         #[test]
         fn primary_allocation_matches_the_reference(

@@ -1396,6 +1396,8 @@ impl Fleet {
         };
         let id = JobId(job.report.id);
         let graph = &job.spec.graph;
+        // The placement's one catalog: its keys drive the store lookup,
+        // then the runtime profiles and steps against it.
         let catalog = OpCatalog::new(graph);
         let keys = catalog.keys().to_vec();
         let warm = self.store.lookup(signature, &keys);
@@ -1413,7 +1415,7 @@ impl Fleet {
                 let mut config = self.config.runtime;
                 config.seed = self.job_seed(id);
                 let mut runtime =
-                    Runtime::prepare_warm_pooled(graph, node_cost, config, &warm, budget, pool);
+                    Runtime::prepare_from_catalog(catalog, node_cost, config, &warm, budget, pool);
                 // Per-key climb events come from the merged outcome, which
                 // is in canonical key order for every worker count — never
                 // from the profiler's worker threads, whose interleaving is
@@ -1465,7 +1467,7 @@ impl Fleet {
                 let mut config = self.config.gpu;
                 config.profile.seed = self.job_seed(id);
                 let runtime =
-                    GpuRuntime::prepare_warm_pooled(graph, spec, config, &warm, budget, pool);
+                    GpuRuntime::prepare_from_catalog(&catalog, spec, config, &warm, budget, pool);
                 let step = runtime.run_step(graph);
                 let at = self.nodes[node_idx].clock;
                 for (lane, ops) in step.lane_summary() {
