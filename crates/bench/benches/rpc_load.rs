@@ -124,6 +124,8 @@ struct SweepResult {
     errors: u64,
     measured_ok: u64,
     jobs_per_sec: f64,
+    /// Whether `ADMIT_CAP` stopped submissions before the window closed.
+    capped: bool,
     p50_us: f64,
     p99_us: f64,
 }
@@ -180,6 +182,9 @@ fn sweep(addr: SocketAddr, n: usize, pipeline: usize, warmup: f64, duration: f64
     let mut measure_end = measure_start;
     let mut latencies_us: Vec<f64> = Vec::new();
     let mut measured_ok = 0u64;
+    // The last in-window response, and when `ADMIT_CAP` stopped submits.
+    let mut last_measured: Option<Instant> = None;
+    let mut cap_hit: Option<Instant> = None;
     let mut admitted = 0u64;
     let mut total_in_flight = 0u64;
     let mut draining = false;
@@ -214,6 +219,9 @@ fn sweep(addr: SocketAddr, n: usize, pipeline: usize, warmup: f64, duration: f64
                 conn.wbuf.extend_from_slice(&submit_frame);
                 conn.in_flight.push_back(Instant::now());
                 total_in_flight += 1;
+            }
+            if cap_hit.is_none() && admitted + total_in_flight >= ADMIT_CAP {
+                cap_hit = Some(now);
             }
         }
 
@@ -308,6 +316,7 @@ fn sweep(addr: SocketAddr, n: usize, pipeline: usize, warmup: f64, duration: f64
                                     latencies_us
                                         .push(finished.duration_since(sent).as_secs_f64() * 1e6);
                                     measured_ok += 1;
+                                    last_measured = Some(finished);
                                 }
                             }
                             Ok(Response::Error(frame)) if frame.kind == ErrorKind::Saturated => {
@@ -335,8 +344,17 @@ fn sweep(addr: SocketAddr, n: usize, pipeline: usize, warmup: f64, duration: f64
     let ok: u64 = conns.iter().map(|c| c.ok).sum();
     let rejected: u64 = conns.iter().map(|c| c.rejected).sum();
     let errors: u64 = conns.iter().map(|c| c.errors).sum();
-    let jobs_per_sec = if duration > 0.0 {
-        measured_ok as f64 / duration
+    // When the cap stopped submits inside the window, the window really
+    // ended with the last response it saw: divide by that span, not by the
+    // nominal duration.
+    let capped = cap_hit.is_some_and(|at| at < measure_end);
+    let measured_secs = match (capped, last_measured) {
+        (false, _) => duration,
+        (true, Some(last)) => last.saturating_duration_since(measure_start).as_secs_f64(),
+        (true, None) => 0.0,
+    };
+    let jobs_per_sec = if measured_secs > 0.0 {
+        measured_ok as f64 / measured_secs
     } else {
         0.0
     };
@@ -355,6 +373,7 @@ fn sweep(addr: SocketAddr, n: usize, pipeline: usize, warmup: f64, duration: f64
         errors,
         measured_ok,
         jobs_per_sec,
+        capped,
         p50_us: percentile(0.50),
         p99_us: percentile(0.99),
     }
@@ -398,6 +417,7 @@ fn main() {
         "submits ok",
         "saturated",
         "jobs/sec",
+        "cap hit",
         "p50 (us)",
         "p99 (us)",
     ]);
@@ -445,6 +465,7 @@ fn main() {
             result.ok.to_string(),
             result.rejected.to_string(),
             format!("{:.0}", result.jobs_per_sec),
+            if result.capped { "yes" } else { "no" }.to_string(),
             format!("{:.0}", result.p50_us),
             format!("{:.0}", result.p99_us),
         ]);
@@ -497,7 +518,9 @@ fn main() {
             "Single-threaded event-loop load generator (same vendored poller as \
              the server) keeping a fixed pipeline of submit frames in flight per \
              connection. Latency is send-to-response wall time inside the measure \
-             window; jobs/sec counts admitted submissions only. Saturated bounces \
+             window; jobs/sec counts admitted submissions only, over the window or, \
+             when the admission cap stopped submits first (the table's cap-hit \
+             column), over the span up to the window's last response. Saturated bounces \
              back off through seeded decorrelated jitter (seed = connection index). \
              Sweeps use a fresh in-process server that holds all queued work \
              (on-shutdown drain policy), so the numbers isolate the RPC path; a \
