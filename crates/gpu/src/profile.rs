@@ -19,7 +19,7 @@
 use crate::kernels::kernel_for;
 use crate::model::{GpuModel, LaunchConfig};
 use crate::tuner::{blocks_ladder, climb_axis, tpb_ladder};
-use nnrt_graph::{DataflowGraph, OpKey};
+use nnrt_graph::OpKey;
 use nnrt_manycore::NoiseModel;
 use nnrt_sched::{per_key_seed, Curve, KeyProfile, OpCatalog, ProfilerPool};
 use rand::SeedableRng;
@@ -65,25 +65,13 @@ pub struct GpuProfile {
 }
 
 impl GpuProfile {
-    /// Fits every key of `graph` that `warm` does not already cover,
-    /// sharding the independent per-key climbs across `pool`. Keys are
-    /// processed in canonical (sorted) order against `budget` equivalent
-    /// profiling steps: the fit keeps a strict prefix and degrades the rest
-    /// to the TF-default launch config, mirroring the CPU budget semantics.
+    /// Fits every key of `catalog`'s graph that `warm` does not already
+    /// cover, sharding the independent per-key climbs across `pool`. Keys
+    /// are processed in canonical (sorted) order against `budget`
+    /// equivalent profiling steps: the fit keeps a strict prefix and
+    /// degrades the rest to the TF-default launch config, mirroring the CPU
+    /// budget semantics.
     pub fn fit_missing_pooled(
-        model: &GpuModel,
-        graph: &DataflowGraph,
-        config: GpuProfileConfig,
-        warm: &[KeyProfile],
-        budget: u32,
-        pool: ProfilerPool,
-    ) -> Self {
-        Self::fit_catalog(model, &OpCatalog::new(graph), config, warm, budget, pool)
-    }
-
-    /// [`GpuProfile::fit_missing_pooled`] over a catalog the caller already
-    /// built for the graph.
-    pub fn fit_catalog(
         model: &GpuModel,
         catalog: &OpCatalog,
         config: GpuProfileConfig,
@@ -243,7 +231,7 @@ impl GpuProfile {
 mod tests {
     use super::*;
     use crate::tuner::tune_exhaustive;
-    use nnrt_graph::{OpAux, OpInstance, OpKind, Shape};
+    use nnrt_graph::{DataflowGraph, OpAux, OpInstance, OpKind, Shape};
 
     fn small_graph() -> DataflowGraph {
         let mut g = DataflowGraph::new();
@@ -271,10 +259,22 @@ mod tests {
         let model = GpuModel::p100();
         let g = small_graph();
         let cfg = GpuProfileConfig::default();
-        let serial =
-            GpuProfile::fit_missing_pooled(&model, &g, cfg, &[], u32::MAX, ProfilerPool::serial());
-        let pooled =
-            GpuProfile::fit_missing_pooled(&model, &g, cfg, &[], u32::MAX, ProfilerPool::new(4));
+        let serial = GpuProfile::fit_missing_pooled(
+            &model,
+            &OpCatalog::new(&g),
+            cfg,
+            &[],
+            u32::MAX,
+            ProfilerPool::serial(),
+        );
+        let pooled = GpuProfile::fit_missing_pooled(
+            &model,
+            &OpCatalog::new(&g),
+            cfg,
+            &[],
+            u32::MAX,
+            ProfilerPool::new(4),
+        );
         assert_eq!(serial.export(), pooled.export());
         assert_eq!(serial.profiling_steps, pooled.profiling_steps);
         assert_eq!(serial.measurements, pooled.measurements);
@@ -285,11 +285,17 @@ mod tests {
         let model = GpuModel::p100();
         let g = small_graph();
         let cfg = GpuProfileConfig::default();
-        let cold =
-            GpuProfile::fit_missing_pooled(&model, &g, cfg, &[], u32::MAX, ProfilerPool::serial());
+        let cold = GpuProfile::fit_missing_pooled(
+            &model,
+            &OpCatalog::new(&g),
+            cfg,
+            &[],
+            u32::MAX,
+            ProfilerPool::serial(),
+        );
         let warm = GpuProfile::fit_missing_pooled(
             &model,
-            &g,
+            &OpCatalog::new(&g),
             cfg,
             &cold.export(),
             u32::MAX,
@@ -306,7 +312,14 @@ mod tests {
         let model = GpuModel::p100();
         let g = small_graph();
         let cfg = GpuProfileConfig::default();
-        let fit = GpuProfile::fit_missing_pooled(&model, &g, cfg, &[], 10, ProfilerPool::serial());
+        let fit = GpuProfile::fit_missing_pooled(
+            &model,
+            &OpCatalog::new(&g),
+            cfg,
+            &[],
+            10,
+            ProfilerPool::serial(),
+        );
         assert!(
             !fit.degraded_keys().is_empty(),
             "a 10-step budget cannot cover three 2-D climbs"
@@ -329,8 +342,14 @@ mod tests {
             noise: NoiseModel::none(),
             ..GpuProfileConfig::default()
         };
-        let fit =
-            GpuProfile::fit_missing_pooled(&model, &g, cfg, &[], u32::MAX, ProfilerPool::serial());
+        let fit = GpuProfile::fit_missing_pooled(
+            &model,
+            &OpCatalog::new(&g),
+            cfg,
+            &[],
+            u32::MAX,
+            ProfilerPool::serial(),
+        );
         let catalog = OpCatalog::new(&g);
         for key in catalog.keys() {
             let kernel = kernel_for(key.0, catalog.profile_of_key(key).unwrap());

@@ -324,7 +324,8 @@ impl GpuRuntime {
         pool: ProfilerPool,
     ) -> Self {
         let model = GpuModel::new(spec);
-        let profile = GpuProfile::fit_catalog(&model, catalog, config.profile, warm, budget, pool);
+        let profile =
+            GpuProfile::fit_missing_pooled(&model, catalog, config.profile, warm, budget, pool);
         let mut launches = Vec::with_capacity(catalog.num_nodes());
         let mut keys = Vec::with_capacity(catalog.num_nodes());
         for node in 0..catalog.num_nodes() {
