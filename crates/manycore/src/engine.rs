@@ -120,8 +120,9 @@ pub struct Engine {
     /// job's context-weighted sum of per-core issue ratios.
     smt_ratio: Vec<f64>,
     /// Scratch for [`Engine::recompute_rates`]: one shared core's residents
-    /// as [`KnlParams::core_share_ratio`] takes them, and each one's
-    /// `(index in jobs, ratio relative to running alone)`.
+    /// as [`KnlParams::core_share_ratio`] takes them, and each resident of
+    /// a run of like cores as `(index in jobs, addition to its ratio sum
+    /// per core)`.
     core_residents: Vec<(f64, f64, u32)>,
     core_shares: Vec<(usize, f64)>,
     now: f64,
@@ -415,55 +416,64 @@ impl Engine {
         } else {
             smt_ratio.resize(jobs.len(), 0.0);
         }
-        let mut last_shared: &[(u64, u32)] = &[];
-        // A job's cores mostly sit next to each other, so the last lone
-        // occupant's index usually serves the next core too.
-        let mut last_alone = (u64::MAX, 0);
         let walk = if *shared_cores == 0 {
             0
         } else {
             occupants.len()
         };
-        for (held, &n) in residents.chunks_exact(*slots).zip(&occupants[..walk]) {
-            match &held[..n] {
-                [] => {}
-                &[(id, ctx)] => {
-                    if id != last_alone.0 {
-                        last_alone = (id, index_of(id));
-                    }
-                    smt_ratio[last_alone.1] += ctx as f64; // ratio 1.0 per context
+        // Consecutive cores with the same residents add the same amounts (a
+        // job's cores mostly sit next to each other, and a scavenger riding
+        // a wide op looks alike on every core it touches), so a run of them
+        // is derived once — `core_shares` holds each resident's `(index in
+        // jobs, addition per core)` — and its additions are replayed one by
+        // one when the run ends: the same additions, in the same order, as
+        // a core-by-core walk.
+        let mut run: (&[(u64, u32)], usize) = (&[], 0);
+        core_shares.clear();
+        let end_run = |core_shares: &[(usize, f64)], cores: usize, smt_ratio: &mut [f64]| {
+            for &(i, add) in core_shares {
+                let mut sum = smt_ratio[i];
+                for _ in 0..cores {
+                    sum += add;
                 }
-                shared => {
-                    // Cores holding the same contexts of the same jobs share
-                    // one outcome (a scavenger riding a wide op looks alike
-                    // on every core it touches), so it is derived once.
-                    if shared != last_shared {
-                        core_residents.clear();
-                        core_residents.extend(shared.iter().map(|&(id, ctx)| {
-                            let prof = &jobs[index_of(id)].profile;
-                            (prof.cache_pressure, prof.mem_intensity, ctx)
-                        }));
-                        let ratio = params.core_share_ratio(core_residents);
-                        core_shares.clear();
-                        core_shares.extend(shared.iter().zip(core_residents.iter()).map(
-                            |(&(id, ctx), &(pressure, mem, _))| {
-                                // Normalize against what the job's nominal
-                                // duration already priced in: a depth-2 job's
-                                // own SMT cost is in its nominal, only the
-                                // *extra* slowdown from foreign contexts
-                                // counts.
-                                let alone = params.exclusive_share_ratio(pressure, mem, ctx);
-                                (index_of(id), (ratio / alone).min(1.0))
-                            },
-                        ));
-                        last_shared = shared;
-                    }
-                    for (&(_, ctx), &(i, relative)) in shared.iter().zip(core_shares.iter()) {
-                        smt_ratio[i] += relative * ctx as f64;
-                    }
-                }
+                smt_ratio[i] = sum;
             }
+        };
+        for (held, &n) in residents.chunks_exact(*slots).zip(&occupants[..walk]) {
+            let set = &held[..n];
+            if set.is_empty() {
+                continue;
+            }
+            if set == run.0 {
+                run.1 += 1;
+                continue;
+            }
+            end_run(core_shares, run.1, smt_ratio);
+            core_shares.clear();
+            if let &[(id, ctx)] = set {
+                // Ratio 1.0 per context.
+                core_shares.push((index_of(id), ctx as f64));
+            } else {
+                core_residents.clear();
+                core_residents.extend(set.iter().map(|&(id, ctx)| {
+                    let prof = &jobs[index_of(id)].profile;
+                    (prof.cache_pressure, prof.mem_intensity, ctx)
+                }));
+                let ratio = params.core_share_ratio(core_residents);
+                core_shares.extend(set.iter().zip(core_residents.iter()).map(
+                    |(&(id, ctx), &(pressure, mem, _))| {
+                        // Normalize against what the job's nominal duration
+                        // already priced in: a depth-2 job's own SMT cost is
+                        // in its nominal, only the *extra* slowdown from
+                        // foreign contexts counts.
+                        let alone = params.exclusive_share_ratio(pressure, mem, ctx);
+                        (index_of(id), (ratio / alone).min(1.0) * ctx as f64)
+                    },
+                ));
+            }
+            run = (set, 1);
         }
+        end_run(core_shares, run.1, smt_ratio);
 
         let total_demand: f64 = jobs.iter().map(|r| r.demand).sum();
         let mask = |i: usize| &core_masks[i * *mask_words..(i + 1) * *mask_words];

@@ -128,6 +128,26 @@ fn fill_order(topo: &Topology, mode: SharingMode) -> impl Iterator<Item = CoreId
         .flat_map(move |o| (0..inner).map(move |i| CoreId(o * outer_stride + i * inner_stride)))
 }
 
+/// Machine-wide counts over [`CoreMap`]'s per-core context counts.
+#[derive(Debug, Clone, Copy)]
+struct Tallies {
+    /// Cores with no context in use.
+    free_cores: u32,
+    /// Cores with exactly one context in use.
+    single_cores: u32,
+    /// Contexts in use across the machine.
+    busy_contexts: u32,
+}
+
+impl Tallies {
+    /// Accounts for one core going from `old` to `new` contexts in use.
+    fn change(&mut self, old: u32, new: u32) {
+        self.free_cores = self.free_cores - u32::from(old == 0) + u32::from(new == 0);
+        self.single_cores = self.single_cores - u32::from(old == 1) + u32::from(new == 1);
+        self.busy_contexts = self.busy_contexts - old + new;
+    }
+}
+
 /// Tracks per-core context occupancy and allocates placements.
 ///
 /// Besides the per-core counts the map keeps the machine-wide tallies the
@@ -141,12 +161,7 @@ pub struct CoreMap {
     topo: Topology,
     /// Contexts in use on each core, `0..=smt_per_core`.
     used: Vec<u32>,
-    /// Cores with `used == 0`.
-    free_cores: u32,
-    /// Cores with `used == 1`.
-    single_cores: u32,
-    /// Sum of `used`.
-    busy_contexts: u32,
+    tallies: Tallies,
     /// Every core in the order [`SharingMode::Compact`] fills them, then
     /// every core in the order [`SharingMode::Scatter`] does.
     fill_order: [Vec<CoreId>; 2],
@@ -160,20 +175,27 @@ impl CoreMap {
         CoreMap {
             topo,
             used: vec![0; cores as usize],
-            free_cores: cores,
-            single_cores: 0,
-            busy_contexts: 0,
+            tallies: Tallies {
+                free_cores: cores,
+                single_cores: 0,
+                busy_contexts: 0,
+            },
             fill_order,
         }
     }
 
-    /// Sets the contexts in use on `core`, keeping the tallies current.
-    fn set_used(&mut self, core: CoreId, n: u32) {
-        let u = &mut self.used[core.0 as usize];
-        let old = std::mem::replace(u, n);
-        self.free_cores = self.free_cores - u32::from(old == 0) + u32::from(n == 0);
-        self.single_cores = self.single_cores - u32::from(old == 1) + u32::from(n == 1);
-        self.busy_contexts = self.busy_contexts - old + n;
+    /// Sets the contexts in use on each core of `cores` to `to(used, n)`,
+    /// `n` being the core's count in `cores`, keeping the tallies current.
+    fn update(&mut self, cores: &[(CoreId, u32)], to: impl Fn(u32, u32) -> u32) {
+        // A local copy stays in registers across the loop.
+        let mut tallies = self.tallies;
+        for &(core, n) in cores {
+            let u = &mut self.used[core.0 as usize];
+            let new = to(*u, n);
+            tallies.change(*u, new);
+            *u = new;
+        }
+        self.tallies = tallies;
     }
 
     /// The topology this map allocates over.
@@ -183,12 +205,12 @@ impl CoreMap {
 
     /// Number of cores with no contexts in use.
     pub fn free_cores(&self) -> u32 {
-        self.free_cores
+        self.tallies.free_cores
     }
 
     /// Number of completely free contexts across the machine.
     pub fn free_contexts(&self) -> u32 {
-        self.topo.num_contexts() - self.busy_contexts
+        self.topo.num_contexts() - self.tallies.busy_contexts
     }
 
     /// Number of cores with exactly one busy context (candidates for a
@@ -196,7 +218,7 @@ impl CoreMap {
     /// context keeps Strategy 4 from piling jobs three and four deep onto a
     /// core, which would throttle the wide op it is trying to ride along.
     pub fn ht_capacity(&self) -> u32 {
-        self.single_cores
+        self.tallies.single_cores
     }
 
     /// Contexts in use on `core`.
@@ -234,7 +256,7 @@ impl CoreMap {
     }
 
     fn allocate_primary(&mut self, req: &PlacementRequest) -> Result<Placement, MachineError> {
-        let free = self.free_cores;
+        let free = self.free_cores();
         if free == 0 {
             return Err(MachineError::PlacementUnsatisfiable {
                 requested: req.threads,
@@ -257,17 +279,8 @@ impl CoreMap {
                 .map(|(core, i)| (core, depth + u32::from(i < extra))),
         );
         cores[0].1 += req.threads - placed;
-        // Every chosen core was free.
-        let (mut singles, mut contexts) = (0, 0);
-        for &(core, n) in &cores {
-            let u = n.min(self.topo.smt_per_core);
-            self.used[core.0 as usize] = u;
-            singles += u32::from(u == 1);
-            contexts += u;
-        }
-        self.free_cores -= ncores;
-        self.single_cores += singles;
-        self.busy_contexts += contexts;
+        let smt = self.topo.smt_per_core;
+        self.update(&cores, |u, n| (u + n).min(smt));
         Ok(Placement {
             threads: req.threads,
             mode: req.mode,
@@ -277,10 +290,11 @@ impl CoreMap {
     }
 
     fn allocate_ht(&mut self, req: &PlacementRequest) -> Result<Placement, MachineError> {
-        if self.single_cores < req.threads {
+        let available = self.ht_capacity();
+        if available < req.threads {
             return Err(MachineError::PlacementUnsatisfiable {
                 requested: req.threads,
-                available: self.single_cores,
+                available,
             });
         }
         // The first `threads` cores, in id order, holding one context.
@@ -292,9 +306,7 @@ impl CoreMap {
                 .take(req.threads as usize)
                 .map(|c| (c, 1)),
         );
-        for &(core, _) in &cores {
-            self.set_used(core, 2);
-        }
+        self.update(&cores, |u, n| u + n);
         Ok(Placement {
             threads: req.threads,
             mode: req.mode,
@@ -341,10 +353,7 @@ impl CoreMap {
                 available: 0,
             });
         }
-        for &(core, n) in &cores {
-            let u = self.used[core.0 as usize];
-            self.set_used(core, u + n);
-        }
+        self.update(&cores, |u, n| u + n);
         Ok(Placement {
             threads: req.threads,
             mode: req.mode,
@@ -355,10 +364,7 @@ impl CoreMap {
 
     /// Returns a placement's contexts to the free pool.
     pub fn release(&mut self, placement: &Placement) {
-        for &(core, n) in &placement.cores {
-            let u = self.used[core.0 as usize];
-            self.set_used(core, u.saturating_sub(n));
-        }
+        self.update(&placement.cores, |u, n| u.saturating_sub(n));
     }
 }
 
