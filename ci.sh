@@ -25,6 +25,18 @@ python3 perfbench/smoke_test.py --seconds 2
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
+echo "== examples (each runs to completion and prints what README shows) =="
+cargo build --release --offline --examples
+for ex in quickstart resnet_training gpu_study; do
+  ./target/release/examples/$ex > "$tmpdir/example-$ex.out" \
+    || { echo "example $ex exited non-zero" >&2; exit 1; }
+done
+grep -q "^speedup: " "$tmpdir/example-quickstart.out" \
+  || { echo "quickstart printed no speedup line" >&2; exit 1; }
+grep -q "^step 1: " "$tmpdir/example-resnet_training.out" \
+  || { echo "resnet_training printed no step 1 line" >&2; exit 1; }
+echo "examples ok (quickstart, resnet_training, gpu_study)"
+
 echo "== paper records (sim-domain results pinned across commits) =="
 # The benches rewrite experiments/<id>.json; each regenerated record must
 # equal the committed one byte for byte.

@@ -8,6 +8,12 @@
 //! checksums, appends, and periodic snapshot+rotation cuts — stays small
 //! against the simulation itself, and the bench quantifies it per journal
 //! record.
+//!
+//! One run of the workload takes tens of milliseconds, so a single run per
+//! configuration mostly measures the host's noise. The plain run and each
+//! durable configuration are instead repeated `REPEATS` times, interleaved
+//! round by round, and each round's tax is taken against that round's
+//! plain run; the record keeps the median tax with its quartiles.
 
 use nnrt_bench::{ExperimentRecord, Table};
 use nnrt_serve::{
@@ -63,80 +69,113 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// Rounds of the interleaved plain/durable comparison.
+const REPEATS: usize = 7;
+
+/// The first quartile, median and third quartile of `values` (linear
+/// interpolation between order statistics).
+fn quartiles(values: &[f64]) -> [f64; 3] {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
 fn main() {
     let mut record = ExperimentRecord::new(
         "durability",
         "Write-ahead journal + snapshot flush: overhead of a fault-free durable run",
     );
 
-    let (plain, plain_wall) = run_fleet(None);
-
     // Flush cadences from "journal only" (the final cut is the only flush)
     // down to an aggressive 5-simulated-second cycle.
-    let cadences: [(&str, f64); 3] = [
-        ("final cut only", f64::INFINITY),
-        ("20 s cadence", 20.0),
-        ("5 s cadence", 5.0),
+    let cadences: [(&str, &str, f64); 3] = [
+        ("final cut only", "inf", f64::INFINITY),
+        ("20 s cadence", "20s", 20.0),
+        ("5 s cadence", "5s", 5.0),
     ];
+
+    let mut plain_walls = Vec::with_capacity(REPEATS);
+    let mut taxes = vec![Vec::with_capacity(REPEATS); cadences.len()];
+    let mut journals = vec![(0, 0); cadences.len()];
+    for round in 0..REPEATS {
+        let (plain, plain_wall) = run_fleet(None);
+        plain_walls.push(plain_wall);
+        for (i, (label, tag, interval)) in cadences.iter().enumerate() {
+            let dir = scratch(&format!("{tag}-{round}"));
+            let mut d = DurabilityConfig::new(dir.clone());
+            d.flush_interval_secs = *interval;
+            let (durable, wall) = run_fleet(Some(d));
+            let identical = durable.to_json() == plain.to_json();
+            assert!(
+                identical,
+                "{label}: durability must not perturb the simulation"
+            );
+            let journal = std::fs::read(dir.join(JOURNAL_FILE)).expect("journal exists");
+            journals[i] = (replay(&journal).records.len(), journal.len());
+            taxes[i].push(wall / plain_wall - 1.0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     let mut t = Table::new([
         "configuration",
-        "wall (ms)",
-        "overhead",
+        "overhead p25",
+        "overhead p50",
+        "overhead p75",
         "journal records",
         "journal bytes",
-        "identical report",
     ]);
+    let [lo, mid, hi] = quartiles(&plain_walls);
     t.row([
         "in-memory".to_string(),
-        format!("{:.1}", plain_wall * 1e3),
-        "—".to_string(),
-        "—".to_string(),
+        format!("{:.1} ms", lo * 1e3),
+        format!("{:.1} ms", mid * 1e3),
+        format!("{:.1} ms", hi * 1e3),
         "—".to_string(),
         "—".to_string(),
     ]);
-
-    for (i, (label, interval)) in cadences.iter().enumerate() {
-        let dir = scratch(&format!("c{i}"));
-        let mut d = DurabilityConfig::new(dir.clone());
-        d.flush_interval_secs = *interval;
-        let (durable, wall) = run_fleet(Some(d));
-        let identical = durable.to_json() == plain.to_json();
-        let journal = std::fs::read(dir.join(JOURNAL_FILE)).expect("journal exists");
-        let records = replay(&journal).records.len();
+    record.push("plain_wall_s", mid, f64::NAN);
+    for (i, (label, tag, _)) in cadences.iter().enumerate() {
+        let (records, bytes) = journals[i];
+        let [lo, mid, hi] = quartiles(&taxes[i]);
         t.row([
             label.to_string(),
-            format!("{:.1}", wall * 1e3),
-            format!("{:+.1}%", (wall / plain_wall - 1.0) * 100.0),
+            format!("{:+.1}%", lo * 100.0),
+            format!("{:+.1}%", mid * 100.0),
+            format!("{:+.1}%", hi * 100.0),
             records.to_string(),
-            journal.len().to_string(),
-            if identical { "yes" } else { "NO" }.to_string(),
+            bytes.to_string(),
         ]);
-        assert!(
-            identical,
-            "{label}: durability must not perturb the simulation"
-        );
         if i == 0 {
-            record.push("journal_bytes_final_cut", journal.len() as f64, f64::NAN);
+            record.push("journal_bytes_final_cut", bytes as f64, f64::NAN);
         }
-        record.push(
-            &format!("wall_overhead_frac_{}", ["inf", "20s", "5s"][i]),
-            wall / plain_wall - 1.0,
-            f64::NAN,
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        record.push(&format!("wall_overhead_frac_{tag}"), mid, f64::NAN);
+        record.push(&format!("wall_overhead_frac_{tag}_p25"), lo, f64::NAN);
+        record.push(&format!("wall_overhead_frac_{tag}_p75"), hi, f64::NAN);
     }
-    t.print("10 mixed jobs over 2 KNL nodes, journaled to a temp directory");
+    t.print(&format!(
+        "10 mixed jobs over 2 KNL nodes, journaled to a temp directory; \
+         {REPEATS} interleaved rounds, overhead against each round's in-memory run \
+         (in-memory row: wall time)"
+    ));
 
-    record.push("plain_wall_s", plain_wall, f64::NAN);
     record.push("makespan_delta_s", 0.0, f64::NAN);
-    record.notes(
+    record.notes(&format!(
         "Simulated makespan delta is identically zero: the journal and the \
          snapshot flush are pure side effects of the deterministic run \
          loop, asserted here by byte-comparing the fleet reports. The wall \
          overhead is the cost of serializing, checksumming, and appending \
          each state transition plus the periodic snapshot+rotation cut; \
          tighter cadences pay more rotations for a shorter replay after a \
-         crash.",
-    );
+         crash. Each overhead is the median over {REPEATS} interleaved \
+         rounds of the durable run's wall time against the same round's \
+         in-memory run, with its quartiles (_p25, _p75); plain_wall_s is \
+         the median in-memory wall time."
+    ));
     record.write();
 }

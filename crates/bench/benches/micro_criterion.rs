@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the library's own hot paths: the cost
 //! model, the discrete-event engine, the hill-climbing profiler, scheduler
-//! decisions over a full training step, and the real CPU kernels.
+//! decisions over a full training step.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use nnrt_graph::{work_profile, OpAux, OpKind, Shape};
@@ -79,29 +79,9 @@ fn bench_profiler_and_runtime(c: &mut Criterion) {
     }
 }
 
-fn bench_kernels(c: &mut Criterion) {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
-    let x = nnrt_kernels::Tensor::sequence(&[4, 16, 16, 16], 1.0);
-    let f = nnrt_kernels::Tensor::sequence(&[3, 3, 16, 16], 0.5);
-    c.bench_function("kernel_conv2d_4x16x16x16", |b| {
-        b.iter(|| nnrt_kernels::conv::conv2d(black_box(threads), &x, &f, 1))
-    });
-    let a = vec![1.0f32; 128 * 128];
-    let bmat = vec![0.5f32; 128 * 128];
-    c.bench_function("kernel_matmul_128", |b| {
-        b.iter_batched(
-            || vec![0.0f32; 128 * 128],
-            |mut cbuf| nnrt_kernels::matmul::matmul(threads, &a, &bmat, &mut cbuf, 128, 128, 128),
-            BatchSize::SmallInput,
-        )
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cost_model, bench_engine, bench_profiler_and_runtime, bench_kernels
+    targets = bench_cost_model, bench_engine, bench_profiler_and_runtime
 }
 criterion_main!(benches);

@@ -13,27 +13,19 @@ use crate::runtime::StepReport;
 use nnrt_graph::{DataflowGraph, OpKind};
 use std::collections::HashSet;
 
-/// Record of co-run pairings that hurt, and the threshold for "hurt".
-#[derive(Debug, Clone)]
-pub struct InterferenceLog {
-    /// An op counts as victimized when its actual duration exceeds
-    /// `slowdown_threshold ×` its predicted duration. The default of 2.5 is
-    /// deliberately conservative: moderate interference is the expected
-    /// price of co-running (Table III accepts 17-25% losses), and the paper
-    /// reports that in practice it did "not find significant performance
-    /// slowdown in individual operations when co-running them" — the log is
-    /// for pathological pairings only.
-    pub slowdown_threshold: f64,
-    denied: HashSet<(OpKind, OpKind)>,
-}
+/// An op counts as victimized when its actual duration exceeds
+/// `SLOWDOWN_THRESHOLD ×` its predicted duration. 2.5 is deliberately
+/// conservative: moderate interference is the expected price of co-running
+/// (Table III accepts 17-25% losses), and the paper reports that in practice
+/// it did "not find significant performance slowdown in individual
+/// operations when co-running them" — the log is for pathological pairings
+/// only.
+const SLOWDOWN_THRESHOLD: f64 = 2.5;
 
-impl Default for InterferenceLog {
-    fn default() -> Self {
-        InterferenceLog {
-            slowdown_threshold: 2.5,
-            denied: HashSet::new(),
-        }
-    }
+/// Record of co-run pairings that hurt.
+#[derive(Debug, Clone, Default)]
+pub struct InterferenceLog {
+    denied: HashSet<(OpKind, OpKind)>,
 }
 
 fn pair(a: OpKind, b: OpKind) -> (OpKind, OpKind) {
@@ -45,19 +37,14 @@ fn pair(a: OpKind, b: OpKind) -> (OpKind, OpKind) {
 }
 
 impl InterferenceLog {
-    /// An empty log with the default threshold.
-    pub fn new() -> Self {
+    /// An empty log.
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Whether co-running kinds `a` and `b` has been denied.
-    pub fn is_denied(&self, a: OpKind, b: OpKind) -> bool {
+    pub(crate) fn is_denied(&self, a: OpKind, b: OpKind) -> bool {
         self.denied.contains(&pair(a, b))
-    }
-
-    /// Number of denied kind pairs.
-    pub fn len(&self) -> usize {
-        self.denied.len()
     }
 
     /// Whether nothing has been denied yet.
@@ -68,11 +55,11 @@ impl InterferenceLog {
     /// Scans a step's timing records; for every op whose actual duration
     /// blew past its prediction, denies its kind against the kinds it
     /// overlapped. Returns the number of *new* denials.
-    pub fn observe(&mut self, graph: &DataflowGraph, report: &StepReport) -> usize {
+    pub(crate) fn observe(&mut self, graph: &DataflowGraph, report: &StepReport) -> usize {
         let mut added = 0;
         let timings: &[NodeTiming] = &report.timings;
         for (i, t) in timings.iter().enumerate() {
-            if t.actual() <= t.predicted * self.slowdown_threshold {
+            if t.actual() <= t.predicted * SLOWDOWN_THRESHOLD {
                 continue;
             }
             let victim = graph.op(nnrt_graph::NodeId(t.node)).kind;
@@ -135,12 +122,9 @@ mod tests {
     #[test]
     fn overlapping_slowdown_denies_the_pair() {
         let g = two_kind_graph();
-        let mut log = InterferenceLog {
-            slowdown_threshold: 1.3,
-            ..Default::default()
-        };
-        // Node 0 predicted 1.0s but took 2.0s while node 1 overlapped.
-        let report = report_with(vec![timing(0, 0.0, 2.0, 1.0), timing(1, 0.5, 1.5, 1.0)]);
+        let mut log = InterferenceLog::new();
+        // Node 0 predicted 1.0s but took 3.0s while node 1 overlapped.
+        let report = report_with(vec![timing(0, 0.0, 3.0, 1.0), timing(1, 0.5, 1.5, 1.0)]);
         assert_eq!(log.observe(&g, &report), 1);
         assert!(log.is_denied(OpKind::Conv2D, OpKind::Tile));
         assert!(

@@ -429,7 +429,7 @@ impl HillClimbModel {
     /// Like [`HillClimbModel::fit_missing_budgeted`], but the independent
     /// per-key climbs are sharded across `pool`'s workers. Every key is
     /// measured with a measurer forked from `measurer`'s base seed and the
-    /// key itself ([`Measurer::fork_for_key`]), and the results are merged
+    /// key itself (`Measurer::fork_for_key`), and the results are merged
     /// in canonical (sorted) key order — so the fitted curves, the cost
     /// accounting, and everything downstream are **byte-identical for every
     /// worker count**, including the serial pool, which runs the climbs
@@ -688,12 +688,12 @@ mod tests {
 
     #[test]
     fn finds_the_convex_minimum() {
-        let (model, m, catalog) = fit(2, NoiseModel::none());
+        let (model, _, catalog) = fit(2, NoiseModel::none());
         let key = catalog.keys()[0].clone();
         let (p, _, _) = model.best(&key).unwrap();
         // Ground truth optimum (paper: 26 for this op and shape).
         let prof = *catalog.profile_of_key(&key).unwrap();
-        let (true_p, _, _) = nnrt_manycore::CostModel::optimal(m.cost_model(), &prof, 68);
+        let (true_p, _, _) = nnrt_manycore::CostModel::optimal(&KnlCostModel::knl(), &prof, 68);
         assert!(
             (p as i64 - true_p as i64).abs() <= 2,
             "hill climb found {p}, truth {true_p}"

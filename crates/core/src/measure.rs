@@ -89,7 +89,7 @@ impl OpCatalog {
     }
 
     /// Number of distinct operations (kind, input shape and attributes).
-    pub fn num_ops(&self) -> usize {
+    pub(crate) fn num_ops(&self) -> usize {
         self.ops.len()
     }
 
@@ -111,7 +111,7 @@ impl OpCatalog {
     /// Number of instances of `key` in the graph (0 if absent). One
     /// profiling step observes every instance, so a key with many instances
     /// yields an effectively averaged, lower-noise measurement.
-    pub fn key_count(&self, key: &OpKey) -> usize {
+    pub(crate) fn key_count(&self, key: &OpKey) -> usize {
         self.counts.get(key).copied().unwrap_or(0)
     }
 
@@ -154,7 +154,7 @@ fn key_fingerprint(key: &OpKey) -> u64 {
 }
 
 /// Derives the measurement seed of one op key from a base seed — the recipe
-/// [`Measurer::fork_for_key`] uses, exported so other backends (the GPU
+/// `Measurer::fork_for_key` uses, exported so other backends (the GPU
 /// profiler) produce curves that are a pure function of `(base, key)` and
 /// therefore independent of worker count and climb order.
 pub fn per_key_seed(base: u64, key: &OpKey) -> u64 {
@@ -202,20 +202,14 @@ impl Measurer {
     /// measured curve is identical no matter which worker climbs it, in what
     /// order, or alongside which other keys. That independence is what makes
     /// the parallel profiling pipeline byte-identical to the sequential one.
-    pub fn fork_for_key(&self, key: &OpKey) -> Measurer {
+    pub(crate) fn fork_for_key(&self, key: &OpKey) -> Measurer {
         Measurer::new(self.cost.clone(), self.noise, per_key_seed(self.seed, key))
     }
 
     /// Folds `n` measurements taken by forked measurers back into this
     /// measurer's cost accounting (the forks' counters die with them).
-    pub fn absorb(&mut self, n: u64) {
+    pub(crate) fn absorb(&mut self, n: u64) {
         self.measurements += n;
-    }
-
-    /// The ground-truth cost model (used by executors to derive *actual*
-    /// durations; profilers must go through [`Measurer::measure`] instead).
-    pub fn cost_model(&self) -> &KnlCostModel {
-        &self.cost
     }
 
     /// One noisy standalone measurement.
@@ -228,7 +222,7 @@ impl Measurer {
     /// The mean of `samples` noisy measurements — what a profiling step
     /// observes for an op key that has `samples` instances in the graph
     /// (each instance is one observation of the same configuration).
-    pub fn measure_averaged(
+    pub(crate) fn measure_averaged(
         &mut self,
         profile: &WorkProfile,
         threads: u32,

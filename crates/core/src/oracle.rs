@@ -16,17 +16,12 @@ use nnrt_manycore::{CostModel, KnlCostModel, SharingMode, SlotPreference};
 
 /// The oracle executor.
 #[derive(Debug, Clone, Default)]
-pub struct OracleScheduler {
-    /// Cap on simultaneously running ops (0 = unlimited). Matching the
-    /// paper's observation that rarely more than ~5 ops are ready, capping
-    /// changes little.
-    pub max_corun: usize,
-}
+pub struct OracleScheduler;
 
 impl OracleScheduler {
-    /// Unlimited-width oracle.
+    /// The oracle: it co-runs as many ready ops as there are free cores.
     pub fn new() -> Self {
-        Self::default()
+        OracleScheduler
     }
 
     /// Runs one step of `graph` with full knowledge of `cost`.
@@ -51,13 +46,7 @@ impl OracleScheduler {
                     })
                     .collect();
                 best.sort_by(|a, b| b.3.partial_cmp(&a.3).unwrap());
-                let cap = if self.max_corun == 0 {
-                    usize::MAX
-                } else {
-                    self.max_corun
-                };
-                let slots = cap.saturating_sub(ctx.engine.num_running());
-                for (n, p, mode, t) in best.into_iter().take(slots) {
+                for (n, p, mode, t) in best {
                     let free = ctx.engine.free_cores();
                     if free == 0 {
                         break;
@@ -129,17 +118,5 @@ mod tests {
         );
         // And the oracle is, as it must be, at least as good.
         assert!(oracle.total_secs <= ours.total_secs * 1.001);
-    }
-
-    #[test]
-    fn corun_cap_trades_little() {
-        let spec = nnrt_models::dcgan(16);
-        let catalog = OpCatalog::new(&spec.graph);
-        let cost = KnlCostModel::knl();
-        let unlimited = OracleScheduler::new().run_step(&spec.graph, &catalog, &cost);
-        let capped = OracleScheduler { max_corun: 5 }.run_step(&spec.graph, &catalog, &cost);
-        // The paper: "we seldom have more than five operations ready" —
-        // capping at 5 should barely matter.
-        assert!(capped.total_secs <= unlimited.total_secs * 1.15);
     }
 }

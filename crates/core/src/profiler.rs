@@ -2,9 +2,9 @@
 //!
 //! Hill-climb profiling is embarrassingly parallel: every `(kind, shape)`
 //! key is an independent set of standalone measurements, and with per-key
-//! seeded measurers ([`crate::measure::Measurer::fork_for_key`]) the curve a
-//! key yields is a pure function of the key — not of which worker climbed it
-//! or in what order. [`ProfilerPool`] exploits that: it shards a task list
+//! seeded measurers (`Measurer::fork_for_key`) the curve a key yields is a
+//! pure function of the key — not of which worker climbed it or in what
+//! order. [`ProfilerPool`] exploits that: it shards a task list
 //! across `std::thread` workers through a shared atomic cursor (so slow keys
 //! don't serialize behind fast ones) and returns the results **in task
 //! order**, which is all the merge step needs to stay byte-identical to the

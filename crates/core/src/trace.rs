@@ -20,7 +20,7 @@ pub struct CorunStats {
 
 impl CorunStats {
     /// Computes stats over the whole trace.
-    pub fn from_trace(trace: &[EngineEvent]) -> Self {
+    pub(crate) fn from_trace(trace: &[EngineEvent]) -> Self {
         if trace.is_empty() {
             return CorunStats {
                 events: 0,

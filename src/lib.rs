@@ -12,8 +12,6 @@
 //!   Inception-v3, LSTM).
 //! * [`sched`] — the paper's contribution: hill-climbing performance model
 //!   and the four co-run scheduling strategies.
-//! * [`kernels`] — real parallel CPU kernels on a controllable thread pool,
-//!   for running the same auto-tuning loop on the host machine.
 //! * [`gpu`] — the Section VII preliminary-study GPU simulator.
 //! * [`cluster`] — multi-KNL data/model parallelism (the paper's Section V,
 //!   implemented rather than left as future work).
@@ -31,7 +29,6 @@
 pub use nnrt_cluster as cluster;
 pub use nnrt_gpu as gpu;
 pub use nnrt_graph as graph;
-pub use nnrt_kernels as kernels;
 pub use nnrt_manycore as manycore;
 pub use nnrt_models as models;
 pub use nnrt_obs as obs;
