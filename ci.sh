@@ -192,6 +192,24 @@ cmp "$tmpdir/plain.json" "$tmpdir/durable.json" \
   || { echo "journaling perturbed the report: --durable run differs" >&2; exit 1; }
 echo "durable run byte-identical to in-memory run (6 jobs, seed 7)"
 
+# A cut over an unchanged store keeps the snapshot file it wrote last
+# instead of serializing the store again. The final store.json must not
+# depend on how many cuts kept it: a 5 s cadence (about a dozen cuts, most
+# of them over warm placements) and one longer than the 64 s makespan
+# (only the set-up and final cuts) must leave byte-identical snapshots,
+# holding every entry the report counts (two equally stale files would
+# pass the cmp alone).
+./target/release/nnrt serve 40 2 7 --durable "$tmpdir/cadence-5s" --flush-interval 5 --json \
+  > "$tmpdir/cadence-5s.json"
+./target/release/nnrt serve 40 2 7 --durable "$tmpdir/cadence-once" --flush-interval 1000000 --json > /dev/null
+cmp "$tmpdir/cadence-5s/store.json" "$tmpdir/cadence-once/store.json" \
+  || { echo "a kept snapshot went stale: store.json depends on the flush cadence" >&2; exit 1; }
+entries="$(grep -c '"machine":' "$tmpdir/cadence-5s/store.json" || true)"
+want="$(sed -n 's/^  "store_entries": \([0-9]*\),$/\1/p' "$tmpdir/cadence-5s.json")"
+[ -n "$want" ] && [ "$entries" = "$want" ] \
+  || { echo "final store.json holds $entries entries, the report counts ${want:-none}" >&2; exit 1; }
+echo "final snapshot independent of the flush cadence and current (40 jobs, $entries entries)"
+
 # The kill -9 drill: start a durable run, kill it dead mid-run, restart
 # with --recover, and require the merged completion set to equal an
 # uninterrupted run's — with zero lost profile-store keys. 40 jobs on a

@@ -74,6 +74,11 @@ fn journal_records() -> Vec<JournalRecord> {
             )
             .unwrap(),
         },
+        JournalRecord::StorePublish {
+            machine: serde_json::from_str("12297829382473034410").unwrap(),
+            touched: vec![(OpKind::Relu, Shape::nhwc(4, 8, 8, 16))],
+            profiles: Vec::new(),
+        },
         JournalRecord::Checkpoint {
             id: 7,
             steps_done: 2,
@@ -266,7 +271,11 @@ fn actual() -> Vec<(String, String)> {
     push("fault_plan", c(&fault_plan()));
     push("fault_plan_pretty", p(&fault_plan()));
     for rec in journal_records() {
-        push(&format!("journal_{}", rec.tag()), c(&rec));
+        let form = match rec {
+            JournalRecord::StorePublish { .. } => "_touched",
+            _ => "",
+        };
+        push(&format!("journal_{}{form}", rec.tag()), c(&rec));
     }
     for req in requests() {
         push(&format!("request_{}", req.kind()), c(&req));
@@ -318,6 +327,7 @@ const EXPECTED: &[(&str, &str)] = &[
     ("journal_admit", "{\"type\":\"admit\",\"id\":7,\"name\":\"dcgan-7\",\"model\":\"dcgan\",\"steps\":3,\"priority\":2,\"weight\":1.5,\"graph\":4}"),
     ("journal_place", "{\"type\":\"place\",\"id\":7,\"node\":1}"),
     ("journal_store_insert", "{\"type\":\"store_insert\",\"machine\":12297829382473034410,\"profiles\":[{\"kind\":\"Conv2D\",\"shape\":[4,8,8,3],\"compact\":{\"samples\":[[1,0.25],[4,0.0625]]},\"scatter\":{\"samples\":[[1,0.3],[68,0.00001]]}}]}"),
+    ("journal_store_insert_touched", "{\"type\":\"store_insert\",\"machine\":12297829382473034410,\"touched\":[[\"Relu\",[4,8,8,16]]],\"profiles\":[]}"),
     ("journal_checkpoint", "{\"type\":\"checkpoint\",\"id\":7,\"steps_done\":2,\"at\":12.0,\"fitted_keys\":[[\"Relu\",[4,8,8,16]]]}"),
     ("journal_evict", "{\"type\":\"evict\",\"id\":7,\"at\":0.1}"),
     ("journal_retry", "{\"type\":\"retry\",\"id\":7,\"node\":0}"),

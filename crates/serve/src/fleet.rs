@@ -45,7 +45,8 @@ use nnrt_graph::{DataflowGraph, OpKey};
 use nnrt_manycore::{KnlCostModel, MachineSignature, NodeHealth};
 use nnrt_obs::{Clock, EventKind, Obs, ObsConfig};
 use nnrt_sched::{
-    export_chrome_trace, export_lane_chrome_trace, OpCatalog, ProfilerPool, Runtime, RuntimeConfig,
+    export_chrome_trace, export_lane_chrome_trace, KeyProfile, OpCatalog, ProfilerPool, Runtime,
+    RuntimeConfig,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
@@ -302,6 +303,9 @@ struct Durable {
     flush_interval_secs: f64,
     /// Simulated time of the next background flush.
     next_flush_at: f64,
+    /// Store generation of the last snapshot this fleet wrote; a cut at
+    /// the same generation keeps that file.
+    snapshot_generation: Option<u64>,
 }
 
 /// The `graph` records one journal file holds, keyed by graph body: a job
@@ -386,7 +390,8 @@ pub struct RecoveryReport {
     /// Curve pairs restored from the snapshot.
     pub keys_restored: usize,
     /// Curve pairs re-applied from journaled `store_insert` deltas (the
-    /// WAL suffix past the last snapshot flush).
+    /// WAL suffix past the last snapshot flush). Touched keys carry no
+    /// curves and are not counted.
     pub store_delta_keys: usize,
     /// Ids of jobs that were mid-run at the crash, re-entering via the
     /// retry path and resuming from their latest journaled checkpoint.
@@ -878,6 +883,7 @@ impl Fleet {
             dir: cfg.dir,
             flush_interval_secs: cfg.flush_interval_secs,
             next_flush_at: cfg.flush_interval_secs,
+            snapshot_generation: None,
         });
         self.flush_durable();
     }
@@ -1013,23 +1019,38 @@ impl Fleet {
     }
 
     /// Writes the store snapshot atomically and rotates the journal to the
-    /// compacted prologue — one consistent cut. A failed flush disables
-    /// durability for the rest of the run, loudly (see
+    /// compacted prologue — one consistent cut. When the store's contents
+    /// have not changed since the last snapshot written, that file already
+    /// covers them, and the cut only rotates the journal. A failed flush
+    /// disables durability for the rest of the run, loudly (see
     /// [`Fleet::disable_durability`]).
     fn flush_durable(&mut self) {
-        if self.durable.is_none() {
+        let Some(d) = &self.durable else {
             return;
-        }
+        };
+        // Read the generation before serializing: a write racing in
+        // between then only costs a rewrite at the next cut.
+        let generation = self.store.generation();
+        // A new snapshot's text is dropped once written, before the
+        // rotation encodes the prologue: the two would otherwise set the
+        // cut's memory peak together.
+        let written = if d.snapshot_generation == Some(generation) {
+            Ok(None)
+        } else {
+            let text = self.store.snapshot();
+            write_atomic(&d.dir.join(SNAPSHOT_FILE), text.as_bytes()).map(|()| Some(text.len()))
+        };
         let (prologue, graphs) = self.compacted_records();
-        let snapshot = self.store.snapshot();
-        let snapshot_bytes = snapshot.len();
         let records = prologue.len();
         let d = self.durable.as_mut().expect("durable checked above");
-        let result = write_atomic(&d.dir.join(SNAPSHOT_FILE), snapshot.as_bytes())
-            .and_then(|()| d.journal.rotate(&prologue));
-        match result {
-            Ok(()) => {
+        match written.and_then(|bytes| d.journal.rotate(&prologue).map(|()| bytes)) {
+            Ok(bytes) => {
                 d.graphs = graphs;
+                d.snapshot_generation = Some(generation);
+                let snapshot = match bytes {
+                    Some(bytes) => format!("snapshot {bytes} bytes"),
+                    None => "snapshot unchanged".to_string(),
+                };
                 self.obs
                     .counter_add(Clock::Wall, "nnrt_flush_cuts_total", &[], 1);
                 self.obs.event(
@@ -1038,7 +1059,7 @@ impl Fleet {
                     self.wall_secs(),
                     None,
                     None,
-                    format!("snapshot {snapshot_bytes} bytes, {records} prologue records"),
+                    format!("{snapshot}, {records} prologue records"),
                 );
             }
             Err(e) => {
@@ -1498,25 +1519,30 @@ impl Fleet {
                 )
             }
         };
-        // Publish everything this job measured (and refresh what it
-        // reused). The journal gets the same delta: it is a write-ahead log
-        // over the store, so a crash between snapshot flushes loses no
-        // measured key. `published` is sorted by key.
-        job.fitted_keys = keys
-            .iter()
-            .filter(|k| {
-                published
-                    .binary_search_by(|p| (p.kind, &p.shape).cmp(&(k.0, &k.1)))
-                    .is_ok()
-            })
-            .cloned()
-            .collect();
-        self.store.insert_many(signature, &published);
+        // Publish what this placement changed. A warm key whose exported
+        // curve is the stored one (the runtime imports warm curves and
+        // climbs only the missing keys) is only re-stamped as just used;
+        // the curves the job fitted are inserted. The journal gets the same
+        // delta: it is a write-ahead log over the store, so a crash between
+        // snapshot flushes loses no measured key. `published` and `warm`
+        // are sorted by key, like the catalog's keys.
+        job.fitted_keys = published.iter().map(KeyProfile::key).collect();
+        let mut touched = Vec::new();
+        let mut fresh = Vec::new();
+        for p in published {
+            let key = p.key();
+            let reused = warm
+                .binary_search_by(|w| (w.kind, &w.shape).cmp(&(key.0, &key.1)))
+                .is_ok_and(|i| warm[i] == p);
+            if reused {
+                touched.push(key);
+            } else {
+                fresh.push(p);
+            }
+        }
+        self.store.publish(signature, &touched, &fresh);
         if self.durable.is_some() {
-            self.journal_append(JournalRecord::StoreInsert {
-                machine: signature,
-                profiles: published,
-            });
+            self.journal_append(JournalRecord::publication(signature, touched, fresh));
         }
 
         if job.report.retries == 0 {
@@ -1949,9 +1975,10 @@ impl Fleet {
     /// `config.durability` after the previous process died.
     ///
     /// The snapshot (if present) seeds the store; journaled `store_insert`
-    /// deltas past the snapshot cut are re-applied on top, so no measured
-    /// key is lost at *any* crash point. Jobs classify three ways, exactly
-    /// partitioning the admitted set:
+    /// deltas past the snapshot cut are re-applied on top (fitted curves
+    /// inserted, touched keys re-stamped), so no measured key is lost at
+    /// *any* crash point. Jobs classify three ways, exactly partitioning
+    /// the admitted set:
     ///
     /// * **completed** — a `complete` record exists; kept as
     ///   [`PriorCompleted`] (status queries keep answering, rotation keeps
@@ -2093,6 +2120,14 @@ impl Fleet {
                 JournalRecord::StoreInsert { machine, profiles } => {
                     store_delta_keys += profiles.len();
                     fleet.store.insert_many(machine, &profiles);
+                }
+                JournalRecord::StorePublish {
+                    machine,
+                    touched,
+                    profiles,
+                } => {
+                    store_delta_keys += profiles.len();
+                    fleet.store.publish(machine, &touched, &profiles);
                 }
                 JournalRecord::Checkpoint {
                     id,

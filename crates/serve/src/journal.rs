@@ -143,9 +143,10 @@ impl std::error::Error for RecordError {}
 ///
 /// `Admit` carries the job spec and the id of its `Graph` record, so a
 /// never-placed job can be re-enqueued from the journal alone;
-/// `StoreInsert` carries the fitted curves a job published, making the
-/// journal a write-ahead log over the [`crate::ProfileStore`] — a crash
-/// between snapshot flushes loses no measured key.
+/// `StorePublish` carries the curves a placement fitted and the keys it
+/// read warm, making the journal a write-ahead log over the
+/// [`crate::ProfileStore`] — a crash between snapshot flushes loses no
+/// measured key.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// First record of every log: format tag + schema version.
@@ -188,12 +189,30 @@ pub enum JournalRecord {
         /// Node index the job landed on.
         node: u32,
     },
-    /// Curves were published into the shared store (a WAL delta; dropped at
-    /// rotation because the snapshot covers it).
+    /// Curves were inserted into the shared store with no key re-stamped:
+    /// a `store_insert` record without a `touched` member, replayed with
+    /// [`crate::ProfileStore::insert_many`]. The fleet writes it for a
+    /// placement that read no key warm; logs that predate `StorePublish`
+    /// hold every placement's whole fitted model this way.
     StoreInsert {
         /// Signature of the machine the curves were measured on.
         machine: MachineSignature,
-        /// The published curve pairs.
+        /// The inserted curve pairs.
+        profiles: Vec<KeyProfile>,
+    },
+    /// A placement published into the shared store (a WAL delta; dropped
+    /// at rotation because the snapshot covers it): the curves it fitted,
+    /// plus the keys it read warm, whose stored curves it reused unchanged.
+    /// Written as a `store_insert` record with a `touched` member, which
+    /// holds keys only, and replayed with [`crate::ProfileStore::publish`]:
+    /// the touched keys still present are stamped and the curves inserted
+    /// in one clock tick.
+    StorePublish {
+        /// Signature of the machine the curves were measured on.
+        machine: MachineSignature,
+        /// Keys served warm from the store, in key order.
+        touched: Vec<OpKey>,
+        /// The freshly fitted curve pairs, in key order.
         profiles: Vec<KeyProfile>,
     },
     /// A resident job wrote a recovery checkpoint.
@@ -247,6 +266,25 @@ impl JournalRecord {
         }
     }
 
+    /// The record of one placement's publication into the store: the
+    /// plain `StoreInsert` form when it touched no warm key, so that
+    /// record carries no empty `touched` member.
+    pub fn publication(
+        machine: MachineSignature,
+        touched: Vec<OpKey>,
+        profiles: Vec<KeyProfile>,
+    ) -> Self {
+        if touched.is_empty() {
+            JournalRecord::StoreInsert { machine, profiles }
+        } else {
+            JournalRecord::StorePublish {
+                machine,
+                touched,
+                profiles,
+            }
+        }
+    }
+
     /// Stable lowercase tag (the JSON `"type"` member and the CLI
     /// inspector's tally label).
     pub fn tag(&self) -> &'static str {
@@ -255,7 +293,9 @@ impl JournalRecord {
             JournalRecord::Graph { .. } => "graph",
             JournalRecord::Admit { .. } => "admit",
             JournalRecord::Place { .. } => "place",
-            JournalRecord::StoreInsert { .. } => "store_insert",
+            JournalRecord::StoreInsert { .. } | JournalRecord::StorePublish { .. } => {
+                "store_insert"
+            }
             JournalRecord::Checkpoint { .. } => "checkpoint",
             JournalRecord::Evict { .. } => "evict",
             JournalRecord::Retry { .. } => "retry",
@@ -305,6 +345,14 @@ impl Serialize for JournalRecord {
             JournalRecord::StoreInsert { machine, profiles } => {
                 obj.field("machine", machine).field("profiles", profiles)
             }
+            JournalRecord::StorePublish {
+                machine,
+                touched,
+                profiles,
+            } => obj
+                .field("machine", machine)
+                .field("touched", touched)
+                .field("profiles", profiles),
             JournalRecord::Checkpoint {
                 id,
                 steps_done,
@@ -359,10 +407,18 @@ impl Deserialize for JournalRecord {
                 id: u64::from_json_value(field(v, "id")?)?,
                 node: u32::from_json_value(field(v, "node")?)?,
             }),
-            "store_insert" => Ok(JournalRecord::StoreInsert {
-                machine: MachineSignature::from_json_value(field(v, "machine")?)?,
-                profiles: Vec::from_json_value(field(v, "profiles")?)?,
-            }),
+            "store_insert" => {
+                let machine = MachineSignature::from_json_value(field(v, "machine")?)?;
+                let profiles = Vec::from_json_value(field(v, "profiles")?)?;
+                Ok(match v.get("touched") {
+                    None => JournalRecord::StoreInsert { machine, profiles },
+                    Some(touched) => JournalRecord::StorePublish {
+                        machine,
+                        touched: Vec::from_json_value(touched)?,
+                        profiles,
+                    },
+                })
+            }
             "checkpoint" => Ok(JournalRecord::Checkpoint {
                 id: u64::from_json_value(field(v, "id")?)?,
                 steps_done: u32::from_json_value(field(v, "steps_done")?)?,
@@ -585,6 +641,16 @@ mod tests {
                     },
                 }],
             },
+            JournalRecord::StorePublish {
+                machine: MachineSignature(42),
+                touched: vec![(OpKind::Relu, Shape(vec![8, 8]))],
+                profiles: Vec::new(),
+            },
+            JournalRecord::StorePublish {
+                machine: MachineSignature(42),
+                touched: Vec::new(),
+                profiles: Vec::new(),
+            },
             JournalRecord::Checkpoint {
                 id: 0,
                 steps_done: 1,
@@ -612,6 +678,45 @@ mod tests {
             assert_eq!(used, bytes.len());
             assert_eq!(back, rec);
         }
+    }
+
+    #[test]
+    fn a_publication_without_touched_keys_is_a_plain_store_insert() {
+        let profiles = sample_records()
+            .into_iter()
+            .find_map(|r| match r {
+                JournalRecord::StoreInsert { profiles, .. } => Some(profiles),
+                _ => None,
+            })
+            .expect("the samples hold a store_insert");
+        let machine = MachineSignature(42);
+        let plain = JournalRecord::StoreInsert {
+            machine,
+            profiles: profiles.clone(),
+        };
+        let record = JournalRecord::publication(machine, Vec::new(), profiles.clone());
+        assert_eq!(encode_record(&record), encode_record(&plain));
+        // A `store_insert` without a `touched` member (every record of a
+        // log that predates it) decodes as the plain form.
+        let old = r#"{"type":"store_insert","machine":42,"profiles":[]}"#;
+        assert_eq!(
+            JournalRecord::from_json_value(&serde_json::from_str(old).unwrap()),
+            Ok(JournalRecord::StoreInsert {
+                machine,
+                profiles: Vec::new()
+            })
+        );
+        let touched = vec![(OpKind::Relu, Shape(vec![8]))];
+        let record = JournalRecord::publication(machine, touched.clone(), profiles.clone());
+        assert_eq!(record.tag(), "store_insert");
+        assert_eq!(
+            record,
+            JournalRecord::StorePublish {
+                machine,
+                touched,
+                profiles
+            }
+        );
     }
 
     #[test]

@@ -136,6 +136,9 @@ struct Inner {
     /// Per-machine serialized-byte quota ([`u64::MAX`] = unbounded).
     byte_quota: u64,
     stats: StoreStats,
+    /// Content generation: bumped by every entry insert, overwrite and
+    /// removal, never by a recency stamp (snapshots hold no stamps).
+    generation: u64,
 }
 
 /// Concurrent, LRU-capped map from `(machine, kind, shape)` to measured
@@ -182,6 +185,7 @@ impl ProfileStore {
                 capacity,
                 byte_quota: per_machine_bytes,
                 stats: StoreStats::default(),
+                generation: 0,
             }),
         }
     }
@@ -208,24 +212,12 @@ impl ProfileStore {
     /// `machine`, bumping their recency. The result is the warm-start input
     /// for [`nnrt_sched::Runtime::prepare_warm_pooled`].
     pub fn lookup(&self, machine: MachineSignature, keys: &[OpKey]) -> Vec<KeyProfile> {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
+        let mut inner = self.inner.lock();
         inner.clock += 1;
         let now = inner.clock;
         let mut hits = Vec::new();
         for key in keys {
-            let store_key = (machine, key.0, key.1.clone());
-            if let Some(entry) = inner.entries.get_mut(&store_key) {
-                let lru = &mut inner
-                    .machines
-                    .get_mut(&machine)
-                    .expect("entry's machine")
-                    .lru;
-                let mut slot = (entry.last_used, store_key);
-                lru.remove(&slot);
-                slot.0 = now;
-                lru.insert(slot);
-                entry.last_used = now;
+            if let Some(entry) = Self::stamp(&mut inner, machine, key, now) {
                 hits.push(entry.profile.clone());
                 inner.stats.hits += 1;
             } else {
@@ -233,6 +225,28 @@ impl ProfileStore {
             }
         }
         hits
+    }
+
+    /// Moves `key`'s entry on `machine`, if present, to recency `now`.
+    fn stamp<'a>(
+        inner: &'a mut Inner,
+        machine: MachineSignature,
+        key: &OpKey,
+        now: u64,
+    ) -> Option<&'a Entry> {
+        let store_key = (machine, key.0, key.1.clone());
+        let entry = inner.entries.get_mut(&store_key)?;
+        let lru = &mut inner
+            .machines
+            .get_mut(&machine)
+            .expect("entry's machine")
+            .lru;
+        let mut slot = (entry.last_used, store_key);
+        lru.remove(&slot);
+        slot.0 = now;
+        lru.insert(slot);
+        entry.last_used = now;
+        Some(entry)
     }
 
     /// Lifetime hit/miss/eviction counters.
@@ -254,6 +268,14 @@ impl ProfileStore {
         self.inner.lock().machines.values().map(|m| m.bytes).sum()
     }
 
+    /// The store's content generation. It moves whenever an entry is
+    /// inserted, overwritten or removed (eviction, corruption and restore
+    /// included) and stays put across lookups and recency stamps, so an
+    /// unchanged generation means an unchanged [`ProfileStore::snapshot`].
+    pub fn generation(&self) -> u64 {
+        self.inner.lock().generation
+    }
+
     /// Serialized size of one curve pair — the unit the byte quota charges.
     fn entry_bytes(profile: &KeyProfile) -> u64 {
         serde_json::to_string(profile)
@@ -265,6 +287,7 @@ impl ProfileStore {
     /// when an existing entry is overwritten.
     fn insert_entry(inner: &mut Inner, key: StoreKey, profile: KeyProfile, last_used: u64) {
         let bytes = Self::entry_bytes(&profile);
+        inner.generation += 1;
         let held = inner.machines.entry(key.0).or_default();
         let old = inner.entries.insert(
             key.clone(),
@@ -290,6 +313,7 @@ impl ProfileStore {
         let Some(entry) = inner.entries.remove(key) else {
             return 0;
         };
+        inner.generation += 1;
         let held = inner.machines.get_mut(&key.0).expect("entry's machine");
         held.bytes -= entry.bytes;
         held.lru.remove(&(entry.last_used, key.clone()));
@@ -302,10 +326,26 @@ impl ProfileStore {
     /// Inserts (or refreshes) curves measured on `machine`, then enforces
     /// the per-machine byte quota and the LRU entry cap.
     pub fn insert_many(&self, machine: MachineSignature, profiles: &[KeyProfile]) {
+        self.publish(machine, &[], profiles);
+    }
+
+    /// Publishes one placement's outcome on `machine` in a single clock
+    /// tick: the `touched` keys it read warm are stamped as just used, the
+    /// `fresh` curves it fitted are inserted, and the byte quota and LRU
+    /// cap are enforced. When `touched` holds keys whose stored curves the
+    /// placement exported unchanged, this leaves contents, recency, stats
+    /// and eviction order exactly as [`ProfileStore::insert_many`] of
+    /// `touched`'s curves plus `fresh` would, without re-serializing or
+    /// overwriting the warm entries. A touched key no longer present is
+    /// skipped.
+    pub fn publish(&self, machine: MachineSignature, touched: &[OpKey], fresh: &[KeyProfile]) {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let now = inner.clock;
-        for p in profiles {
+        for key in touched {
+            Self::stamp(&mut inner, machine, key, now);
+        }
+        for p in fresh {
             Self::insert_entry(
                 &mut inner,
                 (machine, p.kind, p.shape.clone()),
@@ -350,6 +390,20 @@ impl ProfileStore {
                 .clone();
             Self::evict(inner, victim);
         }
+    }
+
+    /// Every entry in the order the LRU cap would evict them: least
+    /// recently used first, ties broken by key.
+    #[cfg(test)]
+    fn eviction_order(&self) -> Vec<(u64, StoreKey)> {
+        let inner = self.inner.lock();
+        let mut order: Vec<(u64, StoreKey)> = inner
+            .machines
+            .values()
+            .flat_map(|m| m.lru.iter().cloned())
+            .collect();
+        order.sort();
+        order
     }
 
     /// Serializes the store to versioned JSON. Entries are key-sorted, so
@@ -687,6 +741,34 @@ mod tests {
     }
 
     #[test]
+    fn generation_moves_with_contents_not_recency() {
+        let store = ProfileStore::with_capacity(2);
+        let sig = MachineSignature(4);
+        let g0 = store.generation();
+        store.insert_many(sig, &[profile(OpKind::MatMul, &[8])]);
+        let g1 = store.generation();
+        assert_ne!(g0, g1, "an insert changes the contents");
+        let matmul = (OpKind::MatMul, Shape(vec![8]));
+        store.lookup(sig, std::slice::from_ref(&matmul));
+        store.publish(sig, std::slice::from_ref(&matmul), &[]);
+        assert_eq!(store.generation(), g1, "stamps leave the contents alone");
+        store.insert_many(sig, &[profile(OpKind::MatMul, &[8])]);
+        assert_ne!(store.generation(), g1, "an overwrite counts");
+        let g2 = store.generation();
+        store.insert_many(
+            sig,
+            &[profile(OpKind::Relu, &[8]), profile(OpKind::Add, &[8])],
+        );
+        assert_eq!(store.stats().evictions, 1);
+        let g3 = store.generation();
+        assert!(g3 > g2);
+        store.corrupt_deterministic(1, 0.0);
+        assert_eq!(store.generation(), g3, "dropping nothing changes nothing");
+        store.corrupt_deterministic(1, 1.0);
+        assert!(store.generation() > g3, "dropped entries count");
+    }
+
+    #[test]
     fn corruption_is_deterministic_and_bounded() {
         let build = || {
             let store = ProfileStore::new();
@@ -943,6 +1025,101 @@ mod tests {
                     let sig = MachineSignature(sig);
                     prop_assert_eq!(store.machine_bytes(sig), model.machine_bytes(sig));
                 }
+            }
+        }
+
+        #[test]
+        fn publish_matches_insert_many_of_warm_and_fresh(
+            capacity in 1usize..7,
+            quota in proptest::sample::select(vec![u64::MAX, 60, 150, 300]),
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let delta = ProfileStore::with_limits(capacity, quota);
+            let whole = ProfileStore::with_limits(capacity, quota);
+            for (op, machine, keys, seed) in ops {
+                let m = MachineSignature(machine);
+                let mut profiles = profiles_of(&keys);
+                profiles.sort_by_key(KeyProfile::key);
+                profiles.dedup_by_key(|p| p.key());
+                let keys: Vec<OpKey> = profiles.iter().map(KeyProfile::key).collect();
+                match op {
+                    // A placement: look the keys up, fit the missing ones,
+                    // publish.
+                    0 | 1 => {
+                        let warm = delta.lookup(m, &keys);
+                        prop_assert_eq!(&warm, &whole.lookup(m, &keys));
+                        let touched: Vec<OpKey> = warm.iter().map(KeyProfile::key).collect();
+                        let fresh: Vec<KeyProfile> = profiles
+                            .into_iter()
+                            .filter(|p| touched.binary_search(&p.key()).is_err())
+                            .collect();
+                        delta.publish(m, &touched, &fresh);
+                        let mut all = warm;
+                        all.extend(fresh);
+                        whole.insert_many(m, &all);
+                    }
+                    2 => {
+                        prop_assert_eq!(delta.lookup(m, &keys), whole.lookup(m, &keys));
+                    }
+                    _ => {
+                        let fraction = (seed % 5) as f64 / 4.0;
+                        delta.corrupt_deterministic(seed, fraction);
+                        whole.corrupt_deterministic(seed, fraction);
+                    }
+                }
+                prop_assert_eq!(delta.snapshot(), whole.snapshot());
+                prop_assert_eq!(delta.stats(), whole.stats());
+                prop_assert_eq!(delta.total_bytes(), whole.total_bytes());
+                prop_assert_eq!(delta.eviction_order(), whole.eviction_order());
+            }
+        }
+
+        #[test]
+        fn unchanged_generation_means_unchanged_snapshot(
+            capacity in 1usize..7,
+            quota in proptest::sample::select(vec![u64::MAX, 60, 150, 300]),
+            ops in proptest::collection::vec((0u8..6, 1u64..4, proptest::collection::vec((0usize..3, 1usize..4, 1usize..4), 0..5), 0u64..64), 1..40),
+        ) {
+            let store = ProfileStore::with_limits(capacity, quota);
+            let mut generation = store.generation();
+            let mut snapshot = store.snapshot();
+            for (op, machine, keys, seed) in ops {
+                let m = MachineSignature(machine);
+                let profiles = profiles_of(&keys);
+                let keys: Vec<OpKey> = profiles.iter().map(KeyProfile::key).collect();
+                match op {
+                    0 => store.insert_many(m, &profiles),
+                    1 => {
+                        let warm = store.lookup(m, &keys);
+                        let touched: Vec<OpKey> = warm.iter().map(KeyProfile::key).collect();
+                        let fresh: Vec<KeyProfile> = profiles
+                            .into_iter()
+                            .filter(|p| !touched.contains(&p.key()))
+                            .collect();
+                        store.publish(m, &touched, &fresh);
+                    }
+                    2 => {
+                        store.lookup(m, &keys);
+                    }
+                    3 => {
+                        // Keys only: a touch-only publication.
+                        store.publish(m, &keys, &[]);
+                    }
+                    4 => {
+                        let other = ProfileStore::with_capacity(usize::MAX);
+                        other.insert_many(m, &profiles);
+                        store.restore(&other.snapshot()).expect("valid snapshot");
+                    }
+                    _ => {
+                        store.corrupt_deterministic(seed, (seed % 5) as f64 / 4.0);
+                    }
+                }
+                let now = store.snapshot();
+                if store.generation() == generation {
+                    prop_assert_eq!(&now, &snapshot);
+                }
+                generation = store.generation();
+                snapshot = now;
             }
         }
     }

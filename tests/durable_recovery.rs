@@ -140,14 +140,22 @@ fn recovery_succeeds_at_every_journal_record_boundary() {
             .unwrap_or_else(|e| panic!("crash point {i} (offset {cut}): recovery failed: {e}"));
 
         // Zero lost keys: the recovered store must hold exactly the
-        // snapshot plus every journaled store_insert delta in the prefix.
+        // snapshot plus every journaled store delta in the prefix.
         let expected_store = ProfileStore::new();
         expected_store
             .restore(&initial_snapshot)
             .expect("initial snapshot restores");
         for record in &replay(prefix).records {
-            if let JournalRecord::StoreInsert { machine, profiles } = record {
-                expected_store.insert_many(*machine, profiles);
+            match record {
+                JournalRecord::StoreInsert { machine, profiles } => {
+                    expected_store.insert_many(*machine, profiles);
+                }
+                JournalRecord::StorePublish {
+                    machine,
+                    touched,
+                    profiles,
+                } => expected_store.publish(*machine, touched, profiles),
+                _ => {}
             }
         }
         assert_eq!(
@@ -213,6 +221,109 @@ fn recovery_succeeds_at_every_journal_record_boundary() {
     );
     assert!(fleet.run().jobs.is_empty(), "nothing is left to re-run");
     std::fs::remove_dir_all(&full_dir).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn warm_placements_journal_touched_keys_not_curves() {
+    let dir = tmpdir("warm-delta");
+    let mut fleet = Fleet::new(config_with(Some(dir.clone())));
+    let keys_of = |model: &str| {
+        let batch = model.trim_start_matches("dcgan").parse().expect("batch");
+        OpCatalog::new(&dcgan(batch).graph).keys().to_vec()
+    };
+    for (i, batch) in [4, 8, 4, 8, 4, 8].into_iter().enumerate() {
+        fleet
+            .submit(JobSpec {
+                name: format!("dcgan{batch}-{i}"),
+                model: format!("dcgan{batch}"),
+                graph: dcgan(batch).graph,
+                steps: 2,
+                priority: 0,
+                weight: 1.0,
+            })
+            .expect("queue sized for the workload");
+    }
+    // No periodic cut: the journal still holds every placement's record.
+    while fleet.tick() {}
+    let log = replay(&std::fs::read(dir.join(JOURNAL_FILE)).expect("journal exists"));
+    let mut model_of = std::collections::HashMap::new();
+    let mut placed = None;
+    let mut seen = BTreeSet::new();
+    let mut publications = 0;
+    for record in &log.records {
+        match record {
+            JournalRecord::Admit { id, model, .. } => {
+                model_of.insert(*id, model.clone());
+            }
+            JournalRecord::Place { id, .. } => placed = Some(*id),
+            JournalRecord::StoreInsert { profiles, .. }
+            | JournalRecord::StorePublish { profiles, .. } => {
+                let id = placed.take().expect("a store record follows its placement");
+                let model = &model_of[&id];
+                if !seen.insert(model.clone()) {
+                    assert!(
+                        profiles.is_empty(),
+                        "job {id}: a repeat {model} job journaled {} curves",
+                        profiles.len()
+                    );
+                    let JournalRecord::StorePublish { touched, .. } = record else {
+                        panic!("job {id}: a warm placement names its touched keys");
+                    };
+                    assert_eq!(touched, &keys_of(model), "every key was served warm");
+                }
+                publications += 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(publications, 6, "one store record per placement");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[cfg(unix)]
+#[test]
+fn a_cut_over_unchanged_contents_keeps_the_snapshot_file() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = tmpdir("kept-snapshot");
+    let inode = || {
+        std::fs::metadata(dir.join(SNAPSHOT_FILE))
+            .expect("snapshot exists")
+            .ino()
+    };
+    let mut fleet = Fleet::new(config_with(Some(dir.clone())));
+    let at_setup = inode();
+    submit_workload(&mut fleet, 2);
+    fleet.run();
+    let written = inode();
+    assert_ne!(at_setup, written, "new curves rewrite the snapshot");
+    let text = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).expect("snapshot reads");
+
+    // A second batch of the same model is served warm: its final cut
+    // reuses the snapshot file instead of rewriting it.
+    submit_workload(&mut fleet, 2);
+    fleet.run();
+    assert_eq!(
+        inode(),
+        written,
+        "an unchanged store keeps its snapshot file"
+    );
+    let kept = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).expect("snapshot reads");
+    assert_eq!(kept, text);
+    assert_eq!(
+        kept,
+        fleet.store().snapshot(),
+        "the kept snapshot is current"
+    );
+
+    let (recovered, recovery) =
+        Fleet::recover(config_with(Some(dir.clone()))).expect("the cut recovers");
+    assert_eq!(recovery.keys_restored, fleet.store().len());
+    assert_eq!(
+        recovered.store().snapshot(),
+        fleet.store().snapshot(),
+        "every key is restored"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
