@@ -151,6 +151,15 @@ done
 ./target/release/nnrt submit "$addr" lstm 8 --steps 3 --priority 0 --weight 4 --name lstm-3 > /dev/null
 ./target/release/nnrt submit "$addr" transformer 4 --steps 3 --priority 1 --weight 1 --name transformer-4 > /dev/null
 ./target/release/nnrt submit "$addr" resnet50 16 --steps 3 --priority 2 --weight 2 --name resnet50-5 > /dev/null
+# The server answers from one reactor thread: a serving process holds the
+# main thread and that one, so a second serving thread cannot come back
+# unnoticed. Checked where /proc exists.
+if [ -r "/proc/$rpc_hold_pid/status" ]; then
+  threads="$(sed -n 's/^Threads:[[:space:]]*//p' "/proc/$rpc_hold_pid/status")"
+  [ "$threads" = 2 ] \
+    || { echo "rpc server runs $threads threads, want 2 (main + reactor)" >&2; exit 1; }
+  echo "rpc server runs 2 threads (main + reactor)"
+fi
 ./target/release/nnrt shutdown "$addr" --json > "$tmpdir/rpc-hold-report.json"
 wait "$rpc_hold_pid" || { echo "rpc hold server exited non-zero" >&2; exit 1; }
 cmp "$tmpdir/profile-1w.json" "$tmpdir/rpc-hold-report.json" \

@@ -14,8 +14,8 @@
 //! exactly as a real client herd should.
 //!
 //! Sweeps run against a fresh in-process server (on-shutdown drain: the
-//! measurement isolates the RPC path — framing, the poller, the bounded
-//! inbox, admission — from simulated execution). `--addr HOST:PORT`
+//! measurement isolates the RPC path — framing, the poller, request
+//! handling, admission — from simulated execution). `--addr HOST:PORT`
 //! switches to an external server, which is how `ci.sh` smokes the
 //! release binary.
 //!
@@ -381,11 +381,9 @@ fn sweep(addr: SocketAddr, n: usize, pipeline: usize, warmup: f64, duration: f64
 
 /// A fresh in-process server sized for an `n`-connection sweep. On-shutdown
 /// drain: submissions only queue during the measurement, so the sweep
-/// isolates the RPC path (framing, poller, inbox, admission) from simulated
-/// execution. The inbox scales with the offered load (`n × pipeline`,
-/// floored at the default 1024) — bounded, but not starved, so `Saturated`
-/// bounces mark genuine transients rather than a misconfigured server.
-fn bind_server(n: usize, pipeline: usize) -> FleetServer {
+/// isolates the RPC path (framing, poller, request handling, admission)
+/// from simulated execution.
+fn bind_server(n: usize) -> FleetServer {
     FleetServer::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -396,7 +394,6 @@ fn bind_server(n: usize, pipeline: usize) -> FleetServer {
                 ..FleetConfig::default()
             },
             drain: DrainPolicy::OnShutdown,
-            inbox_capacity: (n * pipeline).max(1024),
             max_connections: n + 16,
             ..ServerConfig::default()
         },
@@ -433,7 +430,7 @@ fn main() {
                 (None, addr)
             }
             None => {
-                let server = bind_server(n, args.pipeline);
+                let server = bind_server(n);
                 let addr = server.local_addr();
                 (Some(server), addr)
             }
@@ -495,8 +492,8 @@ fn main() {
                 "the fleet counts {admitted} admissions but clients saw {}",
                 result.ok
             );
-            // Leak the server rather than drain it: its threads idle at a
-            // 10ms poll until the process exits.
+            // Leak the server rather than drain it: its reactor idles in
+            // the poller until the process exits.
             std::mem::forget(server);
         }
     }
@@ -525,8 +522,8 @@ fn main() {
              Sweeps use a fresh in-process server that holds all queued work \
              (on-shutdown drain policy), so the numbers isolate the RPC path; a \
              post-sweep metrics scrape cross-checks that the fleet counts every \
-             admission the clients observed. Single-core host: generator, event \
-             loop, and service thread share one CPU, so absolute rates are \
+             admission the clients observed. The generator and the server's one \
+             reactor thread share the host's cores, so absolute rates are \
              conservative and run-to-run variance is real.",
         );
         record.write();

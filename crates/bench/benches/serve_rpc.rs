@@ -148,9 +148,9 @@ fn main() {
     record.notes(
         "Reports from the two paths compare byte-identical (asserted above), \
          so the socket adds wall-clock per request but zero simulated time: \
-         frame encode/decode + a loopback TCP round trip + one bounded-inbox \
-         hop to the service thread. Overhead is microseconds per job against \
-         graph-build and admission costs in the same path.",
+         frame encode/decode and a loopback TCP round trip, with the request \
+         handled on the thread that read it. Overhead is microseconds per job \
+         against graph-build and admission costs in the same path.",
     );
     record.write();
 }

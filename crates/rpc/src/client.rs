@@ -29,7 +29,7 @@ pub struct ClientConfig {
     /// TCP connect deadline.
     pub connect_timeout: Duration,
     /// Per-response read deadline (submissions can trigger a cold profile
-    /// on the service thread, so this is generous by default).
+    /// on the server, so this is generous by default).
     pub read_timeout: Duration,
 }
 

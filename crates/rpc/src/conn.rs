@@ -1,39 +1,36 @@
-//! Per-connection state machine for the event-loop server.
+//! Per-connection state machine for the reactor.
 //!
 //! One [`Connection`] owns a nonblocking socket and moves bytes through
-//! four stages, each driven by readiness rather than by a blocked thread:
+//! three stages, each driven by readiness rather than by a blocked thread:
 //!
 //! ```text
-//! readable ─▶ rbuf accumulate ─▶ frame parse ─▶ pending slots ─▶ wbuf drain
-//!             (on_readable)      (parse_frames)  (fill, in seq    (flush, on
-//!                                                 order)           writable)
+//! readable ─▶ rbuf accumulate ─▶ frame parse + handle ─▶ wbuf drain
+//!             (on_readable)      (parse_frames)          (flush, on writable)
 //! ```
 //!
 //! **Pipelining.** A client may send many frames without awaiting
-//! responses. Each parsed request claims a *slot* in an ordered queue; a
-//! slot is either filled immediately at the edge (inbox saturation, decode
-//! errors) or later by the service thread's reply. [`Connection::flush`]
-//! only serializes filled slots from the *front* of the queue, so responses
-//! always leave in request order no matter what order answers arrive in.
+//! responses. [`Connection::parse_frames`] hands each decoded request to the
+//! reactor's handler and appends the answer to the outbox at once, so
+//! responses leave in request order by construction. One call handles at
+//! most a budget of frames (the server's pipeline depth); frames beyond it
+//! stay buffered, the connection reports [`Connection::has_backlog`] and
+//! stops asking to read, and the reactor revisits it on its next turn.
 //!
 //! **Backpressure watermarks.** The outbound buffer has a high-water mark:
-//! once a slow reader lets it grow past [`HIGH_WATER`], the connection's
-//! desired interest drops `READABLE` (the poller stops reporting its bytes,
-//! TCP flow control pushes back on the client) until the outbox drains
-//! below [`LOW_WATER`]. The pending-slot queue is bounded by the server's
-//! pipeline depth the same way: at capacity, reading pauses until a slot
-//! frees.
+//! once a slow reader lets it grow past [`HIGH_WATER`], parsing stops and
+//! the connection's desired interest drops `READABLE` (the poller stops
+//! reporting its bytes, TCP flow control pushes back on the client) until
+//! the outbox drains below [`LOW_WATER`].
 
 use crate::protocol::{
     decode, encode, frame_bytes, frame_from_buf, ErrorFrame, ErrorKind, FrameError, Request,
     Response,
 };
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
-/// Outbox bytes above which a connection stops reading new requests.
+/// Outbox bytes at which a connection stops parsing and reading requests.
 pub(crate) const HIGH_WATER: usize = 256 * 1024;
 
 /// Outbox bytes below which a read-paused connection resumes reading.
@@ -45,27 +42,11 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Soft cap on the unparsed inbound buffer: one maximum frame plus its
 /// header always fits, so a compliant client can never deadlock, but a
 /// firehose of tiny frames cannot grow the buffer without bound while the
-/// pipeline-depth gate holds parsing back.
+/// per-turn budget holds parsing back.
 const RBUF_CAP: usize = crate::protocol::MAX_FRAME_LEN as usize + 5;
 
-/// One in-flight request: parsed, awaiting (or holding) its response.
-struct Slot {
-    /// Per-connection arrival index; replies route back by `(conn, seq)`.
-    seq: u64,
-    /// `None` until the service thread answers; edge rejections are born
-    /// filled.
-    response: Option<Response>,
-    /// This slot's request was a `Shutdown` handed to the service thread:
-    /// filling it also begins closing the connection (the `Bye` is the last
-    /// frame the client gets).
-    bye: bool,
-}
-
-/// One client connection owned by the event loop.
+/// One client connection owned by the reactor.
 pub(crate) struct Connection {
-    /// Server-lifetime-unique id; never reused, unlike slab slots, so a
-    /// late reply for a closed connection can never reach a new one.
-    pub id: u64,
     /// The nonblocking socket.
     pub stream: TcpStream,
     /// Whether this connection holds a slot under `max_connections`
@@ -81,8 +62,6 @@ pub(crate) struct Connection {
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     wpos: usize,
-    pending: VecDeque<Slot>,
-    next_seq: u64,
     close_after_flush: bool,
     peer_closed: bool,
     broken: bool,
@@ -91,11 +70,10 @@ pub(crate) struct Connection {
 
 impl Connection {
     /// Wraps an accepted socket: nonblocking, Nagle off.
-    pub fn new(id: u64, stream: TcpStream, counted: bool) -> io::Result<Connection> {
+    pub fn new(stream: TcpStream, counted: bool) -> io::Result<Connection> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         Ok(Connection {
-            id,
             stream,
             counted,
             last_activity: Instant::now(),
@@ -103,8 +81,6 @@ impl Connection {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            pending: VecDeque::new(),
-            next_seq: 0,
             close_after_flush: false,
             peer_closed: false,
             broken: false,
@@ -112,16 +88,11 @@ impl Connection {
         })
     }
 
-    /// A cap-bounced connection: it carries exactly one pre-filled response
-    /// frame (the typed `Saturated` refusal) and closes once it drains.
-    pub fn reject(id: u64, stream: TcpStream, response: Response) -> io::Result<Connection> {
-        let mut conn = Connection::new(id, stream, false)?;
-        conn.pending.push_back(Slot {
-            seq: 0,
-            response: Some(response),
-            bye: false,
-        });
-        conn.next_seq = 1;
+    /// A cap-bounced connection: it carries exactly one response frame (the
+    /// typed `Saturated` refusal) and closes once it drains.
+    pub fn reject(stream: TcpStream, response: Response) -> io::Result<Connection> {
+        let mut conn = Connection::new(stream, false)?;
+        conn.push(&response);
         conn.close_after_flush = true;
         Ok(conn)
     }
@@ -153,15 +124,11 @@ impl Connection {
         }
     }
 
-    /// Parses complete frames off the front of the inbound buffer — at most
-    /// up to `depth` in-flight slots — and claims a response slot for each.
-    ///
-    /// `sink` receives `(conn_id, seq, request)` for every well-formed
-    /// request and decides where it goes: `None` means it was enqueued for
-    /// the service thread (the slot fills later via [`Connection::fill`]);
-    /// `Some(response)` is an edge answer (inbox saturation, shutdown) that
-    /// fills the slot immediately — still delivered in request order, since
-    /// only front-filled slots flush.
+    /// Parses up to `budget` complete frames off the front of the inbound
+    /// buffer, answers each well-formed request through `handle`, and
+    /// appends every answer to the outbox in request order. Parsing stops
+    /// early once the outbox reaches [`HIGH_WATER`]. A `Bye` answer is the
+    /// last frame the client gets: the connection closes once it drains.
     ///
     /// Malformed payloads inside an intact frame answer `BadRequest` and
     /// the connection lives on (length-prefixed framing stays synchronized);
@@ -171,106 +138,71 @@ impl Connection {
     /// Returns the number of frames consumed.
     pub fn parse_frames(
         &mut self,
-        depth: usize,
-        sink: &mut dyn FnMut(u64, u64, Request) -> Option<Response>,
+        budget: usize,
+        mut handle: impl FnMut(Request) -> Response,
     ) -> usize {
         let mut parsed = 0;
-        while !self.close_after_flush && !self.broken && self.pending.len() < depth {
-            match frame_from_buf(&self.rbuf) {
+        let mut start = 0;
+        while parsed < budget && self.can_parse() {
+            match frame_from_buf(&self.rbuf[start..]) {
                 Ok(None) => break,
                 Ok(Some((payload, consumed))) => {
-                    self.rbuf.drain(..consumed);
+                    start += consumed;
                     parsed += 1;
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    match decode::<Request>(&payload) {
-                        Ok(request) => {
-                            let shutdown = matches!(request, Request::Shutdown);
-                            let response = sink(self.id, seq, request);
-                            let bye = shutdown && response.is_none();
-                            self.pending.push_back(Slot { seq, response, bye });
-                        }
-                        Err(e) => self.pending.push_back(Slot {
-                            seq,
-                            response: Some(Response::Error(ErrorFrame {
-                                kind: ErrorKind::BadRequest,
-                                message: e.to_string(),
-                                retry_after_secs: None,
-                            })),
-                            bye: false,
+                    let response = match decode::<Request>(&payload) {
+                        Ok(request) => handle(request),
+                        Err(e) => Response::Error(ErrorFrame {
+                            kind: ErrorKind::BadRequest,
+                            message: e.to_string(),
+                            retry_after_secs: None,
                         }),
+                    };
+                    if matches!(response, Response::Bye { .. }) {
+                        self.close_after_flush = true;
                     }
+                    self.push(&response);
                 }
                 Err(e) => {
                     let kind = match &e {
                         FrameError::Version(_) => ErrorKind::VersionMismatch,
                         _ => ErrorKind::BadRequest,
                     };
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.pending.push_back(Slot {
-                        seq,
-                        response: Some(Response::Error(ErrorFrame {
-                            kind,
-                            message: e.to_string(),
-                            retry_after_secs: None,
-                        })),
-                        bye: false,
-                    });
+                    self.push(&Response::Error(ErrorFrame {
+                        kind,
+                        message: e.to_string(),
+                        retry_after_secs: None,
+                    }));
                     self.rbuf.clear();
                     self.close_after_flush = true;
-                    break;
+                    return parsed;
                 }
             }
         }
+        // One shift per call, not one per frame.
+        self.rbuf.drain(..start);
         parsed
     }
 
-    /// Routes one service reply into its slot. Replies for slots this
-    /// connection no longer holds (it never happens under the routing
-    /// contract, but a defensive server drops rather than panics) are
-    /// ignored.
-    pub fn fill(&mut self, seq: u64, response: Response) {
-        if let Some(slot) = self
-            .pending
-            .iter_mut()
-            .find(|s| s.seq == seq && s.response.is_none())
-        {
-            if slot.bye {
-                self.close_after_flush = true;
-            }
-            slot.response = Some(response);
-        }
+    /// Whether parsing may continue: not closing, and the outbox below
+    /// [`HIGH_WATER`].
+    fn can_parse(&self) -> bool {
+        !self.close_after_flush && !self.broken && self.outbox_bytes() < HIGH_WATER
     }
 
-    /// Fills every still-unanswered slot with `response` — the shutdown
-    /// drain's "the service thread is gone" path.
-    pub fn fill_all_unanswered(&mut self, response: &Response) {
-        for slot in self.pending.iter_mut() {
-            if slot.response.is_none() {
-                slot.response = Some(response.clone());
-            }
-        }
+    /// Whether a complete frame waits in the inbound buffer and may be
+    /// parsed now. The poller only reports bytes still in the socket, so
+    /// the reactor must revisit such a connection itself.
+    pub fn has_backlog(&self) -> bool {
+        self.can_parse() && self.has_buffered_frames()
     }
 
-    /// Whether any slot is still waiting on the service thread — such a
-    /// connection is *not* idle, however long its socket has been silent.
-    pub fn awaiting_service(&self) -> bool {
-        self.pending.iter().any(|s| s.response.is_none())
+    /// Serializes one response into the outbox.
+    fn push(&mut self, response: &Response) {
+        self.wbuf.extend_from_slice(&frame_bytes(&encode(response)));
     }
 
-    /// Serializes every answered front slot into the outbox and drains as
-    /// much of it as the socket accepts without blocking.
+    /// Drains as much of the outbox as the socket accepts without blocking.
     pub fn flush(&mut self) {
-        while let Some(front) = self.pending.front() {
-            if front.response.is_none() {
-                break;
-            }
-            let slot = self.pending.pop_front().expect("front exists");
-            let response = slot.response.expect("front is answered");
-            self.wbuf
-                .extend_from_slice(&frame_bytes(&encode(&response)));
-        }
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
@@ -306,10 +238,10 @@ impl Connection {
 
     /// The interest bits this connection wants from the poller right now:
     /// `WRITABLE` while the outbox holds bytes; `READABLE` unless closing,
-    /// at pipeline capacity, or read-paused by the outbox watermark (pause
-    /// at [`HIGH_WATER`], resume at [`LOW_WATER`] — hysteresis, so a
+    /// holding unparsed frames, or read-paused by the outbox watermark
+    /// (pause at [`HIGH_WATER`], resume at [`LOW_WATER`] — hysteresis, so a
     /// hovering outbox doesn't flap interest every frame).
-    pub fn desired_interest(&mut self, depth: usize) -> u8 {
+    pub fn desired_interest(&mut self) -> u8 {
         let out = self.outbox_bytes();
         if out >= HIGH_WATER {
             self.read_paused = true;
@@ -321,7 +253,7 @@ impl Connection {
             interest |= crate::poll::WRITABLE;
         }
         let closing = self.close_after_flush || self.peer_closed || self.broken;
-        if !closing && !self.read_paused && self.pending.len() < depth {
+        if !closing && !self.read_paused && !self.has_buffered_frames() {
             interest |= crate::poll::READABLE;
         }
         interest
@@ -333,13 +265,12 @@ impl Connection {
         self.close_after_flush = true;
     }
 
-    /// Whether the event loop should drop this connection now: the socket
+    /// Whether the reactor should drop this connection now: the socket
     /// broke, or it is closing (client EOF or server-initiated) with no
     /// response left to deliver.
     pub fn should_close(&self) -> bool {
         self.broken
             || ((self.close_after_flush || self.peer_closed)
-                && self.pending.is_empty()
                 && self.outbox_bytes() == 0
                 && (self.close_after_flush || !self.has_buffered_frames()))
     }
@@ -369,115 +300,102 @@ mod tests {
         conn.rbuf.extend_from_slice(&frame_bytes(&encode(req)));
     }
 
-    #[test]
-    fn responses_flush_in_request_order_despite_out_of_order_fills() {
-        let (mut client, server) = pair();
-        let mut conn = Connection::new(1, server, true).unwrap();
-        push_request(&mut conn, &Request::Status { job_id: 10 });
-        push_request(&mut conn, &Request::Status { job_id: 11 });
-        push_request(&mut conn, &Request::ListJobs);
-
-        let mut seen = Vec::new();
-        let parsed = conn.parse_frames(16, &mut |_, seq, req| {
-            seen.push((seq, req.kind()));
-            None
-        });
-        assert_eq!(parsed, 3);
-        assert_eq!(seen, vec![(0, "status"), (1, "status"), (2, "list_jobs")]);
-        assert!(conn.awaiting_service());
-
-        // Answer the middle and last requests first: nothing may flush.
-        conn.fill(1, Response::Submitted { job_id: 11 });
-        conn.fill(2, Response::Jobs(vec![]));
-        conn.flush();
-        assert_eq!(conn.outbox_bytes(), 0, "head-of-line slot gates the flush");
-
-        // Answering the head releases all three, in request order.
-        conn.fill(0, Response::Submitted { job_id: 10 });
-        conn.flush();
-        assert!(!conn.awaiting_service());
+    fn read_responses(client: &mut TcpStream, n: usize) -> Vec<Response> {
         client.set_nonblocking(false).unwrap();
-        let order: Vec<Response> = (0..3)
-            .map(|_| {
-                let payload = read_frame(&mut client).unwrap();
-                decode(&payload).unwrap()
-            })
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                Response::Submitted { job_id: 10 },
-                Response::Submitted { job_id: 11 },
-                Response::Jobs(vec![]),
-            ]
-        );
+        (0..n)
+            .map(|_| decode(&read_frame(client).unwrap()).unwrap())
+            .collect()
     }
 
     #[test]
     fn garbage_payload_answers_bad_request_without_poisoning_the_pipeline() {
-        let (_client, server) = pair();
-        let mut conn = Connection::new(2, server, true).unwrap();
+        let (mut client, server) = pair();
+        let mut conn = Connection::new(server, true).unwrap();
         push_request(&mut conn, &Request::ListJobs);
         conn.rbuf
             .extend_from_slice(&frame_bytes("{\"type\": \"fly\"}"));
         push_request(&mut conn, &Request::ListJobs);
 
         let mut kinds = Vec::new();
-        conn.parse_frames(16, &mut |_, _, req| {
+        let parsed = conn.parse_frames(16, |req| {
             kinds.push(req.kind());
-            Some(Response::Jobs(vec![]))
+            Response::Jobs(vec![])
         });
-        // Both well-formed requests reached the sink; the garbage one got an
-        // edge BadRequest in between and the connection is still open.
+        // Both well-formed requests reached the handler; the garbage one got
+        // a BadRequest in between, in request order, and the connection is
+        // still open.
+        assert_eq!(parsed, 3);
         assert_eq!(kinds, vec!["list_jobs", "list_jobs"]);
+        conn.flush();
         assert!(!conn.should_close());
-        assert_eq!(conn.pending.len(), 3);
-        assert!(conn.pending.iter().all(|s| s.response.is_some()));
+        let responses = read_responses(&mut client, 3);
+        assert_eq!(responses[0], Response::Jobs(vec![]));
+        assert!(matches!(
+            &responses[1],
+            Response::Error(frame) if frame.kind == ErrorKind::BadRequest
+        ));
+        assert_eq!(responses[2], Response::Jobs(vec![]));
     }
 
     #[test]
     fn frame_level_poison_closes_after_one_typed_answer() {
         let (_client, server) = pair();
-        let mut conn = Connection::new(3, server, true).unwrap();
+        let mut conn = Connection::new(server, true).unwrap();
         // A zero length prefix can never resynchronize.
         conn.rbuf.extend_from_slice(&0u32.to_be_bytes());
-        conn.parse_frames(16, &mut |_, _, _| None);
+        conn.parse_frames(16, |_| unreachable!("no request decodes"));
         assert!(conn.close_after_flush);
         conn.flush();
         assert!(conn.should_close());
     }
 
     #[test]
-    fn pipeline_depth_gates_parsing_until_slots_free() {
+    fn the_per_turn_budget_leaves_a_backlog_that_stops_reading() {
         let (_client, server) = pair();
-        let mut conn = Connection::new(4, server, true).unwrap();
+        let mut conn = Connection::new(server, true).unwrap();
         for _ in 0..5 {
             push_request(&mut conn, &Request::ListJobs);
         }
-        assert_eq!(conn.parse_frames(2, &mut |_, _, _| None), 2);
-        assert_eq!(conn.desired_interest(2) & crate::poll::READABLE, 0);
-        conn.fill(0, Response::Jobs(vec![]));
-        conn.fill(1, Response::Jobs(vec![]));
-        conn.flush();
-        // Freed slots admit the buffered remainder.
-        assert_eq!(conn.parse_frames(2, &mut |_, _, _| None), 2);
-        assert_eq!(conn.parse_frames(2, &mut |_, _, _| None), 0);
+        let answer = |_| Response::Jobs(vec![]);
+        assert_eq!(conn.parse_frames(2, answer), 2);
+        // Three frames wait: the reactor must revisit, and reading pauses
+        // until they are handled.
+        assert!(conn.has_backlog());
+        assert_eq!(conn.desired_interest() & crate::poll::READABLE, 0);
+        assert_eq!(conn.parse_frames(2, answer), 2);
+        assert_eq!(conn.parse_frames(2, answer), 1);
+        assert!(!conn.has_backlog());
+        assert_ne!(conn.desired_interest() & crate::poll::READABLE, 0);
+        assert_eq!(conn.parse_frames(2, answer), 0);
+    }
+
+    #[test]
+    fn a_full_outbox_stops_parsing() {
+        let (_client, server) = pair();
+        let mut conn = Connection::new(server, true).unwrap();
+        push_request(&mut conn, &Request::ListJobs);
+        conn.wbuf = vec![0u8; HIGH_WATER];
+        assert!(!conn.has_backlog(), "a full outbox holds the frame back");
+        assert_eq!(conn.parse_frames(16, |_| Response::Jobs(vec![])), 0);
+        conn.wpos = conn.wbuf.len() - LOW_WATER;
+        assert!(conn.has_backlog());
+        assert_eq!(conn.parse_frames(16, |_| Response::Jobs(vec![])), 1);
     }
 
     #[test]
     fn watermark_hysteresis_pauses_and_resumes_reading() {
         let (_client, server) = pair();
-        let mut conn = Connection::new(5, server, true).unwrap();
+        let mut conn = Connection::new(server, true).unwrap();
         // Force an over-high-water outbox without touching the socket.
         conn.wbuf = vec![0u8; HIGH_WATER + 1];
         conn.wpos = 0;
-        assert_eq!(conn.desired_interest(16) & crate::poll::READABLE, 0);
+        assert_eq!(conn.desired_interest() & crate::poll::READABLE, 0);
         // Draining to just under high water is not enough — hysteresis.
         conn.wpos = 2;
-        assert_eq!(conn.desired_interest(16) & crate::poll::READABLE, 0);
+        assert_eq!(conn.desired_interest() & crate::poll::READABLE, 0);
         // Below low water, reading resumes.
         conn.wpos = conn.wbuf.len() - LOW_WATER;
-        assert_ne!(conn.desired_interest(16) & crate::poll::READABLE, 0);
+        assert_ne!(conn.desired_interest() & crate::poll::READABLE, 0);
     }
 
     #[test]
@@ -488,14 +406,12 @@ mod tests {
             message: "cap".to_string(),
             retry_after_secs: Some(0.5),
         });
-        let mut conn = Connection::reject(6, server, refusal.clone()).unwrap();
+        let mut conn = Connection::reject(server, refusal.clone()).unwrap();
         assert!(!conn.counted);
         assert!(!conn.should_close(), "the refusal still has to flush");
         conn.flush();
         assert!(conn.should_close());
         drop(conn);
-        client.set_nonblocking(false).unwrap();
-        let payload = read_frame(&mut client).unwrap();
-        assert_eq!(decode::<Response>(&payload).unwrap(), refusal);
+        assert_eq!(read_responses(&mut client, 1), vec![refusal]);
     }
 }

@@ -6,28 +6,27 @@
 //! Liu et al., IPDPS 2019) from an in-process simulation into a service
 //! external clients submit jobs to over a socket.
 //!
-//! Four layers, all on `std::net` + two threads (no async runtime, works
-//! offline):
+//! Four layers, all on `std::net` and one server thread (no async runtime,
+//! works offline):
 //!
 //! * [`protocol`] — versioned, length-prefixed JSON frames; tagged
 //!   [`Request`]/[`Response`] messages; a typed error taxonomy whose
 //!   `Saturated` frames carry the fleet's concrete `retry_after_secs`
 //!   backpressure hint over the wire.
 //! * [`poll`] — a small vendored readiness poller (epoll on Linux, a
-//!   portable `poll(2)` fallback) plus a self-pipe [`poll::Waker`], so one
-//!   thread can multiplex thousands of nonblocking sockets.
-//! * [`server`] — [`FleetServer`]: an event-loop thread drives every
-//!   connection as a pipelining state machine (read-accumulate → decode
-//!   frames → ordered response slots → write-drain), and a single service
-//!   thread owns the [`nnrt_serve::Fleet`] behind a bounded command inbox.
-//!   Idle ticks drive the fleet through the same event order as
+//!   portable `poll(2)` fallback), so one thread can multiplex thousands of
+//!   nonblocking sockets.
+//! * [`server`] — [`FleetServer`]: one reactor thread owns every socket
+//!   and the [`nnrt_serve::Fleet`]. It drives each connection as a
+//!   pipelining state machine (read-accumulate → decode a bounded number of
+//!   frames per turn → handle each inline → write-drain), and between turns
+//!   ticks the fleet through the same event order as
 //!   [`nnrt_serve::Fleet::run`], so chaos events, checkpoints, and
 //!   determinism survive the move onto the network; a graceful shutdown
 //!   drains the fleet and flushes the final report plus the profile-store
 //!   snapshot. Backpressure is layered: typed `Saturated` frames at the
-//!   admission queue and command inbox, one-frame bounces at the
-//!   connection cap, and outbox high-water marks that pause reading from
-//!   slow consumers.
+//!   admission queue, one-frame bounces at the connection cap, and outbox
+//!   high-water marks that pause parsing and reading for slow consumers.
 //! * [`client`] — [`RpcClient`]: blocking, with connect/read timeouts and
 //!   honor-the-hint submission retry (seeded decorrelated-jitter backoff
 //!   capped at the server's `retry_after_secs`, so a thousand bounced
@@ -59,5 +58,5 @@ pub use protocol::{
 };
 pub use server::{
     DrainPolicy, FleetServer, ServerConfig, CONNECTION_RETRY_SECS, DEFAULT_IDLE_TIMEOUT,
-    DEFAULT_MAX_CONNECTIONS, DEFAULT_PIPELINE_DEPTH, INBOX_RETRY_SECS,
+    DEFAULT_MAX_CONNECTIONS, DEFAULT_PIPELINE_DEPTH,
 };

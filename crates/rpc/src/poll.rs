@@ -1,13 +1,13 @@
 //! A small vendored readiness poller: epoll on Linux, `poll(2)` elsewhere.
 //!
-//! This is the kernel-facing quarter of the event-loop server — the piece
-//! that multiplexes thousands of nonblocking sockets onto one thread, the
-//! same scheduling discipline the paper applies to operators (many ready
-//! units, few execution resources). It is deliberately tiny: level-triggered
-//! readiness only, `usize` tokens, no timers, no ownership of the file
-//! descriptors it watches. The container pins no external crates, so the
-//! syscalls are declared directly against the platform libc that every Rust
-//! binary already links.
+//! This is the kernel-facing part of the RPC server's reactor — the piece
+//! that multiplexes thousands of nonblocking sockets onto its one thread,
+//! the same scheduling discipline the paper applies to operators (many
+//! ready units, few execution resources). It is deliberately tiny:
+//! level-triggered readiness only, `usize` tokens, no timers, no ownership
+//! of the file descriptors it watches. The workspace vendors no `libc`
+//! crate, so the syscalls are declared directly against the platform libc
+//! that every Rust binary already links.
 //!
 //! Two backends behind one [`Poller`] type:
 //!
@@ -16,16 +16,10 @@
 //! * **`poll(2)`** (any Unix, and the explicit [`Poller::portable`]
 //!   constructor): O(watched) per wait, standards-portable, and the fallback
 //!   if `epoll_create1` is unavailable at runtime.
-//!
-//! [`Waker`] is the cross-thread doorbell: a nonblocking self-pipe whose
-//! read end sits in the poller's interest set, so a thread that finishes
-//! work off-loop (the fleet service thread answering a request) can knock
-//! the poller out of its wait.
 
 use std::io;
-use std::os::raw::{c_int, c_short, c_ulong, c_void};
+use std::os::raw::{c_int, c_short, c_ulong};
 use std::os::unix::io::RawFd;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Interest bit: wake when the fd has bytes to read (or EOF / error).
@@ -69,19 +63,10 @@ const POLLNVAL: c_short = 0x020;
 
 const EINTR: i32 = 4;
 
-const F_SETFL: c_int = 4;
-#[cfg(target_os = "linux")]
-const O_NONBLOCK: c_int = 0o4000;
-#[cfg(not(target_os = "linux"))]
-const O_NONBLOCK: c_int = 0x0004;
-
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-    fn pipe(fds: *mut c_int) -> c_int;
-    fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
+    #[cfg(target_os = "linux")]
     fn close(fd: c_int) -> c_int;
-    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
 }
 
 #[cfg(target_os = "linux")]
@@ -338,7 +323,7 @@ enum Backend {
 /// A level-triggered readiness poller over raw fds and `usize` tokens.
 ///
 /// The poller never owns the fds it watches — callers keep their
-/// `TcpListener`/`TcpStream`/pipe handles alive and deregister before
+/// `TcpListener`/`TcpStream` handles alive and deregister before
 /// closing. Registering the same fd twice is an error; use
 /// [`Poller::reregister`] to change interest.
 pub struct Poller {
@@ -419,152 +404,15 @@ impl Poller {
     }
 }
 
-// --- the cross-thread doorbell ---------------------------------------------
-
-#[derive(Debug)]
-struct WakerFds {
-    read_fd: RawFd,
-    write_fd: RawFd,
-}
-
-impl Drop for WakerFds {
-    fn drop(&mut self) {
-        unsafe {
-            close(self.read_fd);
-            close(self.write_fd);
-        }
-    }
-}
-
-/// A nonblocking self-pipe that knocks a [`Poller`] out of its wait from
-/// another thread. Register [`Waker::read_fd`] with [`READABLE`] interest;
-/// any clone's [`Waker::wake`] then makes the poller return, and the loop
-/// calls [`Waker::drain`] to reset it. Wakes coalesce: the pipe holds at
-/// most a buffer's worth of doorbell bytes and `wake` ignores a full pipe,
-/// so a burst of wakes costs one wakeup.
-#[derive(Debug, Clone)]
-pub struct Waker {
-    inner: Arc<WakerFds>,
-}
-
-impl Waker {
-    /// A fresh doorbell (one pipe, both ends nonblocking).
-    pub fn new() -> io::Result<Waker> {
-        let mut fds = [0 as c_int; 2];
-        if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        for fd in fds {
-            if unsafe { fcntl(fd, F_SETFL, O_NONBLOCK) } < 0 {
-                let e = io::Error::last_os_error();
-                unsafe {
-                    close(fds[0]);
-                    close(fds[1]);
-                }
-                return Err(e);
-            }
-        }
-        Ok(Waker {
-            inner: Arc::new(WakerFds {
-                read_fd: fds[0],
-                write_fd: fds[1],
-            }),
-        })
-    }
-
-    /// The end to register in the poller ([`READABLE`]).
-    pub fn read_fd(&self) -> RawFd {
-        self.inner.read_fd
-    }
-
-    /// Rings the doorbell. Never blocks; a full pipe (doorbell already
-    /// ringing) is success.
-    pub fn wake(&self) {
-        let byte = [1u8];
-        unsafe {
-            write(self.inner.write_fd, byte.as_ptr() as *const c_void, 1);
-        }
-    }
-
-    /// Clears pending doorbell bytes after a wakeup.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 64];
-        loop {
-            let n = unsafe { read(self.inner.read_fd, buf.as_mut_ptr() as *mut c_void, 64) };
-            if n <= 0 {
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
-    use std::time::Instant;
 
     fn pollers() -> Vec<Poller> {
         vec![Poller::new().unwrap(), Poller::portable().unwrap()]
-    }
-
-    #[test]
-    fn waker_wakes_and_coalesces_on_both_backends() {
-        for mut poller in pollers() {
-            let waker = Waker::new().unwrap();
-            poller.register(waker.read_fd(), 7, READABLE).unwrap();
-            let mut events = Vec::new();
-
-            // No wake: the wait times out empty.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{}", poller.backend_name());
-
-            // A burst of wakes coalesces into (at least) one readable event.
-            for _ in 0..100 {
-                waker.wake();
-            }
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 7 && e.readable),
-                "{}: {events:?}",
-                poller.backend_name()
-            );
-            waker.drain();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(
-                events.is_empty(),
-                "{}: drained doorbell must not re-fire (level-triggered)",
-                poller.backend_name()
-            );
-        }
-    }
-
-    #[test]
-    fn waker_crosses_threads() {
-        let mut poller = Poller::new().unwrap();
-        let waker = Waker::new().unwrap();
-        poller.register(waker.read_fd(), 1, READABLE).unwrap();
-        let remote = waker.clone();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            remote.wake();
-        });
-        let mut events = Vec::new();
-        let started = Instant::now();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(10)))
-            .unwrap();
-        handle.join().unwrap();
-        assert!(!events.is_empty());
-        assert!(started.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
 }
 
 /// Tries to parse one complete frame from the front of an accumulation
-/// buffer (the event-loop server's per-connection read buffer).
+/// buffer (the server reactor's per-connection read buffer).
 ///
 /// Returns `Ok(Some((payload, consumed)))` when a full frame is present —
 /// the caller drains `consumed` bytes; `Ok(None)` when the buffer holds
@@ -227,8 +227,8 @@ impl SubmitSpec {
 /// Why the server refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorKind {
-    /// Backpressure: the admission queue (or the server's command inbox) is
-    /// full. The frame carries a positive `retry_after_secs` hint.
+    /// Backpressure: the admission queue (or the server's connection cap)
+    /// is full. The frame carries a positive `retry_after_secs` hint.
     Saturated,
     /// The job has no work (zero steps, or a model with an empty graph).
     EmptyJob,

@@ -1,55 +1,55 @@
-//! The event-loop TCP front-end that owns a [`Fleet`].
+//! The single-threaded TCP front-end that owns a [`Fleet`].
 //!
 //! ```text
-//!  event-loop thread (one, owns every socket)
+//!  reactor thread (one: owns every socket and the Fleet)
 //!  ┌───────────────────────────────────────────────────────────────┐
-//!  │ poller: epoll / poll(2)  ◀── waker pipe ◀──────────────┐      │
-//!  │   ├─ listener readable ─▶ accept → register conn       │      │
-//!  │   └─ conn readable/writable ─▶ per-connection machine  │      │
-//!  │        read-accumulate ▸ decode frames ▸ claim slots   │      │
-//!  │        ▸ flush answered slots in request order         │      │
-//!  └───────────┬───────────────────────────────▲────────────┘      │
-//!              │ bounded command inbox          │ reply channel ───┘
-//!              │ (full ⇒ typed Saturated)       │ (conn, seq, response)
-//!              ▼                                │
-//!  service thread: drain commands ▸ idle-tick the fleet ▸ repeat
+//!  │ poller: epoll / poll(2)                                       │
+//!  │   ├─ listener readable ─▶ accept → register conn              │
+//!  │   └─ conn readable/writable, or frames left from last turn    │
+//!  │        ─▶ per-connection machine: read-accumulate             │
+//!  │           ▸ decode ≤ pipeline_depth frames                    │
+//!  │           ▸ handle each against the Fleet ▸ encode to outbox  │
+//!  │           ▸ write-drain                                       │
+//!  │   then, under DrainPolicy::Eager: one Fleet::tick()           │
+//!  └───────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! One thread owns every socket (the event loop) and one thread owns the
-//! `Fleet` (the service loop) — no locks on either side. The event loop
-//! multiplexes thousands of connections through a readiness poller
-//! ([`crate::poll`]): each connection is a state machine
-//! ([`crate::conn`]) that accumulates bytes, decodes length-prefixed
-//! frames, claims an ordered response slot per request, and write-drains
-//! its outbox when the socket accepts bytes. Requests cross to the service
-//! thread through the same bounded command inbox the threaded server used;
-//! replies come back tagged `(connection, seq)` and a self-pipe waker
-//! knocks the poller out of its wait.
+//! One thread owns every socket and the `Fleet`: a request is decoded,
+//! handled and answered on the thread that read it, with no channel or lock
+//! in between. The reactor multiplexes thousands of connections through a
+//! readiness poller ([`crate::poll`]); each connection is a state machine
+//! ([`crate::conn`]) that accumulates bytes, decodes length-prefixed frames
+//! and write-drains its outbox when the socket accepts bytes. One turn
+//! handles at most [`ServerConfig::pipeline_depth`] requests per
+//! connection, so one client's burst holds the others off for at most a
+//! turn; a connection that still holds complete frames is revisited on the
+//! next turn without waiting for the poller.
 //!
 //! Connections are *pipelined*: a client may send many frames without
-//! awaiting responses, and responses flush strictly in request order.
-//! Backpressure is typed and layered: a full admission queue or a full
-//! command inbox answers [`ErrorKind::Saturated`] (with a
-//! `retry_after_secs` hint), a connection over [`ServerConfig::max_connections`]
-//! gets one `Saturated` frame and a close, and a connection whose outbox
-//! backs up past the high-water mark simply stops being read until it
-//! drains — TCP flow control carries the stall back to the client.
+//! awaiting responses, and responses leave in request order because each is
+//! written to the outbox as its request is handled. Backpressure is typed
+//! and layered: a full admission queue answers [`ErrorKind::Saturated`]
+//! (with a `retry_after_secs` hint), a connection over
+//! [`ServerConfig::max_connections`] gets one `Saturated` frame and a
+//! close, and a connection whose outbox backs up past the high-water mark
+//! is neither parsed nor read until it drains — TCP flow control carries
+//! the stall back to the client.
 //!
-//! The service loop is unchanged from the threaded server: commands apply
-//! in arrival order, and between commands the fleet advances through
-//! [`Fleet::tick`] — the same event order [`Fleet::run`] uses, which
-//! preserves chaos-event, checkpoint, and report semantics.
-//! [`DrainPolicy::OnShutdown`] holds all queued work until the `Shutdown`
-//! request and then drains through [`Fleet::run`] — so a job mix submitted
-//! over the wire produces a [`FleetReport`] byte-identical to the same mix
-//! pushed through the in-process `Fleet` API. [`DrainPolicy::Eager`] is the
-//! live-service mode: the fleet executes between requests, and status
-//! queries observe jobs mid-flight.
+//! Between turns of I/O the fleet advances through [`Fleet::tick`] — the
+//! same event order [`Fleet::run`] uses, which preserves chaos-event,
+//! checkpoint, and report semantics. [`DrainPolicy::OnShutdown`] holds all
+//! queued work until the `Shutdown` request and then drains through
+//! [`Fleet::run`] — so a job mix submitted over the wire produces a
+//! [`FleetReport`] byte-identical to the same mix pushed through the
+//! in-process `Fleet` API. [`DrainPolicy::Eager`] is the live-service mode:
+//! the reactor runs one tick per turn and polls without blocking while the
+//! fleet has work, so status queries observe jobs mid-flight. No socket is
+//! served while a tick (or a request) runs.
 //!
 //! [`FleetReport`]: nnrt_serve::FleetReport
 
 use crate::conn::Connection;
-use crate::poll::{PollEvent, Poller, Waker, READABLE};
+use crate::poll::{PollEvent, Poller, READABLE};
 use crate::protocol::{ErrorFrame, ErrorKind, Request, Response, SnapshotInfo, SubmitSpec};
 use nnrt_graph::DataflowGraph;
 use nnrt_obs::{Clock, EventKind, Obs};
@@ -59,28 +59,12 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Retry hint carried by inbox-full rejections, seconds. The service loop
-/// drains the inbox every iteration, so this only needs to cover one
-/// scheduling quantum — but it must be positive, like every `Saturated`
-/// hint.
-pub const INBOX_RETRY_SECS: f64 = 0.05;
-
-/// Poll interval of the idle service loop, wall-clock.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-/// Longest the event loop sleeps in the poller before re-checking the stop
-/// flag and housekeeping deadlines, even with no socket activity.
-const EVENT_WAIT_CAP: Duration = Duration::from_millis(500);
-
-/// Cadence of the housekeeping pass (idle sweep + gauge refresh) under
-/// constant socket activity, so a hot loop doesn't walk every connection on
-/// every wakeup.
+/// Cadence of the housekeeping pass (idle sweep + gauge refresh), and so
+/// the longest the reactor sleeps in the poller with nothing to do.
 const HOUSEKEEPING_INTERVAL: Duration = Duration::from_millis(100);
 
 /// How long the shutdown drain keeps flushing outstanding responses (the
@@ -88,24 +72,24 @@ const HOUSEKEEPING_INTERVAL: Duration = Duration::from_millis(100);
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
 
 /// Default cap on concurrently served connections; accepts beyond it bounce
-/// with a typed [`ErrorKind::Saturated`] frame. The event loop spends a few
+/// with a typed [`ErrorKind::Saturated`] frame. The reactor spends a few
 /// hundred bytes per idle connection rather than a thread, so the default
 /// is sized for thousands of clients.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 4096;
 
 /// Default per-connection idle read timeout: a client that holds a
-/// connection open without speaking for this long (and has no response in
-/// flight) is disconnected, freeing its slot.
+/// connection open without moving a byte for this long is disconnected,
+/// freeing its slot.
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Default cap on in-flight pipelined requests per connection; frames
-/// beyond it stay in the kernel's receive queue until a slot frees.
+/// Default cap on the pipelined requests one connection gets handled per
+/// reactor turn; frames beyond it wait for the next turn.
 pub const DEFAULT_PIPELINE_DEPTH: usize = 16;
 
 /// Retry hint carried by connection-cap rejections, seconds.
 pub const CONNECTION_RETRY_SECS: f64 = 0.5;
 
-/// Most `(model, batch)` graphs the service thread caches. The key is
+/// Most `(model, batch)` graphs the server caches. The key is
 /// client-chosen, so past the cap a new key's graph is built for its
 /// submission but not kept.
 const GRAPH_CACHE_CAP: usize = 64;
@@ -113,8 +97,8 @@ const GRAPH_CACHE_CAP: usize = 64;
 /// When the fleet executes queued work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DrainPolicy {
-    /// Live service: the fleet ticks whenever the command inbox is idle, so
-    /// jobs run (and complete, freeing queue capacity) between requests.
+    /// Live service: the reactor runs one [`Fleet::tick`] per turn, so jobs
+    /// run (and complete, freeing queue capacity) between requests.
     #[default]
     Eager,
     /// Batch window: submissions only queue; the whole mix drains through
@@ -131,7 +115,9 @@ pub struct ServerConfig {
     pub fleet: FleetConfig,
     /// When queued work executes.
     pub drain: DrainPolicy,
-    /// Command-inbox depth; requests beyond it bounce with `Saturated`.
+    /// Ignored. Requests are handled on the thread that reads them, so
+    /// there is no command inbox to size; the field remains so existing
+    /// configurations still build.
     pub inbox_capacity: usize,
     /// Where the graceful shutdown writes the profile-store snapshot
     /// (`None` skips persistence).
@@ -139,12 +125,11 @@ pub struct ServerConfig {
     /// Cap on concurrently served connections; accepts beyond it answer one
     /// `Saturated` error frame and close.
     pub max_connections: usize,
-    /// Per-connection idle read timeout: a connection with no socket
-    /// activity and no in-flight request for this long is closed
-    /// (`Duration::ZERO` disables the sweep).
+    /// Per-connection idle read timeout: a connection that moves no byte
+    /// for this long is closed (`Duration::ZERO` disables the sweep).
     pub idle_timeout: Duration,
-    /// Cap on in-flight pipelined requests per connection: further frames
-    /// wait in kernel/userspace buffers until a response slot frees.
+    /// Cap on the requests handled per connection per reactor turn: further
+    /// frames wait in kernel/userspace buffers for the next turn.
     pub pipeline_depth: usize,
 }
 
@@ -162,31 +147,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// One decoded request tagged with the connection and pipeline slot its
-/// response must route back to.
-struct Command {
-    conn: u64,
-    seq: u64,
-    request: Request,
-}
-
-/// The service thread's answer to one command.
-struct Reply {
-    conn: u64,
-    seq: u64,
-    response: Response,
-}
-
-/// The networked fleet service: one event-loop thread multiplexing every
-/// socket through a readiness poller, and one service thread that owns the
-/// [`Fleet`].
+/// The networked fleet service: one reactor thread that multiplexes every
+/// socket through a readiness poller and owns the [`Fleet`].
 pub struct FleetServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    waker: Waker,
-    event_handle: JoinHandle<()>,
-    service_handle: JoinHandle<()>,
-    final_report: Arc<Mutex<Option<String>>>,
+    reactor: JoinHandle<Option<String>>,
 }
 
 impl FleetServer {
@@ -205,76 +170,12 @@ impl FleetServer {
         fleet: Fleet,
         config: ServerConfig,
     ) -> io::Result<FleetServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let final_report = Arc::new(Mutex::new(None));
-        let (inbox, commands) = mpsc::sync_channel(config.inbox_capacity.max(1));
-        let (reply_tx, replies) = mpsc::channel();
-        let waker = Waker::new()?;
-        let obs = fleet.obs();
-
-        let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, READABLE)?;
-        poller.register(waker.read_fd(), TOKEN_WAKER, READABLE)?;
-
-        let service_handle = {
-            let stop = Arc::clone(&stop);
-            let final_report = Arc::clone(&final_report);
-            let waker = waker.clone();
-            let config = config.clone();
-            thread::spawn(move || {
-                ServiceLoop {
-                    fleet,
-                    config,
-                    commands,
-                    replies: reply_tx,
-                    waker,
-                    stop,
-                    final_report,
-                    graphs: HashMap::new(),
-                    epoch: Instant::now(),
-                }
-                .run()
-            })
-        };
-
-        let event_handle = {
-            let stop = Arc::clone(&stop);
-            let waker = waker.clone();
-            thread::spawn(move || {
-                EventLoop {
-                    listener,
-                    poller,
-                    waker,
-                    inbox,
-                    replies,
-                    stop,
-                    obs,
-                    max_connections: config.max_connections.max(1),
-                    idle_timeout: config.idle_timeout,
-                    pipeline_depth: config.pipeline_depth.max(1),
-                    conns: Vec::new(),
-                    free: Vec::new(),
-                    by_id: HashMap::new(),
-                    next_conn_id: 0,
-                    counted_live: 0,
-                    last_conn_gauge: -1.0,
-                    last_outbox_gauge: -1.0,
-                }
-                .run()
-            })
-        };
-
-        Ok(FleetServer {
-            addr,
-            stop,
-            waker,
-            event_handle,
-            service_handle,
-            final_report,
-        })
+        let reactor = Reactor::new(TcpListener::bind(addr)?, fleet, config)?;
+        let addr = reactor.listener.local_addr()?;
+        let reactor = thread::Builder::new()
+            .name("nnrt-rpc".to_string())
+            .spawn(move || reactor.run())?;
+        Ok(FleetServer { addr, reactor })
     }
 
     /// The bound address (with the ephemeral port resolved).
@@ -284,32 +185,25 @@ impl FleetServer {
 
     /// Blocks until a `Shutdown` request stops the server, then returns the
     /// final [`nnrt_serve::FleetReport`] JSON the shutdown flushed (`None`
-    /// only if the service thread died without one).
+    /// only if the reactor stopped without one).
     pub fn join(self) -> Option<String> {
-        let _ = self.service_handle.join();
-        self.stop.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        let _ = self.event_handle.join();
-        self.final_report.lock().expect("report slot").take()
+        self.reactor.join().ok().flatten()
     }
 }
 
 /// Poller token of the TCP listener.
 const TOKEN_LISTENER: usize = 0;
-/// Poller token of the cross-thread waker pipe.
-const TOKEN_WAKER: usize = 1;
 /// Connection slab slot `i` registers under token `i + CONN_TOKEN_BASE`.
-const CONN_TOKEN_BASE: usize = 2;
+const CONN_TOKEN_BASE: usize = 1;
 
-/// The single thread that owns every socket.
-struct EventLoop {
+/// The one thread that owns every socket and the fleet.
+struct Reactor {
+    fleet: Fleet,
+    obs: Arc<Obs>,
+    drain: DrainPolicy,
+    snapshot_path: Option<PathBuf>,
     listener: TcpListener,
     poller: Poller,
-    waker: Waker,
-    inbox: SyncSender<Command>,
-    replies: Receiver<Reply>,
-    stop: Arc<AtomicBool>,
-    obs: Arc<Obs>,
     max_connections: usize,
     idle_timeout: Duration,
     pipeline_depth: usize,
@@ -317,63 +211,103 @@ struct EventLoop {
     /// [`CONN_TOKEN_BASE`]); freed slots are reused via `free`.
     conns: Vec<Option<Connection>>,
     free: Vec<usize>,
-    /// Connection id → slab slot. Ids are never reused, so a reply for a
-    /// connection that died routes nowhere instead of to a slot's new
-    /// tenant.
-    by_id: HashMap<u64, usize>,
-    next_conn_id: u64,
+    /// Slots whose connection still held complete frames after its last
+    /// pump; the next turn serves them without waiting for readiness.
+    backlog: Vec<usize>,
     /// Connections currently holding a `max_connections` slot (cap-bounced
     /// ones don't count).
     counted_live: usize,
     last_conn_gauge: f64,
     last_outbox_gauge: f64,
+    /// `(model, batch)` → built graph, so repeated submissions of one model
+    /// family do not rebuild multi-thousand-op graphs per request. Graph
+    /// clones share one body, so every job admitted from the cache holds
+    /// the cached graph itself, not a copy. Holds at most
+    /// [`GRAPH_CACHE_CAP`] keys.
+    graphs: HashMap<(String, u64), DataflowGraph>,
+    /// Wall-clock origin for RPC event timestamps.
+    epoch: Instant,
+    /// The final report, set by the `Shutdown` request; it ends the loop.
+    report: Option<String>,
 }
 
-impl EventLoop {
-    fn run(mut self) {
+impl Reactor {
+    fn new(listener: TcpListener, fleet: Fleet, config: ServerConfig) -> io::Result<Reactor> {
+        listener.set_nonblocking(true)?;
+        let mut poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, READABLE)?;
+        Ok(Reactor {
+            obs: fleet.obs(),
+            fleet,
+            drain: config.drain,
+            snapshot_path: config.snapshot_path,
+            listener,
+            poller,
+            max_connections: config.max_connections.max(1),
+            idle_timeout: config.idle_timeout,
+            pipeline_depth: config.pipeline_depth.max(1),
+            conns: Vec::new(),
+            free: Vec::new(),
+            backlog: Vec::new(),
+            counted_live: 0,
+            last_conn_gauge: -1.0,
+            last_outbox_gauge: -1.0,
+            graphs: HashMap::new(),
+            epoch: Instant::now(),
+            report: None,
+        })
+    }
+
+    /// Serves until `Shutdown`, drains, and returns the final report.
+    fn run(mut self) -> Option<String> {
         let mut events: Vec<PollEvent> = Vec::new();
         let mut dirty: Vec<usize> = Vec::new();
+        let mut fleet_busy = false;
         let mut last_housekeeping = Instant::now();
-        loop {
-            if self.poller.wait(&mut events, Some(EVENT_WAIT_CAP)).is_err() {
+        while self.report.is_none() {
+            // Work left over from the last turn polls without blocking.
+            let timeout = if fleet_busy || !self.backlog.is_empty() {
+                Duration::ZERO
+            } else {
+                HOUSEKEEPING_INTERVAL.saturating_sub(last_housekeeping.elapsed())
+            };
+            if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 break;
             }
             dirty.clear();
+            dirty.append(&mut self.backlog);
             let mut accept_ready = false;
             for ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => accept_ready = true,
-                    TOKEN_WAKER => self.waker.drain(),
-                    token => {
-                        let slot = token - CONN_TOKEN_BASE;
-                        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                            if ev.readable {
-                                conn.on_readable();
-                            }
-                            dirty.push(slot);
-                        }
+                if ev.token == TOKEN_LISTENER {
+                    accept_ready = true;
+                    continue;
+                }
+                let slot = ev.token - CONN_TOKEN_BASE;
+                if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+                    if ev.readable {
+                        conn.on_readable();
                     }
+                    dirty.push(slot);
                 }
             }
             if accept_ready {
                 self.accept_all(&mut dirty);
             }
-            let service_dead = self.drain_replies(&mut dirty);
             dirty.sort_unstable();
             dirty.dedup();
-            for &slot in dirty.iter() {
+            for &slot in &dirty {
                 self.pump(slot);
             }
+            fleet_busy =
+                self.drain == DrainPolicy::Eager && self.report.is_none() && self.fleet.tick();
             if last_housekeeping.elapsed() >= HOUSEKEEPING_INTERVAL {
                 last_housekeeping = Instant::now();
                 self.sweep_idle();
                 self.refresh_gauges();
             }
-            if service_dead || self.stop.load(Ordering::SeqCst) {
-                self.shutdown_drain();
-                return;
-            }
         }
+        self.shutdown_drain();
+        self.report
     }
 
     /// Accepts every pending connection; over the cap, a connection is
@@ -382,8 +316,6 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    let id = self.next_conn_id;
-                    self.next_conn_id += 1;
                     let conn = if self.counted_live >= self.max_connections {
                         self.obs.counter_add(
                             Clock::Wall,
@@ -392,7 +324,6 @@ impl EventLoop {
                             1,
                         );
                         Connection::reject(
-                            id,
                             stream,
                             Response::Error(ErrorFrame {
                                 kind: ErrorKind::Saturated,
@@ -404,14 +335,14 @@ impl EventLoop {
                             }),
                         )
                     } else {
-                        Connection::new(id, stream, true)
+                        Connection::new(stream, true)
                     };
                     let Ok(mut conn) = conn else { continue };
                     let slot = self.free.pop().unwrap_or_else(|| {
                         self.conns.push(None);
                         self.conns.len() - 1
                     });
-                    let interest = conn.desired_interest(self.pipeline_depth);
+                    let interest = conn.desired_interest();
                     if self
                         .poller
                         .register(conn.stream.as_raw_fd(), slot + CONN_TOKEN_BASE, interest)
@@ -424,7 +355,6 @@ impl EventLoop {
                     if conn.counted {
                         self.counted_live += 1;
                     }
-                    self.by_id.insert(id, slot);
                     self.conns[slot] = Some(conn);
                     dirty.push(slot);
                 }
@@ -435,93 +365,37 @@ impl EventLoop {
         }
     }
 
-    /// Routes every buffered service reply into its connection's pipeline
-    /// slot. Returns `true` once the service thread is gone (its sender
-    /// dropped).
-    fn drain_replies(&mut self, dirty: &mut Vec<usize>) -> bool {
-        loop {
-            match self.replies.try_recv() {
-                Ok(reply) => {
-                    if let Some(slot) = self.route_reply(reply) {
-                        dirty.push(slot);
-                    }
-                }
-                Err(mpsc::TryRecvError::Empty) => return false,
-                Err(mpsc::TryRecvError::Disconnected) => return true,
-            }
-        }
-    }
-
-    fn route_reply(&mut self, reply: Reply) -> Option<usize> {
-        let &slot = self.by_id.get(&reply.conn)?;
-        let conn = self.conns.get_mut(slot)?.as_mut()?;
-        conn.fill(reply.seq, reply.response);
-        Some(slot)
-    }
-
-    /// Advances one connection's state machine: flush what's answered,
-    /// parse newly buffered frames into the inbox (answering saturation at
-    /// the edge), flush again, then reconcile poller interest — or close.
+    /// Advances one connection's state machine: flush, handle up to
+    /// `pipeline_depth` buffered requests, flush their answers, then queue
+    /// a revisit if complete frames remain and reconcile poller interest —
+    /// or close.
     fn pump(&mut self, slot: usize) {
-        let inbox = &self.inbox;
-        let obs = &self.obs;
-        let depth = self.pipeline_depth;
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+        // Out of the slab while its requests are handled, which need the
+        // whole reactor (the fleet, the graph cache, the report slot).
+        let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) else {
             return;
         };
-        let mut sink = |conn_id: u64, seq: u64, request: Request| -> Option<Response> {
-            let kind = request.kind();
-            match inbox.try_send(Command {
-                conn: conn_id,
-                seq,
-                request,
-            }) {
-                Ok(()) => None,
-                Err(TrySendError::Full(_)) => {
-                    // The inbox-full rejection never reaches the service
-                    // loop, so it is accounted here: same series,
-                    // `outcome="saturated"`.
-                    obs.counter_add(
-                        Clock::Wall,
-                        "nnrt_rpc_requests_total",
-                        &[("kind", kind), ("outcome", "saturated")],
-                        1,
-                    );
-                    Some(Response::Error(ErrorFrame {
-                        kind: ErrorKind::Saturated,
-                        message: "server command inbox is full".to_string(),
-                        retry_after_secs: Some(INBOX_RETRY_SECS),
-                    }))
-                }
-                Err(TrySendError::Disconnected(_)) => Some(Response::Error(ErrorFrame {
-                    kind: ErrorKind::ShuttingDown,
-                    message: "server is shutting down".to_string(),
-                    retry_after_secs: None,
-                })),
-            }
-        };
-        loop {
-            conn.flush();
-            if conn.parse_frames(depth, &mut sink) == 0 {
-                break;
-            }
-        }
         conn.flush();
-        let fd = conn.stream.as_raw_fd();
-        let should_close = conn.should_close();
-        let desired = conn.desired_interest(depth);
-        let registered = conn.registered_interest;
-        if should_close {
-            self.close(slot);
-        } else if desired != registered
-            && self
-                .poller
-                .reregister(fd, slot + CONN_TOKEN_BASE, desired)
-                .is_ok()
-        {
-            if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+        conn.parse_frames(self.pipeline_depth, |request| self.handle(request));
+        conn.flush();
+        let close = conn.should_close();
+        if !close {
+            if conn.has_backlog() {
+                self.backlog.push(slot);
+            }
+            let desired = conn.desired_interest();
+            if desired != conn.registered_interest
+                && self
+                    .poller
+                    .reregister(conn.stream.as_raw_fd(), slot + CONN_TOKEN_BASE, desired)
+                    .is_ok()
+            {
                 conn.registered_interest = desired;
             }
+        }
+        self.conns[slot] = Some(conn);
+        if close {
+            self.close(slot);
         }
     }
 
@@ -530,7 +404,6 @@ impl EventLoop {
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.by_id.remove(&conn.id);
             if conn.counted {
                 self.counted_live = self.counted_live.saturating_sub(1);
             }
@@ -538,9 +411,7 @@ impl EventLoop {
         }
     }
 
-    /// Closes connections that have been silent past the idle timeout and
-    /// have no request in flight (a connection waiting on a slow profile is
-    /// busy, not idle).
+    /// Closes connections that have been silent past the idle timeout.
     fn sweep_idle(&mut self) {
         if self.idle_timeout.is_zero() {
             return;
@@ -552,9 +423,7 @@ impl EventLoop {
             .enumerate()
             .filter_map(|(slot, conn)| {
                 let conn = conn.as_ref()?;
-                (!conn.awaiting_service()
-                    && now.duration_since(conn.last_activity) >= self.idle_timeout)
-                    .then_some(slot)
+                (now.duration_since(conn.last_activity) >= self.idle_timeout).then_some(slot)
             })
             .collect();
         for slot in stale {
@@ -587,49 +456,21 @@ impl EventLoop {
         }
     }
 
-    /// Final drain: stop accepting, route the service thread's last replies
-    /// (the `Bye` frame above all), answer everything still in flight with
-    /// `ShuttingDown`, and flush for up to [`SHUTDOWN_GRACE`] before
-    /// dropping the remaining sockets.
+    /// Final drain after `Shutdown`: stop accepting and parsing, and flush
+    /// what is already answered (the `Bye` frame above all) for up to
+    /// [`SHUTDOWN_GRACE`] before dropping the remaining sockets.
     fn shutdown_drain(&mut self) {
         let _ = self.poller.deregister(self.listener.as_raw_fd());
-        let deadline = Instant::now() + SHUTDOWN_GRACE;
-
-        // The service thread drops its reply sender when its loop returns
-        // (right after posting the Bye), so this terminates promptly; the
-        // deadline only guards a wedged service thread.
-        while Instant::now() < deadline {
-            match self.replies.recv_timeout(Duration::from_millis(50)) {
-                Ok(reply) => {
-                    self.route_reply(reply);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-
-        let refusal = Response::Error(ErrorFrame {
-            kind: ErrorKind::ShuttingDown,
-            message: "server is shutting down".to_string(),
-            retry_after_secs: None,
-        });
         for conn in self.conns.iter_mut().flatten() {
-            conn.fill_all_unanswered(&refusal);
             conn.begin_close();
         }
-
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
         let mut events = Vec::new();
         loop {
-            let open: Vec<usize> = (0..self.conns.len())
-                .filter(|&s| self.conns[s].is_some())
-                .collect();
-            if open.is_empty() || Instant::now() >= deadline {
-                break;
-            }
-            for slot in open {
+            for slot in 0..self.conns.len() {
                 self.pump(slot);
             }
-            if self.conns.iter().all(Option::is_none) {
+            if self.conns.iter().all(Option::is_none) || Instant::now() >= deadline {
                 break;
             }
             let _ = self
@@ -637,76 +478,21 @@ impl EventLoop {
                 .wait(&mut events, Some(Duration::from_millis(20)));
         }
     }
-}
 
-/// The single thread that owns the fleet.
-struct ServiceLoop {
-    fleet: Fleet,
-    config: ServerConfig,
-    commands: Receiver<Command>,
-    replies: Sender<Reply>,
-    waker: Waker,
-    stop: Arc<AtomicBool>,
-    final_report: Arc<Mutex<Option<String>>>,
-    /// `(model, batch)` → built graph, so repeated submissions of one model
-    /// family do not rebuild multi-thousand-op graphs per request. Graph
-    /// clones share one body, so every job admitted from the cache holds
-    /// the cached graph itself, not a copy. Holds at most
-    /// [`GRAPH_CACHE_CAP`] keys.
-    graphs: HashMap<(String, u64), DataflowGraph>,
-    /// Wall-clock origin for RPC event timestamps.
-    epoch: Instant,
-}
-
-impl ServiceLoop {
-    fn run(mut self) {
-        loop {
-            // Commands take priority over fleet progress.
-            loop {
-                match self.commands.try_recv() {
-                    Ok(cmd) => {
-                        if !self.handle(cmd) {
-                            return;
-                        }
-                    }
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => return,
-                }
-            }
-            let progressed = match self.config.drain {
-                DrainPolicy::Eager => self.fleet.tick(),
-                DrainPolicy::OnShutdown => false,
-            };
-            if !progressed {
-                // Idle (or holding): sleep on the inbox instead of spinning.
-                match self.commands.recv_timeout(POLL_INTERVAL) {
-                    Ok(cmd) => {
-                        if !self.handle(cmd) {
-                            return;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                }
-            }
+    /// Answers one request against the fleet.
+    fn handle(&mut self, request: Request) -> Response {
+        if self.report.is_some() {
+            // Another connection's `Shutdown` already drained the fleet in
+            // this turn.
+            return Response::Error(ErrorFrame {
+                kind: ErrorKind::ShuttingDown,
+                message: "server is shutting down".to_string(),
+                retry_after_secs: None,
+            });
         }
-    }
-
-    /// Posts one answer back to the event loop and rings its doorbell.
-    fn reply(&self, conn: u64, seq: u64, response: Response) {
-        let _ = self.replies.send(Reply {
-            conn,
-            seq,
-            response,
-        });
-        self.waker.wake();
-    }
-
-    /// Applies one command; `false` stops the service loop.
-    fn handle(&mut self, cmd: Command) -> bool {
         let started = Instant::now();
-        let kind = cmd.request.kind();
-        let response = match cmd.request {
+        let kind = request.kind();
+        let response = match request {
             Request::Submit(spec) => self.submit(spec),
             Request::Status { job_id } => match self.fleet.job_status(JobId(job_id)) {
                 Some(status) => Response::Job(status),
@@ -730,38 +516,33 @@ impl ServiceLoop {
                 // fleet as it stands, then expose both clock domains.
                 self.fleet.refresh_obs_gauges();
                 Response::Metrics {
-                    text: self.fleet.obs().expose(None),
+                    text: self.obs.expose(None),
                 }
             }
-            Request::Events => Response::Events(self.fleet.obs().events_snapshot(None)),
+            Request::Events => Response::Events(self.obs.events_snapshot(None)),
             Request::Shutdown => {
                 // Drain every queued, resident, and evicted job through the
                 // same code path the in-process API uses, then flush.
                 let report = self.fleet.run().to_json();
-                if let Some(path) = &self.config.snapshot_path {
+                if let Some(path) = &self.snapshot_path {
                     let snapshot = self.fleet.store().snapshot();
                     if let Err(e) = nnrt_serve::write_atomic(path, snapshot.as_bytes()) {
                         eprintln!("nnrt-rpc: snapshot write to {} failed: {e}", path.display());
                     }
                 }
-                *self.final_report.lock().expect("report slot") = Some(report.clone());
-                self.stop.store(true, Ordering::SeqCst);
-                let response = Response::Bye { report };
-                self.observe_rpc(kind, started, &response);
-                self.reply(cmd.conn, cmd.seq, response);
-                return false;
+                self.report = Some(report.clone());
+                Response::Bye { report }
             }
         };
         self.observe_rpc(kind, started, &response);
-        self.reply(cmd.conn, cmd.seq, response);
-        true
+        response
     }
 
     /// Accounts one handled request in the wall domain: a per-kind count
     /// split by outcome, a per-kind service-latency histogram, and a
     /// structured `RpcRequest` event.
     fn observe_rpc(&self, kind: &'static str, started: Instant, response: &Response) {
-        let obs = self.fleet.obs();
+        let obs = &self.obs;
         if !obs.enabled() {
             return;
         }
@@ -855,34 +636,24 @@ mod tests {
 
     #[test]
     fn graph_cache_stays_bounded_under_distinct_batches() {
-        let (_inbox, commands) = mpsc::sync_channel(1);
-        let (replies, _answers) = mpsc::channel();
-        let mut service = ServiceLoop {
-            fleet: Fleet::new(FleetConfig {
-                queue_capacity: 2 * GRAPH_CACHE_CAP,
-                ..FleetConfig::default()
-            }),
-            config: ServerConfig::default(),
-            commands,
-            replies,
-            waker: Waker::new().expect("waker"),
-            stop: Arc::new(AtomicBool::new(false)),
-            final_report: Arc::new(Mutex::new(None)),
-            graphs: HashMap::new(),
-            epoch: Instant::now(),
-        };
+        let fleet = Fleet::new(FleetConfig {
+            queue_capacity: 2 * GRAPH_CACHE_CAP,
+            ..FleetConfig::default()
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+        let mut server = Reactor::new(listener, fleet, ServerConfig::default()).expect("reactor");
         for batch in 1..=GRAPH_CACHE_CAP as u64 + 8 {
             let spec = SubmitSpec {
                 batch,
                 ..SubmitSpec::new("dcgan")
             };
-            let response = service.submit(spec);
+            let response = server.submit(spec);
             assert!(
                 matches!(response, Response::Submitted { .. }),
                 "batch {batch} must be admitted, got {response:?}"
             );
-            assert!(service.graphs.len() <= GRAPH_CACHE_CAP);
+            assert!(server.graphs.len() <= GRAPH_CACHE_CAP);
         }
-        assert_eq!(service.graphs.len(), GRAPH_CACHE_CAP);
+        assert_eq!(server.graphs.len(), GRAPH_CACHE_CAP);
     }
 }

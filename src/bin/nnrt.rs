@@ -43,8 +43,9 @@
 //!                                `--snapshot` persists the profile store on
 //!                                graceful shutdown. `--max-connections`
 //!                                caps concurrent clients (default 4096);
-//!                                `--pipeline-depth` caps in-flight requests
-//!                                per connection (default 16)
+//!                                `--pipeline-depth` caps the requests of
+//!                                one connection handled per server turn
+//!                                (default 16)
 //!
 //! Both serve modes accept `--durable <dir>`: every fleet state transition
 //! is journaled write-ahead to `<dir>/journal.log` and the profile store is
@@ -224,7 +225,7 @@ fn main() -> ExitCode {
                     "--pipeline-depth" => match it.next().and_then(|s| s.parse().ok()) {
                         Some(n) if n >= 1 => pipeline_depth = Some(n),
                         _ => {
-                            eprintln!("--pipeline-depth needs an in-flight request count >= 1");
+                            eprintln!("--pipeline-depth needs a request count >= 1");
                             return usage();
                         }
                     },
@@ -707,7 +708,7 @@ fn run_listen(
             ExitCode::SUCCESS
         }
         None => {
-            eprintln!("service thread died without a final report");
+            eprintln!("server stopped without a final report");
             ExitCode::from(EXIT_RPC)
         }
     }

@@ -1,21 +1,23 @@
-//! Pipelining-semantics tests of the event-loop RPC server: a connection
+//! Pipelining-semantics tests of the RPC server's reactor: a connection
 //! that sends K frames without awaiting responses gets K responses back in
 //! request order, interleaved connections never cross-deliver, a
-//! mid-pipeline typed error doesn't poison the frames behind it, and a
-//! pipeline deeper than the server's in-flight cap still drains completely.
+//! mid-pipeline typed error doesn't poison the frames behind it, a pipeline
+//! deeper than the server's per-turn cap still drains completely, one
+//! connection's long burst does not hold another off, and a client that
+//! never reads is held to a bounded outbox.
 //!
 //! These drive raw `TcpStream`s (not `RpcClient`, which is strictly
 //! request/response) so the wire-level burst is real: all requests are
 //! written before any response is read.
 
 use nnrt::rpc::{
-    decode, encode, read_frame, write_frame, DrainPolicy, ErrorKind, FleetServer, Request,
-    Response, ServerConfig, SubmitSpec,
+    decode, encode, frame_bytes, read_frame, write_frame, DrainPolicy, ErrorKind, FleetServer,
+    Request, Response, ServerConfig, SubmitSpec,
 };
 use nnrt::serve::FleetConfig;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spec(model: &str, name: &str) -> SubmitSpec {
     let mut s = SubmitSpec::new(model);
@@ -243,4 +245,107 @@ fn a_burst_deeper_than_the_pipeline_cap_still_drains_in_order() {
     let parsed: serde_json::Value = serde_json::from_str(&report).expect("report is JSON");
     assert_eq!(parsed["jobs"].as_array().expect("jobs").len(), 10);
     assert!(server.join().is_some());
+}
+
+/// `n` copies of `request`, framed back to back as one write.
+fn frames(request: &Request, n: usize) -> Vec<u8> {
+    frame_bytes(&encode(request)).repeat(n)
+}
+
+#[test]
+fn a_long_burst_on_one_connection_does_not_hold_off_another() {
+    let server = server(16);
+    let mut slow = connect(&server);
+    let mut long = connect(&server);
+    let mut other = connect(&server);
+    // All three connections are registered, in this slot order, before the
+    // burst starts; a turn serves ready connections in slot order.
+    for stream in [&mut slow, &mut long, &mut other] {
+        burst(stream, &[Request::ListJobs]);
+    }
+
+    // While the reactor builds an uncached graph for `slow` (job 0), the
+    // other connection's submit (job 1) and then the burst arrive. The next
+    // turn serves the burst first, but only one budget's worth of it. Every
+    // burst frame asks after the other connection's job.
+    const N: usize = 2000;
+    write_frame(
+        &mut slow,
+        &encode(&Request::Submit(spec("resnet50", "slow"))),
+    )
+    .expect("slow");
+    write_frame(
+        &mut other,
+        &encode(&Request::Submit(spec("dcgan", "other"))),
+    )
+    .expect("other");
+    long.write_all(&frames(&Request::Status { job_id: 1 }, N))
+        .expect("burst");
+    let submitted = decode::<Response>(&read_frame(&mut other).expect("read")).expect("decode");
+    assert_eq!(submitted, Response::Submitted { job_id: 1 });
+
+    let answers: Vec<Response> = (0..N)
+        .map(|_| decode(&read_frame(&mut long).expect("read")).expect("decode"))
+        .collect();
+    // Unknown until the submit is handled, found from then on: the other
+    // connection's request was answered before this connection's last.
+    let found = answers
+        .iter()
+        .position(|r| matches!(r, Response::Job(_)))
+        .expect("the submit must be handled before the burst's last frame");
+    for (i, answer) in answers.iter().enumerate() {
+        match answer {
+            Response::Error(frame) if i < found => assert_eq!(frame.kind, ErrorKind::UnknownJob),
+            Response::Job(status) if i >= found => assert_eq!(status.name, "other"),
+            other => panic!("status {i} (job found from {found}) answered {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_client_that_never_reads_is_held_to_a_bounded_outbox() {
+    /// The outbox high-water mark (`conn.rs`), at which parsing stops.
+    const HIGH_WATER: f64 = 256.0 * 1024.0;
+    let server = server(16);
+    let mut hog = connect(&server);
+    let mut other = connect(&server);
+
+    // Two hundred queued jobs make each ListJobs answer tens of KiB.
+    let submits: Vec<Request> = (0..200)
+        .map(|i| Request::Submit(spec("dcgan", &format!("job-{i}"))))
+        .collect();
+    burst(&mut other, &submits);
+    write_frame(&mut other, &encode(&Request::ListJobs)).expect("write");
+    let answer_bytes = (read_frame(&mut other).expect("read").len() + 5) as f64;
+
+    // Ask for 16 MiB of answers — far more than the socket buffers hold —
+    // and never read them.
+    let n = (16.0 * 1024.0 * 1024.0 / answer_bytes).ceil() as usize;
+    hog.write_all(&frames(&Request::ListJobs, n))
+        .expect("write burst");
+
+    // The other connection is still served, and the server's outbox stays
+    // within one answer of the high-water mark while the hog's answers
+    // back up to it.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let text = match burst(&mut other, &[Request::Metrics]).remove(0) {
+            Response::Metrics { text } => text,
+            other => panic!("expected metrics, got {other:?}"),
+        };
+        let exp = nnrt::obs::parse_exposition(&text).expect("exposition parses");
+        let outbox = exp.value("nnrt_rpc_outbox_bytes", &[]).unwrap_or(0.0);
+        assert!(
+            outbox < HIGH_WATER + answer_bytes,
+            "outbox {outbox} B passed the high-water mark by more than one {answer_bytes} B answer"
+        );
+        if outbox >= HIGH_WATER {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the hog's answers never backed up (outbox {outbox} B)"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
