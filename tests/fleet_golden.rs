@@ -13,11 +13,12 @@
 
 use nnrt::prelude::*;
 use nnrt::serve::{
-    DurabilityConfig, FaultPlan, Fleet, FleetConfig, JobSpec, JournalRecord, JOURNAL_FILE,
-    SNAPSHOT_FILE,
+    DurabilityConfig, FaultPlan, Fleet, FleetConfig, JobSpec, JournalRecord, NodeBackend,
+    ProfileStore, JOURNAL_FILE, SNAPSHOT_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("fixtures/fleet_golden.txt");
 
@@ -136,6 +137,47 @@ fn recovered_chaos_run(dir: &Path, ticks: usize) -> (Vec<u8>, Vec<u8>) {
     )
 }
 
+/// Entry cap of the overflow fleet's store: about a quarter of the 455
+/// distinct curve pairs its jobs fit, so the LRU cap evicts curves of all
+/// three machine signatures the fleet publishes under, and the final
+/// snapshot still holds two of them.
+const OVERFLOW_CAPACITY: usize = 120;
+
+/// A KNL, a GPU and a cluster node sharing one store capped at
+/// [`OVERFLOW_CAPACITY`], running dcgan at several batch sizes (distinct
+/// keys per batch) and a repeat of each. Returns `(report JSON, store
+/// snapshot)`.
+fn overflow_run() -> (Vec<u8>, Vec<u8>) {
+    let store = Arc::new(ProfileStore::with_capacity(OVERFLOW_CAPACITY));
+    let mut fleet = Fleet::with_backends(
+        FleetConfig {
+            node_count: 3,
+            seed: 7,
+            ..FleetConfig::default()
+        },
+        vec![NodeBackend::Knl, NodeBackend::Gpu, NodeBackend::Cluster],
+        Arc::clone(&store),
+    );
+    for (i, batch) in [4, 8, 16, 4, 8, 16].into_iter().enumerate() {
+        fleet
+            .submit(JobSpec {
+                name: format!("dcgan{batch}-{i}"),
+                model: "dcgan".to_string(),
+                graph: dcgan(batch).graph,
+                steps: 2,
+                priority: 0,
+                weight: 1.0,
+            })
+            .expect("queue sized for the workload");
+    }
+    let report = fleet.run();
+    assert!(
+        report.store_evictions > 0,
+        "the overflow fleet's store must evict"
+    );
+    (report.to_json().into_bytes(), store.snapshot().into_bytes())
+}
+
 /// `(case, length, digest)` for every pinned output.
 fn computed() -> Vec<(String, usize, u64)> {
     let mut outputs: Vec<(&str, Vec<u8>)> = Vec::new();
@@ -197,6 +239,10 @@ fn computed() -> Vec<(String, usize, u64)> {
     std::fs::remove_dir_all(&dir).ok();
     outputs.push(("durable-chaos.recovered.json", report));
     outputs.push(("durable-chaos.recovery.json", recovery));
+
+    let (report, store) = overflow_run();
+    outputs.push(("overflow.json", report));
+    outputs.push(("overflow.store.json", store));
 
     outputs
         .into_iter()
