@@ -46,6 +46,5 @@ pub use oracle::OracleScheduler;
 pub use plan::{PerfModel, ThreadPlan};
 pub use profiler::ProfilerPool;
 pub use runtime::{Runtime, RuntimeConfig, StepReport};
-pub use scheduler::SchedulerConfig;
 pub use tf_baseline::{manual_optimization, TfExecutor, TfExecutorConfig};
 pub use trace::{export_chrome_trace, export_lane_chrome_trace, CorunStats};

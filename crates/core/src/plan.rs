@@ -48,7 +48,7 @@ pub struct ThreadPlan {
 
 impl ThreadPlan {
     /// Builds a plan for `keys` under `policy` using the fitted `model`.
-    /// `default_intra` is the framework setting (68 on the paper's KNL).
+    /// `default_intra` is the framework setting for unplanned keys.
     pub fn build(
         model: &dyn PerfModel,
         keys: &[OpKey],
@@ -113,11 +113,6 @@ impl ThreadPlan {
             Some(&(threads, mode, _)) => (threads, mode),
             None => (self.default_intra, SharingMode::Compact),
         }
-    }
-
-    /// The framework-default intra-op parallelism.
-    pub fn default_intra(&self) -> u32 {
-        self.default_intra
     }
 }
 

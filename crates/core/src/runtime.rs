@@ -12,9 +12,9 @@ use crate::hillclimb::{FitOutcome, HillClimbConfig, HillClimbModel};
 use crate::measure::{Measurer, OpCatalog};
 use crate::plan::{PerfModel, PlanPolicy, ThreadPlan};
 use crate::profiler::ProfilerPool;
-use crate::scheduler::{SchedulerConfig, StepScheduler};
+use crate::scheduler::StepScheduler;
 use nnrt_graph::{DataflowGraph, OpKind};
-use nnrt_manycore::{EngineEvent, KnlCostModel, NoiseModel};
+use nnrt_manycore::{CostModel, EngineEvent, KnlCostModel, NoiseModel};
 use serde::{Deserialize, Serialize};
 
 /// Which strategies the runtime applies (the paper's ablation of Figure 3).
@@ -26,18 +26,21 @@ pub struct RuntimeConfig {
     pub s2: bool,
     /// Strategy 3: co-run operations into idle cores.
     pub s3: bool,
-    /// Strategy 4: hyper-thread co-runs under full-width ops.
+    /// Strategy 4: hyper-thread co-runs under full-width ops (requires
+    /// `s3`).
     pub s4: bool,
     /// Hill-climbing profiler settings.
     pub hillclimb: HillClimbConfig,
-    /// Candidates per op for Strategy 3 (paper: 3).
+    /// Candidate thread counts per ready op for Strategy 3 ("three" in
+    /// §III-D, "an empirical number").
     pub candidates: usize,
-    /// S2/S3 consistency tolerance in threads (paper: 2).
+    /// Maximum |candidate - planned| thread difference before Strategy 2's
+    /// count overrides the candidate ("2" in §III-D, "an empirical value").
     pub s2_tolerance: u32,
-    /// Prefer the fewest-threads fitting candidate over the fastest one.
+    /// Among fitting candidates, prefer the one with the fewest threads
+    /// (the paper's choice: release cores for more co-running) rather than
+    /// the fastest one.
     pub prefer_fewest_threads: bool,
-    /// Framework-default intra-op parallelism for non-tunable ops (68).
-    pub default_intra: u32,
     /// Measurement-noise seed for the profiling steps.
     pub seed: u64,
 }
@@ -53,7 +56,6 @@ impl Default for RuntimeConfig {
             candidates: 3,
             s2_tolerance: 2,
             prefer_fewest_threads: true,
-            default_intra: 68,
             seed: 0xC0DE,
         }
     }
@@ -220,7 +222,7 @@ impl Runtime {
             profiling_budget,
             &pool,
         );
-        let plan = Self::build_plan(&model, &catalog, &config);
+        let plan = Self::build_plan(&model, &catalog, &config, &cost);
         Runtime {
             config,
             cost,
@@ -246,7 +248,7 @@ impl Runtime {
         perf_model: Box<dyn PerfModel>,
     ) -> Self {
         let catalog = OpCatalog::new(graph);
-        let plan = Self::build_plan(perf_model.as_ref(), &catalog, &config);
+        let plan = Self::build_plan(perf_model.as_ref(), &catalog, &config, &cost);
         Runtime {
             config,
             cost,
@@ -260,17 +262,21 @@ impl Runtime {
         }
     }
 
+    /// The thread plan `config`'s strategies give; unplanned ops take the
+    /// framework default of one thread per core (68 on the paper's KNL).
     fn build_plan(
         model: &dyn PerfModel,
         catalog: &OpCatalog,
         config: &RuntimeConfig,
+        cost: &KnlCostModel,
     ) -> ThreadPlan {
         let policy = match (config.s1, config.s2) {
             (true, true) => PlanPolicy::PerKindLargest,
             (true, false) => PlanPolicy::PerShape,
             _ => PlanPolicy::Default,
         };
-        ThreadPlan::build(model, catalog.keys(), policy, config.default_intra)
+        let default_intra = cost.topology().num_cores();
+        ThreadPlan::build(model, catalog.keys(), policy, default_intra)
     }
 
     /// Enables event-trace recording in step reports (Figure 4).
@@ -332,16 +338,14 @@ impl Runtime {
             self.catalog.num_nodes(),
             "run_step graph must match the prepared catalog"
         );
-        let sched = SchedulerConfig {
-            corun: self.config.s3,
-            hyper_thread: self.config.s4,
-            candidates: self.config.candidates,
-            s2_tolerance: self.config.s2_tolerance,
-            prefer_fewest_threads: self.config.prefer_fewest_threads,
-        };
         let mut ctx = ExecContext::new(graph, &self.catalog, &self.cost, self.record_trace);
-        let scheduler =
-            StepScheduler::new(&ctx, &self.plan, self.perf_model(), &sched, &self.feedback);
+        let scheduler = StepScheduler::new(
+            &ctx,
+            &self.plan,
+            self.perf_model(),
+            &self.config,
+            &self.feedback,
+        );
         loop {
             while let Some(decision) = scheduler.next_launch(&ctx) {
                 ctx.launch(decision.launch, decision.predicted, decision.nominal);

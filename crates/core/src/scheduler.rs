@@ -24,42 +24,11 @@ use crate::exec::{ExecContext, Launch};
 use crate::feedback::InterferenceLog;
 use crate::measure::OpCatalog;
 use crate::plan::{PerfModel, ThreadPlan};
+use crate::runtime::RuntimeConfig;
 use nnrt_graph::{NodeId, OpKind};
 use nnrt_manycore::{CostModel, SharingMode, SlotPreference};
-use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 use std::ops::Range;
-
-/// Scheduler knobs (paper values by default).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SchedulerConfig {
-    /// Strategy 3 on/off.
-    pub corun: bool,
-    /// Strategy 4 on/off (requires `corun`).
-    pub hyper_thread: bool,
-    /// Number of candidate thread counts per ready op ("three" in §III-D,
-    /// "an empirical number").
-    pub candidates: usize,
-    /// Maximum |candidate - planned| thread difference before Strategy 2's
-    /// count overrides the candidate ("2" in §III-D, "an empirical value").
-    pub s2_tolerance: u32,
-    /// Among fitting candidates, prefer the one with the fewest threads
-    /// (the paper's choice: release cores for more co-running) rather than
-    /// the fastest one. Ablation A3 flips this.
-    pub prefer_fewest_threads: bool,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            corun: true,
-            hyper_thread: true,
-            candidates: 3,
-            s2_tolerance: 2,
-            prefer_fewest_threads: true,
-        }
-    }
-}
 
 /// One scheduling decision: what to launch next, with its predicted
 /// duration and its solo (interference-free) duration.
@@ -106,7 +75,7 @@ struct OpPlan {
 pub(crate) struct StepScheduler<'a> {
     plan: &'a ThreadPlan,
     model: &'a dyn PerfModel,
-    cfg: &'a SchedulerConfig,
+    cfg: &'a RuntimeConfig,
     deny: &'a InterferenceLog,
     catalog: &'a OpCatalog,
     /// Per distinct operation of `catalog`, by its index.
@@ -121,7 +90,7 @@ impl<'a> StepScheduler<'a> {
         ctx: &ExecContext<'a>,
         plan: &'a ThreadPlan,
         model: &'a dyn PerfModel,
-        cfg: &'a SchedulerConfig,
+        cfg: &'a RuntimeConfig,
         deny: &'a InterferenceLog,
     ) -> Self {
         let catalog = ctx.catalog;
@@ -188,7 +157,7 @@ impl<'a> StepScheduler<'a> {
         let allowed =
             |kind: OpKind| -> bool { running_kinds.iter().all(|&r| !self.deny.is_denied(kind, r)) };
 
-        if !self.cfg.corun {
+        if !self.cfg.s3 {
             // Serial discipline (inter-op = 1): FIFO with planned thread counts.
             if ctx.engine.num_running() > 0 {
                 return None;
@@ -227,7 +196,7 @@ impl<'a> StepScheduler<'a> {
 
         // Strategy 4: a full-width op owns every core; co-run the smallest ready
         // ops on the spare hardware threads.
-        if self.cfg.hyper_thread && free == 0 {
+        if self.cfg.s4 && free == 0 {
             let full_width = ctx.engine.topology().num_cores();
             let ht_room = ctx.engine.ht_capacity();
             if ht_room > 0 {
@@ -408,11 +377,7 @@ mod tests {
     fn serial_discipline_launches_one_at_a_time() {
         let g = pair_graph();
         let (catalog, model, plan, cost) = fitted(&g);
-        let cfg = SchedulerConfig {
-            corun: false,
-            hyper_thread: false,
-            ..Default::default()
-        };
+        let cfg = RuntimeConfig::s12_only();
         let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
         let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
@@ -430,7 +395,7 @@ mod tests {
     fn corun_launches_a_fitting_sibling() {
         let g = pair_graph();
         let (catalog, model, plan, cost) = fitted(&g);
-        let cfg = SchedulerConfig::default();
+        let cfg = RuntimeConfig::default();
         let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
         let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
@@ -457,7 +422,7 @@ mod tests {
         g.add(conv(Shape::nhwc(4, 8, 8, 64)), &[]); // tiny
         g.add(conv(Shape::nhwc(64, 17, 17, 512)), &[]); // huge
         let (catalog, model, plan, cost) = fitted(&g);
-        let cfg = SchedulerConfig::default();
+        let cfg = RuntimeConfig::default();
         let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
         let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
@@ -480,7 +445,7 @@ mod tests {
         let g = pair_graph();
         let (catalog, model, plan, cost) = fitted(&g);
         let ctx = ExecContext::new(&g, &catalog, &cost, false);
-        let tight = SchedulerConfig {
+        let tight = RuntimeConfig {
             s2_tolerance: 0,
             ..Default::default()
         };
@@ -508,7 +473,7 @@ mod tests {
         );
         let (catalog, model, plan, cost) = fitted(&g);
         let ctx = ExecContext::new(&g, &catalog, &cost, false);
-        let cfg = SchedulerConfig::default();
+        let cfg = RuntimeConfig::default();
         let deny = InterferenceLog::new();
         let d = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny)
             .next_launch(&ctx)
@@ -522,7 +487,7 @@ mod tests {
         let a = g.add(conv(Shape::nhwc(8, 8, 8, 64)), &[]);
         g.add(conv(Shape::nhwc(8, 8, 8, 64)), &[a]); // depends on a
         let (catalog, model, plan, cost) = fitted(&g);
-        let cfg = SchedulerConfig::default();
+        let cfg = RuntimeConfig::default();
         let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
         let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
@@ -545,7 +510,7 @@ mod tests {
             g.add(conv(Shape::nhwc(2, 4, 4, 16)), &[]);
         }
         let (catalog, model, plan, cost) = fitted(&g);
-        let cfg = SchedulerConfig::default();
+        let cfg = RuntimeConfig::default();
         let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
         let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
@@ -558,10 +523,7 @@ mod tests {
             assert_eq!(d2.launch.slot, SlotPreference::HyperThread);
         }
         // With S4 disabled, nothing launches at all.
-        let no_s4 = SchedulerConfig {
-            hyper_thread: false,
-            ..cfg
-        };
+        let no_s4 = RuntimeConfig::s123();
         let mut ctx2 = ExecContext::new(&g, &catalog, &cost, false);
         let sched = StepScheduler::new(&ctx2, &plan, &model, &no_s4, &deny);
         let d = sched.next_launch(&ctx2).unwrap();

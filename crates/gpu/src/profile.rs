@@ -26,6 +26,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 
+/// Noisy samples averaged per grid point (a profiling step observes an op
+/// several times; averaging keeps short-kernel jitter from derailing the
+/// climb).
+const SAMPLES: u32 = 4;
+
 /// Configuration of the GPU profiling pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuProfileConfig {
@@ -33,10 +38,6 @@ pub struct GpuProfileConfig {
     pub noise: NoiseModel,
     /// Base seed; each key's stream is forked from it deterministically.
     pub seed: u64,
-    /// Noisy samples averaged per grid point (a profiling step observes an
-    /// op several times; averaging keeps short-kernel jitter from derailing
-    /// the climb).
-    pub samples: u32,
 }
 
 impl Default for GpuProfileConfig {
@@ -44,7 +45,6 @@ impl Default for GpuProfileConfig {
         GpuProfileConfig {
             noise: NoiseModel::default(),
             seed: 0xC0DE,
-            samples: 4,
         }
     }
 }
@@ -110,16 +110,15 @@ impl GpuProfile {
                 .expect("missing key came from the catalog");
             let kernel = kernel_for(key.0, work);
             let mut rng = ChaCha8Rng::seed_from_u64(per_key_seed(config.seed, key));
-            let samples = config.samples.max(1);
             let mut evals = 0u32;
             let mut measure = |cfg: LaunchConfig| {
                 evals += 1;
                 let solo = model.time(&kernel, cfg);
                 let mut total = 0.0;
-                for _ in 0..samples {
+                for _ in 0..SAMPLES {
                     total += config.noise.observe(solo, &mut rng);
                 }
-                total / samples as f64
+                total / SAMPLES as f64
             };
             let default = LaunchConfig::tf_default();
             let mut tpb_samples = Vec::new();
@@ -165,7 +164,7 @@ impl GpuProfile {
                 continue;
             }
             spent += evals;
-            profile.measurements += evals as u64 * config.samples.max(1) as u64;
+            profile.measurements += evals as u64 * SAMPLES as u64;
             profile.new_keys += 1;
             profile.curves.insert(key, curves);
         }

@@ -113,26 +113,14 @@ impl Deserialize for GpuStrategy {
     }
 }
 
-/// GPU runtime configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// GPU runtime configuration. Kernels launch with the configs the
+/// profiling pass fitted.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GpuRuntimeConfig {
     /// The stream scheduling strategy.
     pub strategy: GpuStrategy,
-    /// Launch kernels with their fitted 2-D configs (`true`) or the TF
-    /// default (`false` — the paper's untuned baseline).
-    pub tuned: bool,
-    /// The profiling pass (noise, seed, samples per grid point).
+    /// The profiling pass (noise, seed).
     pub profile: GpuProfileConfig,
-}
-
-impl Default for GpuRuntimeConfig {
-    fn default() -> Self {
-        GpuRuntimeConfig {
-            strategy: GpuStrategy::default(),
-            tuned: true,
-            profile: GpuProfileConfig::default(),
-        }
-    }
 }
 
 /// One step's execution record.
@@ -332,14 +320,9 @@ impl GpuRuntime {
             let op = catalog.op_index(NodeId(node as u32));
             let key = catalog.op_key(op).clone();
             let kernel = kernel_for(key.0, catalog.op_profile(op));
-            let launch_config = if config.tuned {
-                profile.config_for(&key)
-            } else {
-                LaunchConfig::tf_default()
-            };
             launches.push(StreamLaunch {
                 kernel,
-                config: launch_config,
+                config: profile.config_for(&key),
             });
             keys.push(key);
         }
@@ -367,7 +350,8 @@ impl GpuRuntime {
         &self.model
     }
 
-    /// Per-node launch decisions (tuned or default, per `config.tuned`).
+    /// Per-node launch decisions: the fitted config, or the TF default for
+    /// an unfitted key.
     pub fn launches(&self) -> &[StreamLaunch] {
         &self.launches
     }

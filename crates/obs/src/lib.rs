@@ -66,7 +66,8 @@ impl Clock {
     }
 }
 
-/// Default per-domain event ring capacity.
+/// Per-domain event ring capacity; the oldest events are dropped (and
+/// counted) once a domain exceeds it.
 pub const DEFAULT_EVENT_CAPACITY: usize = 8192;
 
 /// How much observability to record. Attached to the fleet's config; the
@@ -76,26 +77,17 @@ pub struct ObsConfig {
     /// Record metrics and events at all. When `false`, every recording
     /// call on [`Obs`] is a no-op and expositions are empty.
     pub enabled: bool,
-    /// Ring capacity per clock domain; the oldest events are dropped (and
-    /// counted) once a domain exceeds it.
-    pub event_capacity: usize,
 }
 
 impl ObsConfig {
     /// Full instrumentation (the default).
     pub fn on() -> Self {
-        ObsConfig {
-            enabled: true,
-            event_capacity: DEFAULT_EVENT_CAPACITY,
-        }
+        ObsConfig { enabled: true }
     }
 
     /// No instrumentation: every recording call is a no-op.
     pub fn off() -> Self {
-        ObsConfig {
-            enabled: false,
-            event_capacity: 0,
-        }
+        ObsConfig { enabled: false }
     }
 }
 
@@ -119,11 +111,10 @@ pub struct Obs {
 impl Obs {
     /// A handle recording per `config`.
     pub fn new(config: ObsConfig) -> Self {
-        let capacity = config.event_capacity;
         Obs {
             config,
             registry: Mutex::new(Registry::new()),
-            events: Mutex::new(EventBuf::new(capacity)),
+            events: Mutex::new(EventBuf::new(DEFAULT_EVENT_CAPACITY)),
         }
     }
 

@@ -267,7 +267,7 @@ pub struct SnapshotInfo {
     pub hits: u64,
     /// Keys requested but absent across all lookups.
     pub misses: u64,
-    /// Entries evicted by the byte quota or the LRU cap.
+    /// Entries evicted by the LRU cap.
     pub evictions: u64,
     /// Serialized bytes those evictions released.
     pub evicted_bytes: u64,

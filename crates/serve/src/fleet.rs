@@ -155,9 +155,9 @@ pub struct FleetConfig {
     pub profile_threads: usize,
     /// Device class of every node ([`Fleet::with_backends`] mixes classes).
     pub backend: NodeBackend,
-    /// GPU runtime configuration (stream strategy, launch-config tuning,
-    /// profiling noise) for GPU nodes; KNL nodes ignore it. The per-job
-    /// profiling seed is derived from `seed` exactly like the KNL path.
+    /// GPU runtime configuration (stream strategy and profiling noise) for
+    /// GPU nodes; KNL nodes ignore it. The per-job profiling seed is
+    /// derived from `seed` exactly like the KNL path.
     pub gpu: GpuRuntimeConfig,
     /// Multi-node training configuration (replica count, interconnect,
     /// overlap strategy) for cluster nodes; other backends ignore it.
@@ -557,7 +557,7 @@ pub struct FleetReport {
     pub store_hits: u64,
     /// Profile keys requested but absent across all lookups.
     pub store_misses: u64,
-    /// Entries the store's LRU cap or byte quota evicted over the run.
+    /// Entries the store's LRU cap evicted over the run.
     pub store_evictions: u64,
     /// Serialized bytes those evictions released.
     pub store_evicted_bytes: u64,

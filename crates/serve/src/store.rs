@@ -17,7 +17,7 @@ use nnrt_manycore::MachineSignature;
 use nnrt_sched::KeyProfile;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Snapshot format tag; snapshots from other tools are rejected.
@@ -81,25 +81,22 @@ type StoreKey = (MachineSignature, OpKind, Shape);
 struct Entry {
     profile: KeyProfile,
     last_used: u64,
-    /// Serialized size of `profile`, charged against the owning machine's
-    /// byte quota.
-    bytes: u64,
 }
 
 /// Lifetime counters of one [`ProfileStore`]: how often lookups were served
-/// from the store, how often they missed, and how much the eviction policy
-/// (per-machine byte quota + LRU entry cap) has thrown away. The
-/// eviction-tuning work on the roadmap needs exactly these numbers, so the
-/// fleet surfaces them in its report and over the wire.
+/// from the store, how often they missed, and how much the LRU entry cap
+/// has thrown away. The fleet surfaces them in its report and over the
+/// wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
     /// Keys served from the store across all lookups.
     pub hits: u64,
     /// Keys requested but absent across all lookups.
     pub misses: u64,
-    /// Entries evicted by the byte quota or the LRU capacity cap.
+    /// Entries evicted by the LRU capacity cap.
     pub evictions: u64,
-    /// Serialized bytes those evictions released.
+    /// Serialized size of the evicted curve pairs, each measured as it
+    /// was evicted.
     pub evicted_bytes: u64,
 }
 
@@ -116,25 +113,13 @@ impl StoreStats {
     }
 }
 
-/// One machine's share of the store, maintained incrementally on
-/// insert/remove/touch.
-#[derive(Default)]
-struct MachineEntries {
-    /// Serialized bytes held by the machine's entries.
-    bytes: u64,
-    /// The machine's keys in eviction order: least recently used first,
-    /// ties broken by key order.
-    lru: BTreeSet<(u64, StoreKey)>,
-}
-
 struct Inner {
     entries: HashMap<StoreKey, Entry>,
-    /// Machines holding at least one entry, in signature order.
-    machines: BTreeMap<MachineSignature, MachineEntries>,
+    /// Every key in eviction order: least recently used first, ties broken
+    /// by key order.
+    lru: BTreeSet<(u64, StoreKey)>,
     clock: u64,
     capacity: usize,
-    /// Per-machine serialized-byte quota ([`u64::MAX`] = unbounded).
-    byte_quota: u64,
     stats: StoreStats,
     /// Content generation: bumped by every entry insert, overwrite and
     /// removal, never by a recency stamp (snapshots hold no stamps).
@@ -159,31 +144,16 @@ impl ProfileStore {
         Self::default()
     }
 
-    /// An empty store holding at most `capacity` curve pairs; the least
-    /// recently used entries are evicted beyond that.
+    /// An empty store holding at most `capacity` curve pairs across all
+    /// machines; the least recently used entries are evicted beyond that.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_limits(capacity, u64::MAX)
-    }
-
-    /// An empty store bounded two ways: every machine's entries may occupy
-    /// at most `per_machine_bytes` of serialized curve data (primary,
-    /// size-aware bound — a machine serving huge models can't starve the
-    /// others), and the whole store holds at most `capacity` curve pairs
-    /// (secondary LRU cap). Within each bound the least recently used
-    /// entries go first. A machine's single most recent entry is never
-    /// evicted by the byte quota, even if that one entry exceeds it —
-    /// dropping the curve a job just measured would force an endless
-    /// re-profile loop.
-    pub fn with_limits(capacity: usize, per_machine_bytes: u64) -> Self {
         assert!(capacity > 0, "profile store capacity must be positive");
-        assert!(per_machine_bytes > 0, "byte quota must be positive");
         ProfileStore {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
-                machines: BTreeMap::new(),
+                lru: BTreeSet::new(),
                 clock: 0,
                 capacity,
-                byte_quota: per_machine_bytes,
                 stats: StoreStats::default(),
                 generation: 0,
             }),
@@ -236,15 +206,10 @@ impl ProfileStore {
     ) -> Option<&'a Entry> {
         let store_key = (machine, key.0, key.1.clone());
         let entry = inner.entries.get_mut(&store_key)?;
-        let lru = &mut inner
-            .machines
-            .get_mut(&machine)
-            .expect("entry's machine")
-            .lru;
         let mut slot = (entry.last_used, store_key);
-        lru.remove(&slot);
+        inner.lru.remove(&slot);
         slot.0 = now;
-        lru.insert(slot);
+        inner.lru.insert(slot);
         entry.last_used = now;
         Some(entry)
     }
@@ -252,20 +217,6 @@ impl ProfileStore {
     /// Lifetime hit/miss/eviction counters.
     pub fn stats(&self) -> StoreStats {
         self.inner.lock().stats
-    }
-
-    /// Serialized bytes currently held for `machine`'s entries.
-    pub fn machine_bytes(&self, machine: MachineSignature) -> u64 {
-        self.inner
-            .lock()
-            .machines
-            .get(&machine)
-            .map_or(0, |m| m.bytes)
-    }
-
-    /// Serialized bytes currently held across all machines.
-    pub fn total_bytes(&self) -> u64 {
-        self.inner.lock().machines.values().map(|m| m.bytes).sum()
     }
 
     /// The store's content generation. It moves whenever an entry is
@@ -276,68 +227,43 @@ impl ProfileStore {
         self.inner.lock().generation
     }
 
-    /// Serialized size of one curve pair — the unit the byte quota charges.
+    /// Serialized size of one curve pair, as [`StoreStats::evicted_bytes`]
+    /// counts it.
     fn entry_bytes(profile: &KeyProfile) -> u64 {
         serde_json::to_string(profile)
             .expect("profile serializes")
             .len() as u64
     }
 
-    /// Inserts one entry, keeping the per-machine byte accounting exact
-    /// when an existing entry is overwritten.
+    /// Inserts one entry, moving an overwritten key's recency slot.
     fn insert_entry(inner: &mut Inner, key: StoreKey, profile: KeyProfile, last_used: u64) {
-        let bytes = Self::entry_bytes(&profile);
         inner.generation += 1;
-        let held = inner.machines.entry(key.0).or_default();
-        let old = inner.entries.insert(
-            key.clone(),
-            Entry {
-                profile,
-                last_used,
-                bytes,
-            },
-        );
+        let old = inner
+            .entries
+            .insert(key.clone(), Entry { profile, last_used });
         let mut slot = (last_used, key);
         if let Some(old) = old {
-            held.bytes -= old.bytes;
             slot.0 = old.last_used;
-            held.lru.remove(&slot);
+            inner.lru.remove(&slot);
             slot.0 = last_used;
         }
-        held.bytes += bytes;
-        held.lru.insert(slot);
-    }
-
-    /// Removes one entry, releasing its bytes. Returns the bytes released.
-    fn remove_entry(inner: &mut Inner, key: &StoreKey) -> u64 {
-        let Some(entry) = inner.entries.remove(key) else {
-            return 0;
-        };
-        inner.generation += 1;
-        let held = inner.machines.get_mut(&key.0).expect("entry's machine");
-        held.bytes -= entry.bytes;
-        held.lru.remove(&(entry.last_used, key.clone()));
-        if held.lru.is_empty() {
-            inner.machines.remove(&key.0);
-        }
-        entry.bytes
+        inner.lru.insert(slot);
     }
 
     /// Inserts (or refreshes) curves measured on `machine`, then enforces
-    /// the per-machine byte quota and the LRU entry cap.
+    /// the LRU entry cap.
     pub fn insert_many(&self, machine: MachineSignature, profiles: &[KeyProfile]) {
         self.publish(machine, &[], profiles);
     }
 
     /// Publishes one placement's outcome on `machine` in a single clock
     /// tick: the `touched` keys it read warm are stamped as just used, the
-    /// `fresh` curves it fitted are inserted, and the byte quota and LRU
-    /// cap are enforced. When `touched` holds keys whose stored curves the
-    /// placement exported unchanged, this leaves contents, recency, stats
-    /// and eviction order exactly as [`ProfileStore::insert_many`] of
-    /// `touched`'s curves plus `fresh` would, without re-serializing or
-    /// overwriting the warm entries. A touched key no longer present is
-    /// skipped.
+    /// `fresh` curves it fitted are inserted, and the LRU cap is enforced.
+    /// When `touched` holds keys whose stored curves the placement exported
+    /// unchanged, this leaves contents, recency, stats and eviction order
+    /// exactly as [`ProfileStore::insert_many`] of `touched`'s curves plus
+    /// `fresh` would, without overwriting the warm entries. A touched key
+    /// no longer present is skipped.
     pub fn publish(&self, machine: MachineSignature, touched: &[OpKey], fresh: &[KeyProfile]) {
         let mut inner = self.inner.lock();
         inner.clock += 1;
@@ -353,42 +279,18 @@ impl ProfileStore {
                 now,
             );
         }
-        Self::evict_over_limits(&mut inner);
+        Self::evict_over_capacity(&mut inner);
     }
 
-    /// Evicts one entry and counts it.
-    fn evict(inner: &mut Inner, victim: StoreKey) {
-        let bytes = Self::remove_entry(inner, &victim);
-        inner.stats.evictions += 1;
-        inner.stats.evicted_bytes += bytes;
-    }
-
-    fn evict_over_limits(inner: &mut Inner) {
-        // Primary bound: the per-machine byte quota. Machines are visited
-        // in signature order (deterministic); each sheds LRU entries until
-        // it fits the quota or only one entry remains (the newest survivor
-        // always stays — see `with_limits`).
-        let quota = inner.byte_quota;
-        while let Some(held) = inner
-            .machines
-            .values()
-            .find(|m| m.bytes > quota && m.lru.len() >= 2)
-        {
-            let (_, victim) = held.lru.first().expect("machine holds entries").clone();
-            Self::evict(inner, victim);
-        }
-        // Secondary bound: the global LRU entry cap. The victim is the
-        // least recently used entry of all (ties broken by key order, so
-        // eviction is deterministic).
+    /// Evicts least recently used entries (ties broken by key order, so
+    /// eviction is deterministic) until the store fits its capacity.
+    fn evict_over_capacity(inner: &mut Inner) {
         while inner.entries.len() > inner.capacity {
-            let (_, victim) = inner
-                .machines
-                .values()
-                .filter_map(|m| m.lru.first())
-                .min()
-                .expect("non-empty store above capacity")
-                .clone();
-            Self::evict(inner, victim);
+            let (_, victim) = inner.lru.pop_first().expect("non-empty store");
+            let entry = inner.entries.remove(&victim).expect("indexed entry");
+            inner.generation += 1;
+            inner.stats.evictions += 1;
+            inner.stats.evicted_bytes += Self::entry_bytes(&entry.profile);
         }
     }
 
@@ -396,14 +298,7 @@ impl ProfileStore {
     /// recently used first, ties broken by key.
     #[cfg(test)]
     fn eviction_order(&self) -> Vec<(u64, StoreKey)> {
-        let inner = self.inner.lock();
-        let mut order: Vec<(u64, StoreKey)> = inner
-            .machines
-            .values()
-            .flat_map(|m| m.lru.iter().cloned())
-            .collect();
-        order.sort();
-        order
+        self.inner.lock().lru.iter().cloned().collect()
     }
 
     /// Serializes the store to versioned JSON. Entries are key-sorted, so
@@ -445,8 +340,10 @@ impl ProfileStore {
             .collect();
         scored.sort_unstable();
         for &(_, i) in scored.iter().take(victims) {
-            Self::remove_entry(&mut inner, &keys[i]);
+            let entry = inner.entries.remove(&keys[i]).expect("listed key");
+            inner.lru.remove(&(entry.last_used, keys[i].clone()));
         }
+        inner.generation += victims as u64;
         victims
     }
 
@@ -499,7 +396,7 @@ impl ProfileStore {
                 last_used,
             );
         }
-        Self::evict_over_limits(&mut inner);
+        Self::evict_over_capacity(&mut inner);
         Ok(merged)
     }
 }
@@ -586,74 +483,36 @@ mod tests {
     }
 
     #[test]
-    fn byte_quota_evicts_the_machines_lru_entries() {
-        let one_entry = ProfileStore::entry_bytes(&profile(OpKind::MatMul, &[8]));
-        // Quota fits about two entries of this size.
-        let store = ProfileStore::with_limits(100, one_entry * 2 + one_entry / 2);
-        let sig = MachineSignature(1);
-        store.insert_many(sig, &[profile(OpKind::MatMul, &[8])]);
-        store.insert_many(sig, &[profile(OpKind::Relu, &[8])]);
-        assert_eq!(store.stats().evictions, 0, "two entries fit the quota");
-        // Touch MatMul so Relu is the LRU victim when Add pushes it over.
-        store.lookup(sig, &[(OpKind::MatMul, Shape(vec![8]))]);
-        store.insert_many(sig, &[profile(OpKind::Add, &[8])]);
-        assert_eq!(store.len(), 2);
-        assert!(store.contains(sig, &(OpKind::MatMul, Shape(vec![8]))));
-        assert!(store.contains(sig, &(OpKind::Add, Shape(vec![8]))));
-        assert!(!store.contains(sig, &(OpKind::Relu, Shape(vec![8]))));
-        let stats = store.stats();
-        assert_eq!(stats.evictions, 1);
-        assert!(stats.evicted_bytes > 0);
-        assert!(store.machine_bytes(sig) <= one_entry * 2 + one_entry / 2);
-    }
-
-    #[test]
-    fn byte_quota_is_per_machine_and_spares_the_last_entry() {
-        let one_entry = ProfileStore::entry_bytes(&profile(OpKind::MatMul, &[8]));
-        // A quota smaller than a single entry: every machine's newest entry
-        // still survives (evicting it would force an endless re-profile
-        // loop), and machines don't steal each other's budget.
-        let store = ProfileStore::with_limits(100, one_entry / 2);
-        let a = MachineSignature(1);
-        let b = MachineSignature(2);
-        store.insert_many(a, &[profile(OpKind::MatMul, &[8])]);
-        store.insert_many(b, &[profile(OpKind::MatMul, &[8])]);
-        assert_eq!(store.len(), 2, "one oversized entry per machine survives");
-        assert_eq!(store.stats().evictions, 0);
-        // A second entry on `a` trips its quota; `b` is untouched.
-        store.insert_many(a, &[profile(OpKind::Relu, &[8])]);
-        assert_eq!(store.len(), 2);
-        assert!(store.contains(b, &(OpKind::MatMul, Shape(vec![8]))));
-        assert_eq!(store.stats().evictions, 1);
-    }
-
-    #[test]
-    fn byte_accounting_survives_overwrites_corruption_and_restore() {
-        let store = ProfileStore::new();
+    fn evicted_bytes_count_each_victims_latest_size() {
+        let small = profile(OpKind::MatMul, &[8]);
+        let mut large = small.clone();
+        large
+            .compact
+            .samples
+            .extend([(9, 0.25), (17, 0.125), (34, 0.0625)]);
+        let (small_bytes, large_bytes) = (
+            ProfileStore::entry_bytes(&small),
+            ProfileStore::entry_bytes(&large),
+        );
+        assert!(large_bytes > small_bytes);
+        let store = ProfileStore::with_capacity(2);
         let sig = MachineSignature(3);
-        store.insert_many(
-            sig,
-            &[profile(OpKind::MatMul, &[4]), profile(OpKind::Relu, &[4])],
-        );
-        let expected: u64 = [OpKind::MatMul, OpKind::Relu]
-            .iter()
-            .map(|&k| ProfileStore::entry_bytes(&profile(k, &[4])))
-            .sum();
-        assert_eq!(store.total_bytes(), expected);
-        // Overwriting the same key must not double-charge.
-        store.insert_many(sig, &[profile(OpKind::MatMul, &[4])]);
-        assert_eq!(store.total_bytes(), expected);
-        // Corruption releases the dropped entries' bytes.
-        store.corrupt_deterministic(7, 1.0);
-        assert_eq!(store.total_bytes(), 0);
-        // Restore recharges them.
+        store.insert_many(sig, &[small, profile(OpKind::Relu, &[8])]);
+        // Overwritten, then evicted: the eviction counts the curve it drops.
+        store.insert_many(sig, std::slice::from_ref(&large));
+        store.lookup(sig, &[(OpKind::Relu, Shape(vec![8]))]);
+        store.insert_many(sig, &[profile(OpKind::Add, &[8])]);
+        assert!(!store.contains(sig, &large.key()));
+        let stats = store.stats();
+        assert_eq!((stats.evictions, stats.evicted_bytes), (1, large_bytes));
+        // A restore that overwrites a live key and a corruption that drops
+        // every entry remove curves without evicting them.
         let donor = ProfileStore::new();
-        donor.insert_many(sig, &[profile(OpKind::MatMul, &[4])]);
+        donor.insert_many(sig, &[profile(OpKind::Add, &[8])]);
         store.restore(&donor.snapshot()).unwrap();
-        assert_eq!(
-            store.total_bytes(),
-            ProfileStore::entry_bytes(&profile(OpKind::MatMul, &[4]))
-        );
+        store.corrupt_deterministic(7, 1.0);
+        assert!(store.is_empty());
+        assert_eq!(store.stats(), stats);
     }
 
     #[test]
@@ -839,48 +698,21 @@ mod tests {
         entries: HashMap<StoreKey, (KeyProfile, u64)>,
         clock: u64,
         capacity: usize,
-        quota: u64,
         stats: StoreStats,
     }
 
     impl ScanModel {
-        fn machine_bytes(&self, m: MachineSignature) -> u64 {
-            self.entries
-                .iter()
-                .filter(|(k, _)| k.0 == m)
-                .map(|(_, (p, _))| ProfileStore::entry_bytes(p))
-                .sum()
-        }
-
-        fn victim(&self, machine: Option<MachineSignature>) -> Option<StoreKey> {
-            self.entries
-                .iter()
-                .filter(|(k, _)| machine.is_none_or(|m| k.0 == m))
-                .min_by(|a, b| a.1 .1.cmp(&b.1 .1).then(a.0.cmp(b.0)))
-                .map(|(k, _)| k.clone())
-        }
-
-        fn evict(&mut self, key: StoreKey) {
-            let (p, _) = self.entries.remove(&key).expect("victim present");
-            self.stats.evictions += 1;
-            self.stats.evicted_bytes += ProfileStore::entry_bytes(&p);
-        }
-
-        fn evict_over_limits(&mut self) {
-            loop {
-                let machines: BTreeSet<MachineSignature> =
-                    self.entries.keys().map(|k| k.0).collect();
-                let over = machines.into_iter().find(|&m| {
-                    self.machine_bytes(m) > self.quota
-                        && self.entries.keys().filter(|k| k.0 == m).count() >= 2
-                });
-                let Some(m) = over else { break };
-                let victim = self.victim(Some(m)).expect("machine holds entries");
-                self.evict(victim);
-            }
+        fn evict_over_capacity(&mut self) {
             while self.entries.len() > self.capacity {
-                let victim = self.victim(None).expect("non-empty");
-                self.evict(victim);
+                let victim = self
+                    .entries
+                    .iter()
+                    .min_by(|a, b| a.1 .1.cmp(&b.1 .1).then(a.0.cmp(b.0)))
+                    .map(|(k, _)| k.clone())
+                    .expect("non-empty");
+                let (p, _) = self.entries.remove(&victim).expect("victim present");
+                self.stats.evictions += 1;
+                self.stats.evicted_bytes += ProfileStore::entry_bytes(&p);
             }
         }
 
@@ -890,7 +722,7 @@ mod tests {
                 self.entries
                     .insert((m, p.kind, p.shape.clone()), (p.clone(), self.clock));
             }
-            self.evict_over_limits();
+            self.evict_over_capacity();
         }
 
         fn lookup(&mut self, m: MachineSignature, keys: &[OpKey]) -> Vec<KeyProfile> {
@@ -921,7 +753,7 @@ mod tests {
                 };
                 self.entries.insert(key, (profile, last_used));
             }
-            self.evict_over_limits();
+            self.evict_over_capacity();
         }
 
         fn corrupt(&mut self, seed: u64, fraction: f64) {
@@ -982,15 +814,13 @@ mod tests {
         #[test]
         fn indexed_eviction_matches_the_scan_rule(
             capacity in 1usize..7,
-            quota in proptest::sample::select(vec![u64::MAX, 60, 150, 300]),
             ops in proptest::collection::vec(arb_op(), 1..40),
         ) {
-            let store = ProfileStore::with_limits(capacity, quota);
+            let store = ProfileStore::with_capacity(capacity);
             let mut model = ScanModel {
                 entries: HashMap::new(),
                 clock: 0,
                 capacity,
-                quota,
                 stats: StoreStats::default(),
             };
             for (op, machine, keys, seed) in ops {
@@ -1021,21 +851,16 @@ mod tests {
                 }
                 prop_assert_eq!(store.snapshot(), model.snapshot());
                 prop_assert_eq!(store.stats(), model.stats);
-                for sig in 1..4 {
-                    let sig = MachineSignature(sig);
-                    prop_assert_eq!(store.machine_bytes(sig), model.machine_bytes(sig));
-                }
             }
         }
 
         #[test]
         fn publish_matches_insert_many_of_warm_and_fresh(
             capacity in 1usize..7,
-            quota in proptest::sample::select(vec![u64::MAX, 60, 150, 300]),
             ops in proptest::collection::vec(arb_op(), 1..40),
         ) {
-            let delta = ProfileStore::with_limits(capacity, quota);
-            let whole = ProfileStore::with_limits(capacity, quota);
+            let delta = ProfileStore::with_capacity(capacity);
+            let whole = ProfileStore::with_capacity(capacity);
             for (op, machine, keys, seed) in ops {
                 let m = MachineSignature(machine);
                 let mut profiles = profiles_of(&keys);
@@ -1069,7 +894,6 @@ mod tests {
                 }
                 prop_assert_eq!(delta.snapshot(), whole.snapshot());
                 prop_assert_eq!(delta.stats(), whole.stats());
-                prop_assert_eq!(delta.total_bytes(), whole.total_bytes());
                 prop_assert_eq!(delta.eviction_order(), whole.eviction_order());
             }
         }
@@ -1077,10 +901,9 @@ mod tests {
         #[test]
         fn unchanged_generation_means_unchanged_snapshot(
             capacity in 1usize..7,
-            quota in proptest::sample::select(vec![u64::MAX, 60, 150, 300]),
             ops in proptest::collection::vec((0u8..6, 1u64..4, proptest::collection::vec((0usize..3, 1usize..4, 1usize..4), 0..5), 0u64..64), 1..40),
         ) {
-            let store = ProfileStore::with_limits(capacity, quota);
+            let store = ProfileStore::with_capacity(capacity);
             let mut generation = store.generation();
             let mut snapshot = store.snapshot();
             for (op, machine, keys, seed) in ops {

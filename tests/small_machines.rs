@@ -26,7 +26,6 @@ fn runtime_schedules_on_an_8_core_machine() {
             max_threads: 8,
             warm_seed: true,
         },
-        default_intra: 8,
         ..RuntimeConfig::default()
     };
     let rt = Runtime::prepare(&spec.graph, cost.clone(), config);
@@ -61,7 +60,6 @@ fn runtime_schedules_on_a_128_core_machine() {
             max_threads: 128,
             warm_seed: true,
         },
-        default_intra: 128,
         ..RuntimeConfig::default()
     };
     let rt = Runtime::prepare(&spec.graph, cost, config);
@@ -81,7 +79,6 @@ fn degenerate_graphs_run_everywhere() {
                 max_threads: max,
                 warm_seed: true,
             },
-            default_intra: max,
             ..RuntimeConfig::default()
         };
         // Single op.
