@@ -13,6 +13,11 @@
 //! decorrelated-jitter stream (`JitterBackoff`, seed = connection index)
 //! exactly as a real client herd should.
 //!
+//! The warmup ends early once it has admitted half of `ADMIT_CAP`, so a
+//! server fast enough to reach the cap inside the warmup still leaves the
+//! measure window half the cap to admit; the table's warmup column marks
+//! such a sweep `(cut)`.
+//!
 //! Sweeps run against a fresh in-process server (on-shutdown drain: the
 //! measurement isolates the RPC path — framing, the poller, request
 //! handling, admission — from simulated execution). `--addr HOST:PORT`
@@ -126,6 +131,9 @@ struct SweepResult {
     jobs_per_sec: f64,
     /// Whether `ADMIT_CAP` stopped submissions before the window closed.
     capped: bool,
+    /// Seconds of warmup actually run, and whether half the cap cut it.
+    warmup_secs: f64,
+    warmup_cut: bool,
     p50_us: f64,
     p99_us: f64,
 }
@@ -186,6 +194,7 @@ fn sweep(addr: SocketAddr, n: usize, pipeline: usize, warmup: f64, duration: f64
     let mut last_measured: Option<Instant> = None;
     let mut cap_hit: Option<Instant> = None;
     let mut admitted = 0u64;
+    let mut warmup_cut = false;
     let mut total_in_flight = 0u64;
     let mut draining = false;
 
@@ -308,6 +317,13 @@ fn sweep(addr: SocketAddr, n: usize, pipeline: usize, warmup: f64, duration: f64
                             Ok(Response::Submitted { .. }) => {
                                 conn.ok += 1;
                                 admitted += 1;
+                                // Half the cap spent warming up: measure
+                                // from here, with the other half left.
+                                if finished < measure_start && admitted >= ADMIT_CAP / 2 {
+                                    measure_start = finished;
+                                    measure_end = measure_start + Duration::from_secs_f64(duration);
+                                    warmup_cut = true;
+                                }
                                 // Classify by completion time, the standard
                                 // load-generator convention: every response
                                 // landing inside the window counts, however
@@ -374,6 +390,10 @@ fn sweep(addr: SocketAddr, n: usize, pipeline: usize, warmup: f64, duration: f64
         measured_ok,
         jobs_per_sec,
         capped,
+        warmup_secs: clock_base.map_or(0.0, |base| {
+            measure_start.saturating_duration_since(base).as_secs_f64()
+        }),
+        warmup_cut,
         p50_us: percentile(0.50),
         p99_us: percentile(0.99),
     }
@@ -414,6 +434,7 @@ fn main() {
         "submits ok",
         "saturated",
         "jobs/sec",
+        "warmup (s)",
         "cap hit",
         "p50 (us)",
         "p99 (us)",
@@ -462,6 +483,11 @@ fn main() {
             result.ok.to_string(),
             result.rejected.to_string(),
             format!("{:.0}", result.jobs_per_sec),
+            format!(
+                "{:.2}{}",
+                result.warmup_secs,
+                if result.warmup_cut { " (cut)" } else { "" }
+            ),
             if result.capped { "yes" } else { "no" }.to_string(),
             format!("{:.0}", result.p50_us),
             format!("{:.0}", result.p99_us),
@@ -517,7 +543,9 @@ fn main() {
              connection. Latency is send-to-response wall time inside the measure \
              window; jobs/sec counts admitted submissions only, over the window or, \
              when the admission cap stopped submits first (the table's cap-hit \
-             column), over the span up to the window's last response. Saturated bounces \
+             column), over the span up to the window's last response. A warmup that \
+             admits half the cap ends there (the table's warmup column says `cut`), \
+             so the window keeps the other half. Saturated bounces \
              back off through seeded decorrelated jitter (seed = connection index). \
              Sweeps use a fresh in-process server that holds all queued work \
              (on-shutdown drain policy), so the numbers isolate the RPC path; a \

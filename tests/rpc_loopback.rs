@@ -309,8 +309,9 @@ fn saturation_under_concurrency_accounts_every_job_exactly_once() {
                             Err(ClientError::Rejected(frame))
                                 if frame.kind == ErrorKind::Saturated =>
                             {
-                                // Every rejection — admission queue or
-                                // command inbox — must carry a usable wait.
+                                // Every rejection — full admission queue
+                                // or connection cap — must carry a usable
+                                // wait.
                                 let hint =
                                     frame.retry_after_secs.expect("saturation carries a hint");
                                 assert!(hint > 0.0, "hint must be positive, got {hint}");
