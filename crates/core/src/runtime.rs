@@ -39,7 +39,7 @@ pub struct RuntimeConfig {
     pub s2_tolerance: u32,
     /// Among fitting candidates, prefer the one with the fewest threads
     /// (the paper's choice: release cores for more co-running) rather than
-    /// the fastest one.
+    /// the fastest one. The `ablation_candidates` bench flips this.
     pub prefer_fewest_threads: bool,
     /// Measurement-noise seed for the profiling steps.
     pub seed: u64,
