@@ -28,7 +28,6 @@ use crate::profile::{GpuProfile, GpuProfileConfig};
 use nnrt_graph::{DataflowGraph, NodeId, OpKey};
 use nnrt_sched::exec::NodeTiming;
 use nnrt_sched::{OpCatalog, ProfilerPool};
-use serde::{Deserialize, Error, ObjectWriter, Serialize, Value};
 
 /// How ready kernels are packed onto streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,59 +55,6 @@ impl Default for GpuStrategy {
         GpuStrategy::CorunControlled {
             max_streams: 4,
             demand_budget: 1.15,
-        }
-    }
-}
-
-// The vendored serde derive only covers fieldless enums, so the tagged
-// object shape is written out by hand.
-impl Serialize for GpuStrategy {
-    fn write_json(&self, out: &mut String) {
-        let obj = ObjectWriter::new(out);
-        match self {
-            GpuStrategy::Serial => obj.field("mode", "serial"),
-            GpuStrategy::Static { streams } => {
-                obj.field("mode", "static").field("streams", streams)
-            }
-            GpuStrategy::CorunControlled {
-                max_streams,
-                demand_budget,
-            } => obj
-                .field("mode", "corun_controlled")
-                .field("max_streams", max_streams)
-                .field("demand_budget", demand_budget),
-        }
-        .end();
-    }
-}
-
-impl Deserialize for GpuStrategy {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let mode = v
-            .get("mode")
-            .and_then(Value::as_str)
-            .ok_or_else(|| Error::missing_field("GpuStrategy", "mode"))?;
-        match mode {
-            "serial" => Ok(GpuStrategy::Serial),
-            "static" => Ok(GpuStrategy::Static {
-                streams: v
-                    .get("streams")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| Error::missing_field("GpuStrategy", "streams"))?
-                    as u32,
-            }),
-            "corun_controlled" => Ok(GpuStrategy::CorunControlled {
-                max_streams: v
-                    .get("max_streams")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| Error::missing_field("GpuStrategy", "max_streams"))?
-                    as u32,
-                demand_budget: v
-                    .get("demand_budget")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| Error::missing_field("GpuStrategy", "demand_budget"))?,
-            }),
-            other => Err(Error::msg(format!("unknown GpuStrategy mode `{other}`"))),
         }
     }
 }
@@ -705,25 +651,6 @@ mod tests {
                     "trace violates edge {p:?}->{id:?} beyond 1µs rounding"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn strategy_json_is_a_mode_tagged_object() {
-        let cases = [
-            (GpuStrategy::Serial, r#"{"mode":"serial"}"#),
-            (
-                GpuStrategy::Static { streams: 3 },
-                r#"{"mode":"static","streams":3}"#,
-            ),
-            (
-                GpuStrategy::default(),
-                r#"{"mode":"corun_controlled","max_streams":4,"demand_budget":1.15}"#,
-            ),
-        ];
-        for (strategy, text) in cases {
-            assert_eq!(serde_json::to_string(&strategy).unwrap(), text);
-            assert_eq!(serde_json::from_str::<GpuStrategy>(text).unwrap(), strategy);
         }
     }
 }

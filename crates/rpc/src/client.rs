@@ -252,24 +252,23 @@ impl RpcClient {
     ) -> Result<u64, ClientError> {
         let attempts = policy.max_attempts.max(1);
         let mut backoff = JitterBackoff::new(policy);
-        let mut last = None;
-        for attempt in 0..attempts {
+        for _ in 1..attempts {
             match self.submit(spec) {
-                Ok(id) => return Ok(id),
                 Err(ClientError::Rejected(frame)) if frame.kind == ErrorKind::Saturated => {
-                    let wait = backoff.next_wait(frame.retry_after_secs);
-                    last = Some(frame);
-                    if attempt + 1 < attempts {
-                        thread::sleep(wait);
-                    }
+                    thread::sleep(backoff.next_wait(frame.retry_after_secs));
                 }
-                Err(other) => return Err(other),
+                other => return other,
             }
         }
-        Err(ClientError::RetriesExhausted {
-            attempts,
-            last: last.expect("at least one rejection before exhaustion"),
-        })
+        match self.submit(spec) {
+            Err(ClientError::Rejected(frame)) if frame.kind == ErrorKind::Saturated => {
+                Err(ClientError::RetriesExhausted {
+                    attempts,
+                    last: frame,
+                })
+            }
+            other => other,
+        }
     }
 
     /// One job's status.

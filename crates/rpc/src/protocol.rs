@@ -12,9 +12,9 @@
 //! The length covers the version byte plus the JSON payload and is capped at
 //! [`MAX_FRAME_LEN`], so a garbage prefix cannot make a peer allocate
 //! unboundedly. The payload is a single JSON object tagged by a `"type"`
-//! member — the same hand-rolled tagged-object convention the chaos module
-//! uses, because the vendored serde derive cannot handle payload-carrying
-//! enums. Unknown tags, missing fields, and version skew all decode to
+//! member, the payload-enum shape the vendored serde derive writes (the
+//! chaos module's fault events and the journal's records use it too).
+//! Unknown tags, missing fields, and version skew all decode to
 //! typed errors, never panics; a server answers them with an
 //! [`ErrorFrame`] rather than dropping the connection.
 //!
@@ -27,7 +27,7 @@
 
 use nnrt_obs::Event;
 use nnrt_serve::{JobStatus, StoreStats};
-use serde::{Deserialize, Error as SerdeError, ObjectWriter, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -150,9 +150,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
 /// resolves `model` + `batch` to a graph through the shared
 /// [`nnrt_models::by_name`] registry), query one job or all jobs, read the
 /// profile store's snapshot and counters, or shut the service down.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Submit a training job.
+    #[serde(member = "spec")]
     Submit(SubmitSpec),
     /// Query one job by id.
     Status {
@@ -177,7 +178,7 @@ pub enum Request {
 
 impl Request {
     /// Stable lowercase name of the request kind — the `kind` label the
-    /// server's per-request metrics use.
+    /// server's per-request metrics use, equal to the JSON `"type"` tag.
     pub fn kind(&self) -> &'static str {
         match self {
             Request::Submit(_) => "submit",
@@ -295,7 +296,7 @@ impl SnapshotInfo {
 }
 
 /// What the server answers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// The submit was admitted under this id.
     Submitted {
@@ -307,6 +308,7 @@ pub enum Response {
     /// Every admitted job's status, sorted by id.
     Jobs(Vec<JobStatus>),
     /// The profile store's counters and snapshot.
+    #[serde(member = "store")]
     Snapshot(SnapshotInfo),
     /// The metrics exposition text.
     Metrics {
@@ -325,105 +327,11 @@ pub enum Response {
     Error(ErrorFrame),
 }
 
-// ---------------------------------------------------------------------------
-// Tagged-object encoding (the vendored serde derive cannot do payload
-// enums, so Request/Response are written out by hand).
-// ---------------------------------------------------------------------------
-
-fn tag_of(v: &Value) -> Result<&str, SerdeError> {
-    v.get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| SerdeError::msg("message object lacks a string `type` tag"))
-}
-
-fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, SerdeError> {
-    v.get(name)
-        .ok_or_else(|| SerdeError::msg(format!("missing field `{name}`")))
-}
-
-impl Serialize for Request {
-    fn write_json(&self, out: &mut String) {
-        let obj = ObjectWriter::new(out).field("type", self.kind());
-        match self {
-            Request::Submit(spec) => obj.field("spec", spec),
-            Request::Status { job_id } => obj.field("job_id", job_id),
-            Request::ListJobs
-            | Request::Snapshot
-            | Request::Metrics
-            | Request::Events
-            | Request::Shutdown => obj,
-        }
-        .end();
-    }
-}
-
-impl Deserialize for Request {
-    fn from_json_value(v: &Value) -> Result<Self, SerdeError> {
-        match tag_of(v)? {
-            "submit" => Ok(Request::Submit(SubmitSpec::from_json_value(field(
-                v, "spec",
-            )?)?)),
-            "status" => Ok(Request::Status {
-                job_id: u64::from_json_value(field(v, "job_id")?)?,
-            }),
-            "list_jobs" => Ok(Request::ListJobs),
-            "snapshot" => Ok(Request::Snapshot),
-            "metrics" => Ok(Request::Metrics),
-            "events" => Ok(Request::Events),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(SerdeError::msg(format!("unknown request type `{other}`"))),
-        }
-    }
-}
-
-impl Serialize for Response {
-    fn write_json(&self, out: &mut String) {
-        let obj = ObjectWriter::new(out);
-        match self {
-            Response::Submitted { job_id } => {
-                obj.field("type", "submitted").field("job_id", job_id)
-            }
-            Response::Job(status) => obj.field("type", "job").field("job", status),
-            Response::Jobs(jobs) => obj.field("type", "jobs").field("jobs", jobs),
-            Response::Snapshot(info) => obj.field("type", "snapshot").field("store", info),
-            Response::Metrics { text } => obj.field("type", "metrics").field("text", text),
-            Response::Events(events) => obj.field("type", "events").field("events", events),
-            Response::Bye { report } => obj.field("type", "bye").field("report", report),
-            Response::Error(frame) => obj.field("type", "error").field("error", frame),
-        }
-        .end();
-    }
-}
-
-impl Deserialize for Response {
-    fn from_json_value(v: &Value) -> Result<Self, SerdeError> {
-        match tag_of(v)? {
-            "submitted" => Ok(Response::Submitted {
-                job_id: u64::from_json_value(field(v, "job_id")?)?,
-            }),
-            "job" => Ok(Response::Job(JobStatus::from_json_value(field(v, "job")?)?)),
-            "jobs" => Ok(Response::Jobs(Vec::from_json_value(field(v, "jobs")?)?)),
-            "snapshot" => Ok(Response::Snapshot(SnapshotInfo::from_json_value(field(
-                v, "store",
-            )?)?)),
-            "metrics" => Ok(Response::Metrics {
-                text: String::from_json_value(field(v, "text")?)?,
-            }),
-            "events" => Ok(Response::Events(Vec::from_json_value(field(v, "events")?)?)),
-            "bye" => Ok(Response::Bye {
-                report: String::from_json_value(field(v, "report")?)?,
-            }),
-            "error" => Ok(Response::Error(ErrorFrame::from_json_value(field(
-                v, "error",
-            )?)?)),
-            other => Err(SerdeError::msg(format!("unknown response type `{other}`"))),
-        }
-    }
-}
-
 /// Encodes a message to its JSON payload text.
 pub fn encode<T: Serialize>(msg: &T) -> String {
-    serde_json::to_string(msg).expect("protocol messages serialize")
+    let mut payload = String::new();
+    msg.write_json(&mut payload);
+    payload
 }
 
 /// Decodes a JSON payload into a message.

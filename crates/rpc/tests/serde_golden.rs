@@ -2,7 +2,7 @@
 //! for the edge cases every encoder must get right: string escapes, float
 //! formatting (integral, tiny, huge, signed zero, non-finite), integer
 //! extremes, empty containers, map entry lists, each derive shape, and one
-//! of every hand-written tagged record the journal and the wire carry.
+//! of every tagged record the journal and the wire carry.
 //!
 //! On a mismatch the failure names each case that moved and prints the
 //! recomputed table, ready to paste over `EXPECTED` when a byte change is
@@ -12,7 +12,7 @@ use nnrt_graph::{DataflowGraph, OpKind, Shape};
 use nnrt_obs::{Clock, Event, EventKind};
 use nnrt_rpc::{ErrorFrame, ErrorKind, Request, Response, SnapshotInfo, SubmitSpec};
 use nnrt_serve::{FaultEvent, FaultPlan, JobPhase, JobStatus, JournalRecord, StoreStats};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 #[derive(Serialize)]
@@ -29,6 +29,36 @@ struct Newtype(f64);
 
 #[derive(Serialize)]
 struct Pair(u8, String);
+
+/// Every variant shape a derived payload enum supports.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+enum Tagged {
+    Idle,
+    MovedTo {
+        x: u32,
+        label: String,
+    },
+    Note(String),
+    #[serde(member = "body")]
+    Wrapped(Vec<u8>),
+    #[serde(rename = "renamed")]
+    OldName {
+        flag: bool,
+    },
+}
+
+fn tagged_values() -> Vec<Tagged> {
+    vec![
+        Tagged::Idle,
+        Tagged::MovedTo {
+            x: 3,
+            label: "a".to_string(),
+        },
+        Tagged::Note("n".to_string()),
+        Tagged::Wrapped(vec![1, 2]),
+        Tagged::OldName { flag: true },
+    ]
+}
 
 #[derive(Serialize)]
 struct Named {
@@ -200,6 +230,15 @@ fn fault_plan() -> FaultPlan {
     }
 }
 
+/// The `"type"` member of an encoded tagged object.
+fn type_tag(text: &str) -> String {
+    let value: serde_json::Value = serde_json::from_str(text).expect("parses");
+    value["type"]
+        .as_str()
+        .expect("a string `type` tag")
+        .to_string()
+}
+
 /// Every case's `(name, encoded text)`, compact unless the name says
 /// `pretty`.
 fn actual() -> Vec<(String, String)> {
@@ -263,6 +302,7 @@ fn actual() -> Vec<(String, String)> {
     };
     push("derive_named", c(&named));
     push("derive_named_pretty", p(&named));
+    push("derive_tagged", c(&tagged_values()));
     let value: serde_json::Value =
         serde_json::from_str(r#"{"a":[1,-2,2.5,{}],"b":{"c":null,"d":[[]]},"e":"s:,{"}"#)
             .expect("parses");
@@ -275,10 +315,14 @@ fn actual() -> Vec<(String, String)> {
             JournalRecord::StorePublish { .. } => "_touched",
             _ => "",
         };
-        push(&format!("journal_{}{form}", rec.tag()), c(&rec));
+        let text = c(&rec);
+        assert_eq!(type_tag(&text), rec.tag(), "{text}");
+        push(&format!("journal_{}{form}", rec.tag()), text);
     }
     for req in requests() {
-        push(&format!("request_{}", req.kind()), c(&req));
+        let text = c(&req);
+        assert_eq!(type_tag(&text), req.kind(), "{text}");
+        push(&format!("request_{}", req.kind()), text);
     }
     for (i, resp) in responses().iter().enumerate() {
         push(&format!("response_{i}"), c(resp));
@@ -318,6 +362,7 @@ const EXPECTED: &[(&str, &str)] = &[
     ("derive_tuple", "[255,\"x\\\"y\"]"),
     ("derive_named", "{\"label\":\"n\",\"empty\":[[],[1]],\"none\":null,\"some\":-1,\"unit\":null,\"pair\":[0,\"\"]}"),
     ("derive_named_pretty", "{\n  \"label\": \"n\",\n  \"empty\": [\n    [],\n    [\n      1\n    ]\n  ],\n  \"none\": null,\n  \"some\": -1,\n  \"unit\": null,\n  \"pair\": [\n    0,\n    \"\"\n  ]\n}"),
+    ("derive_tagged", "[{\"type\":\"idle\"},{\"type\":\"moved_to\",\"x\":3,\"label\":\"a\"},{\"type\":\"note\",\"note\":\"n\"},{\"type\":\"wrapped\",\"body\":[1,2]},{\"type\":\"renamed\",\"flag\":true}]"),
     ("value", "{\"a\":[1,-2,2.5,{}],\"b\":{\"c\":null,\"d\":[[]]},\"e\":\"s:,{\"}"),
     ("value_pretty", "{\n  \"a\": [\n    1,\n    -2,\n    2.5,\n    {}\n  ],\n  \"b\": {\n    \"c\": null,\n    \"d\": [\n      []\n    ]\n  },\n  \"e\": \"s:,{\"\n}"),
     ("fault_plan", "{\"events\":[{\"type\":\"node_crash\",\"node\":1,\"at\":3.0,\"down_secs\":0.5},{\"type\":\"node_slowdown\",\"node\":0,\"at\":1.25,\"factor\":2.0,\"duration_secs\":10.0},{\"type\":\"store_corruption\",\"at\":7.0,\"drop_fraction\":0.3}],\"profiling_step_budget\":null,\"seed\":99}"),
@@ -373,6 +418,38 @@ fn serializer_bytes_are_pinned() {
             "serializer output moved for {moved:?} ({} cases, {} expected); recomputed:\n{table}",
             actual.len(),
             EXPECTED.len()
+        );
+    }
+}
+
+#[test]
+fn derived_tagged_enum_round_trips_and_rejects_malformed_objects() {
+    for value in tagged_values() {
+        let text = serde_json::to_string(&value).expect("serializes");
+        let back: Tagged = serde_json::from_str(&text).expect("decodes");
+        assert_eq!(back, value, "{text}");
+    }
+    let ignored = r#"{"flag":false,"extra":[1],"type":"renamed"}"#;
+    let back: Tagged = serde_json::from_str(ignored).expect("unknown members are ignored");
+    assert_eq!(back, Tagged::OldName { flag: false });
+    // No tag, a non-string tag, unknown tags (a renamed variant answers only
+    // to its new tag), missing members (a named newtype member replaces
+    // the default one), and non-objects.
+    for bad in [
+        r#"{"x":3,"label":"a"}"#,
+        r#"{"type":7}"#,
+        r#"{"type":"launch"}"#,
+        r#"{"type":"old_name","flag":true}"#,
+        r#"{"type":"moved_to","x":3}"#,
+        r#"{"type":"note"}"#,
+        r#"{"type":"wrapped","wrapped":[1]}"#,
+        r#""idle""#,
+        "[]",
+        "null",
+    ] {
+        assert!(
+            serde_json::from_str::<Tagged>(bad).is_err(),
+            "{bad} decoded"
         );
     }
 }

@@ -13,7 +13,7 @@
 //! generated from a seed ([`FaultPlan::from_seed`]) or hand-written by a
 //! test that wants one precise failure.
 
-use serde::{ObjectWriter, Serialize};
+use serde::Serialize;
 
 /// Initial re-admission backoff after a crash evicts a job, seconds.
 pub const INITIAL_BACKOFF_SECS: f64 = 1.0;
@@ -21,7 +21,7 @@ pub const INITIAL_BACKOFF_SECS: f64 = 1.0;
 pub const MAX_BACKOFF_SECS: f64 = 64.0;
 
 /// One scripted fault, scheduled against the simulated fleet clock.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FaultEvent {
     /// The node dies at `at`: resident jobs are evicted (to be restored from
     /// their checkpoints on surviving nodes) and the node takes no work for
@@ -67,41 +67,6 @@ impl FaultEvent {
             | FaultEvent::NodeSlowdown { at, .. }
             | FaultEvent::StoreCorruption { at, .. } => *at,
         }
-    }
-}
-
-// The vendored serde derive only covers fieldless enums, so the tagged
-// object shape is written out by hand.
-impl Serialize for FaultEvent {
-    fn write_json(&self, out: &mut String) {
-        let obj = ObjectWriter::new(out);
-        match self {
-            FaultEvent::NodeCrash {
-                node,
-                at,
-                down_secs,
-            } => obj
-                .field("type", "node_crash")
-                .field("node", node)
-                .field("at", at)
-                .field("down_secs", down_secs),
-            FaultEvent::NodeSlowdown {
-                node,
-                at,
-                factor,
-                duration_secs,
-            } => obj
-                .field("type", "node_slowdown")
-                .field("node", node)
-                .field("at", at)
-                .field("factor", factor)
-                .field("duration_secs", duration_secs),
-            FaultEvent::StoreCorruption { at, drop_fraction } => obj
-                .field("type", "store_corruption")
-                .field("at", at)
-                .field("drop_fraction", drop_fraction),
-        }
-        .end();
     }
 }
 

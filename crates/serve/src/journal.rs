@@ -21,12 +21,12 @@
 //! +-------------------+------------------------+--------------------+
 //! ```
 //!
-//! The payload is a single JSON object tagged by a `"type"` member — the
-//! same hand-rolled tagged-object convention the chaos and RPC layers use,
-//! because the vendored serde derive cannot handle payload-carrying enums.
-//! The length is capped at [`MAX_RECORD_LEN`] so a corrupt prefix cannot
-//! force an unbounded allocation, and the checksum turns torn or bit-flipped
-//! suffixes into typed [`RecordError`]s instead of silently wrong records.
+//! The payload is a single JSON object tagged by a `"type"` member, the
+//! payload-enum shape the vendored serde derive writes for the chaos and
+//! RPC layers too. The length is capped at [`MAX_RECORD_LEN`] so a corrupt
+//! prefix cannot force an unbounded allocation, and the checksum turns torn
+//! or bit-flipped suffixes into typed [`RecordError`]s instead of silently
+//! wrong records.
 //!
 //! ## Consistency cut
 //!
@@ -61,7 +61,7 @@
 use nnrt_graph::{DataflowGraph, OpKey};
 use nnrt_manycore::MachineSignature;
 use nnrt_sched::KeyProfile;
-use serde::{Deserialize, Error as SerdeError, ObjectWriter, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -147,7 +147,7 @@ impl std::error::Error for RecordError {}
 /// read warm, making the journal a write-ahead log over the
 /// [`crate::ProfileStore`] — a crash between snapshot flushes loses no
 /// measured key.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum JournalRecord {
     /// First record of every log: format tag + schema version.
     Header {
@@ -207,6 +207,7 @@ pub enum JournalRecord {
     /// holds keys only, and replayed with [`crate::ProfileStore::publish`]:
     /// the touched keys still present are stamped and the curves inserted
     /// in one clock tick.
+    #[serde(rename = "store_insert")]
     StorePublish {
         /// Signature of the machine the curves were measured on.
         machine: MachineSignature,
@@ -304,112 +305,40 @@ impl JournalRecord {
     }
 }
 
-fn tag_of(v: &Value) -> Result<&str, SerdeError> {
-    v.get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| SerdeError::msg("record object lacks a string `type` tag"))
-}
-
-fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, SerdeError> {
-    v.get(name)
-        .ok_or_else(|| SerdeError::msg(format!("missing field `{name}`")))
-}
-
-impl Serialize for JournalRecord {
-    fn write_json(&self, out: &mut String) {
-        let obj = ObjectWriter::new(out).field("type", self.tag());
-        match self {
-            JournalRecord::Header { format, version } => {
-                obj.field("format", format).field("version", version)
-            }
-            JournalRecord::Graph { id, graph } => obj.field("id", id).field("graph", graph),
-            JournalRecord::Admit {
-                id,
-                name,
-                model,
-                steps,
-                priority,
-                weight,
-                graph,
-            } => obj
-                .field("id", id)
-                .field("name", name)
-                .field("model", model)
-                .field("steps", steps)
-                .field("priority", priority)
-                .field("weight", weight)
-                .field("graph", graph),
-            JournalRecord::Place { id, node } | JournalRecord::Retry { id, node } => {
-                obj.field("id", id).field("node", node)
-            }
-            JournalRecord::StoreInsert { machine, profiles } => {
-                obj.field("machine", machine).field("profiles", profiles)
-            }
-            JournalRecord::StorePublish {
-                machine,
-                touched,
-                profiles,
-            } => obj
-                .field("machine", machine)
-                .field("touched", touched)
-                .field("profiles", profiles),
-            JournalRecord::Checkpoint {
-                id,
-                steps_done,
-                at,
-                fitted_keys,
-            } => obj
-                .field("id", id)
-                .field("steps_done", steps_done)
-                .field("at", at)
-                .field("fitted_keys", fitted_keys),
-            JournalRecord::Evict { id, at } => obj.field("id", id).field("at", at),
-            JournalRecord::Complete {
-                id,
-                name,
-                model,
-                steps,
-                node,
-                at,
-            } => obj
-                .field("id", id)
-                .field("name", name)
-                .field("model", model)
-                .field("steps", steps)
-                .field("node", node)
-                .field("at", at),
-        }
-        .end();
-    }
-}
-
+// Hand-written, unlike `Serialize`: one `store_insert` tag decodes to
+// `StoreInsert` or `StorePublish`, depending on whether `touched` is present.
 impl Deserialize for JournalRecord {
     fn from_json_value(v: &Value) -> Result<Self, SerdeError> {
-        match tag_of(v)? {
+        let field = |name| v.member("JournalRecord", name);
+        let tag = field("type")?;
+        match tag
+            .as_str()
+            .ok_or_else(|| SerdeError::expected("string `type` tag", tag))?
+        {
             "header" => Ok(JournalRecord::Header {
-                format: String::from_json_value(field(v, "format")?)?,
-                version: u64::from_json_value(field(v, "version")?)?,
+                format: String::from_json_value(field("format")?)?,
+                version: u64::from_json_value(field("version")?)?,
             }),
             "graph" => Ok(JournalRecord::Graph {
-                id: u64::from_json_value(field(v, "id")?)?,
-                graph: DataflowGraph::from_json_value(field(v, "graph")?)?,
+                id: u64::from_json_value(field("id")?)?,
+                graph: DataflowGraph::from_json_value(field("graph")?)?,
             }),
             "admit" => Ok(JournalRecord::Admit {
-                id: u64::from_json_value(field(v, "id")?)?,
-                name: String::from_json_value(field(v, "name")?)?,
-                model: String::from_json_value(field(v, "model")?)?,
-                steps: u32::from_json_value(field(v, "steps")?)?,
-                priority: u8::from_json_value(field(v, "priority")?)?,
-                weight: f64::from_json_value(field(v, "weight")?)?,
-                graph: u64::from_json_value(field(v, "graph")?)?,
+                id: u64::from_json_value(field("id")?)?,
+                name: String::from_json_value(field("name")?)?,
+                model: String::from_json_value(field("model")?)?,
+                steps: u32::from_json_value(field("steps")?)?,
+                priority: u8::from_json_value(field("priority")?)?,
+                weight: f64::from_json_value(field("weight")?)?,
+                graph: u64::from_json_value(field("graph")?)?,
             }),
             "place" => Ok(JournalRecord::Place {
-                id: u64::from_json_value(field(v, "id")?)?,
-                node: u32::from_json_value(field(v, "node")?)?,
+                id: u64::from_json_value(field("id")?)?,
+                node: u32::from_json_value(field("node")?)?,
             }),
             "store_insert" => {
-                let machine = MachineSignature::from_json_value(field(v, "machine")?)?;
-                let profiles = Vec::from_json_value(field(v, "profiles")?)?;
+                let machine = MachineSignature::from_json_value(field("machine")?)?;
+                let profiles = Vec::from_json_value(field("profiles")?)?;
                 Ok(match v.get("touched") {
                     None => JournalRecord::StoreInsert { machine, profiles },
                     Some(touched) => JournalRecord::StorePublish {
@@ -420,26 +349,26 @@ impl Deserialize for JournalRecord {
                 })
             }
             "checkpoint" => Ok(JournalRecord::Checkpoint {
-                id: u64::from_json_value(field(v, "id")?)?,
-                steps_done: u32::from_json_value(field(v, "steps_done")?)?,
-                at: f64::from_json_value(field(v, "at")?)?,
-                fitted_keys: Vec::from_json_value(field(v, "fitted_keys")?)?,
+                id: u64::from_json_value(field("id")?)?,
+                steps_done: u32::from_json_value(field("steps_done")?)?,
+                at: f64::from_json_value(field("at")?)?,
+                fitted_keys: Vec::from_json_value(field("fitted_keys")?)?,
             }),
             "evict" => Ok(JournalRecord::Evict {
-                id: u64::from_json_value(field(v, "id")?)?,
-                at: f64::from_json_value(field(v, "at")?)?,
+                id: u64::from_json_value(field("id")?)?,
+                at: f64::from_json_value(field("at")?)?,
             }),
             "retry" => Ok(JournalRecord::Retry {
-                id: u64::from_json_value(field(v, "id")?)?,
-                node: u32::from_json_value(field(v, "node")?)?,
+                id: u64::from_json_value(field("id")?)?,
+                node: u32::from_json_value(field("node")?)?,
             }),
             "complete" => Ok(JournalRecord::Complete {
-                id: u64::from_json_value(field(v, "id")?)?,
-                name: String::from_json_value(field(v, "name")?)?,
-                model: String::from_json_value(field(v, "model")?)?,
-                steps: u32::from_json_value(field(v, "steps")?)?,
-                node: u32::from_json_value(field(v, "node")?)?,
-                at: f64::from_json_value(field(v, "at")?)?,
+                id: u64::from_json_value(field("id")?)?,
+                name: String::from_json_value(field("name")?)?,
+                model: String::from_json_value(field("model")?)?,
+                steps: u32::from_json_value(field("steps")?)?,
+                node: u32::from_json_value(field("node")?)?,
+                at: f64::from_json_value(field("at")?)?,
             }),
             other => Err(SerdeError::msg(format!("unknown record type `{other}`"))),
         }
@@ -448,7 +377,8 @@ impl Deserialize for JournalRecord {
 
 /// Encodes one record to its framed wire form (length + checksum + JSON).
 pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
-    let payload = serde_json::to_string(rec).expect("journal records serialize");
+    let mut payload = String::new();
+    rec.write_json(&mut payload);
     let bytes = payload.as_bytes();
     let mut out = Vec::with_capacity(RECORD_HEADER_LEN + bytes.len());
     out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());

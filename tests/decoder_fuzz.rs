@@ -4,9 +4,16 @@
 //! a *typed* error — never a panic, and never a silently wrong record.
 
 use nnrt::graph::{DataflowGraph, OpKind, Shape};
-use nnrt::rpc::{read_frame, FrameError, Request};
-use nnrt::serve::{decode_record, encode_record, replay, JournalRecord};
+use nnrt::obs::{Clock, Event, EventKind};
+use nnrt::rpc::{
+    decode, encode, read_frame, ErrorFrame, ErrorKind, FrameError, Request, Response, SnapshotInfo,
+    SubmitSpec,
+};
+use nnrt::serve::{
+    decode_record, encode_record, replay, JobPhase, JobStatus, JournalRecord, StoreStats,
+};
 use proptest::prelude::*;
+use serde_json::Value;
 
 /// Valid journal records spanning every payload shape (ids, floats,
 /// strings, empty vectors, a graph). `Admit` names its graph by id, so it
@@ -92,6 +99,87 @@ fn arb_record() -> impl Strategy<Value = JournalRecord> {
     ]
 }
 
+/// One message of every `Request` and `Response` variant, as the JSON
+/// object it encodes to, each with whether it is a request.
+fn tagged_messages() -> Vec<(bool, Value)> {
+    let status = JobStatus {
+        id: 3,
+        name: "dcgan-3".to_string(),
+        model: "dcgan".to_string(),
+        phase: JobPhase::Running,
+        steps_done: 1,
+        steps: 3,
+        node: Some(0),
+        durability_disabled: false,
+    };
+    let requests = [
+        Request::Submit(SubmitSpec::new("dcgan")),
+        Request::Status { job_id: 7 },
+        Request::ListJobs,
+        Request::Snapshot,
+        Request::Metrics,
+        Request::Events,
+        Request::Shutdown,
+    ];
+    let responses = [
+        Response::Submitted { job_id: 3 },
+        Response::Job(status.clone()),
+        Response::Jobs(vec![status]),
+        Response::Snapshot(SnapshotInfo::new(
+            1,
+            StoreStats::default(),
+            "{}".to_string(),
+        )),
+        Response::Metrics {
+            text: "c 1\n".to_string(),
+        },
+        Response::Events(vec![Event {
+            seq: 0,
+            at: 1.5,
+            clock: Clock::Sim,
+            kind: EventKind::Place,
+            job: Some(3),
+            node: None,
+            detail: String::new(),
+        }]),
+        Response::Bye {
+            report: "{}".to_string(),
+        },
+        Response::Error(ErrorFrame {
+            kind: ErrorKind::Saturated,
+            message: "queue full".to_string(),
+            retry_after_secs: Some(0.5),
+        }),
+    ];
+    let object = |text: String| serde_json::from_str::<Value>(&text).expect("parses");
+    requests
+        .iter()
+        .map(|r| (true, object(encode(r))))
+        .chain(responses.iter().map(|r| (false, object(encode(r)))))
+        .collect()
+}
+
+/// Removes each member of the object `value` whose draw is 0, except
+/// `type`, and recurses once into the object members it keeps. Returns how
+/// many members it removed.
+fn drop_members(value: &mut Value, draws: &mut impl Iterator<Item = u8>, nested: bool) -> usize {
+    let Value::Object(members) = value else {
+        return 0;
+    };
+    let mut dropped = 0;
+    members.retain_mut(|(key, member)| {
+        if key != "type" && draws.next() == Some(0) {
+            dropped += 1;
+            return false;
+        }
+        if !nested {
+            dropped += drop_members(member, draws, true);
+        }
+        true
+    });
+    dropped
+}
+
 proptest! {
     /// Arbitrary garbage through the record decoder and the replay loop:
     /// typed results only, no panics.
@@ -141,12 +229,13 @@ proptest! {
     }
 
     /// Arbitrary garbage through the RPC frame reader: typed `FrameError`
-    /// only, and a salvaged payload never panics the request decoder.
+    /// only, and a salvaged payload never panics either message decoder.
     #[test]
     fn rpc_frame_reader_survives_arbitrary_bytes(bytes in collection::vec(0u8..=255, 0..256)) {
         let mut cursor = std::io::Cursor::new(bytes);
         if let Ok(payload) = read_frame(&mut cursor) {
-            let _ = nnrt::rpc::decode::<Request>(&payload);
+            let _ = decode::<Request>(&payload);
+            let _ = decode::<Response>(&payload);
         }
     }
 
@@ -157,12 +246,45 @@ proptest! {
         let mut frame = Vec::new();
         nnrt::rpc::write_frame(
             &mut frame,
-            &nnrt::rpc::encode(&Request::Status { job_id: steps as u64 }),
+            &encode(&Request::Status { job_id: steps as u64 }),
         ).expect("vec write");
         let cut = ((frame.len() as f64) * cut) as usize;
         prop_assert!(cut < frame.len());
         let mut cursor = std::io::Cursor::new(&frame[..cut]);
         let result = read_frame(&mut cursor);
         prop_assert!(matches!(result, Err(FrameError::Io(_))));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A message with a valid tag but some of its members, or of its
+    /// payload object's members, removed is a typed `FrameError::Decode`;
+    /// with all of them it decodes to the original, whatever unknown
+    /// member rides along.
+    #[test]
+    fn tagged_message_missing_a_member_is_a_decode_error(
+        pick in 0usize..15,
+        draws in collection::vec(0u8..4, 16..17),
+        unknown in 0u8..2,
+    ) {
+        let (is_request, original) = tagged_messages().swap_remove(pick);
+        let mut value = original.clone();
+        let dropped = drop_members(&mut value, &mut draws.into_iter(), false);
+        if let (1, Value::Object(members)) = (unknown, &mut value) {
+            members.push(("unknown".to_string(), Value::Uint(1)));
+        }
+        let text = serde_json::to_string(&value).expect("serializes");
+        let decoded = if is_request {
+            decode::<Request>(&text).map(|m| encode(&m))
+        } else {
+            decode::<Response>(&text).map(|m| encode(&m))
+        };
+        if dropped == 0 {
+            prop_assert_eq!(decoded.ok(), serde_json::to_string(&original).ok(), "{}", text);
+        } else {
+            prop_assert!(matches!(decoded, Err(FrameError::Decode(_))), "{}", text);
+        }
     }
 }
