@@ -67,6 +67,13 @@ cargo test -q --offline --test chaos_fleet
 cmp "$tmpdir/chaos-a.json" "$tmpdir/chaos-b.json" \
   || { echo "chaos determinism violated: same seed produced different reports" >&2; exit 1; }
 echo "chaos report deterministic (seed 99, byte-identical JSON)"
+# Journaling stays free under faults too: crashes, evictions and retries
+# journaled to disk must leave the report byte-identical.
+./target/release/nnrt serve 8 2 7 --chaos 99 --durable "$tmpdir/chaos-durable" --json \
+  > "$tmpdir/chaos-durable.json"
+cmp "$tmpdir/chaos-a.json" "$tmpdir/chaos-durable.json" \
+  || { echo "journaling perturbed the chaos report: --durable run differs" >&2; exit 1; }
+echo "durable chaos report byte-identical to in-memory (seed 99)"
 
 echo "== profile suite (parallel pipeline determinism) =="
 cargo test -q --offline --test profile_parallel

@@ -169,11 +169,10 @@ impl FaultPlan {
         }
     }
 
-    /// Events sorted by firing time (stable: script order breaks ties).
-    pub(crate) fn sorted_events(&self) -> Vec<FaultEvent> {
-        let mut events = self.events.clone();
-        events.sort_by(|a, b| a.at().partial_cmp(&b.at()).expect("finite event times"));
-        events
+    /// Sorts the events by firing time (stable: script order breaks ties).
+    pub(crate) fn sort_events(&mut self) {
+        self.events
+            .sort_by(|a, b| a.at().partial_cmp(&b.at()).expect("finite event times"));
     }
 }
 
@@ -212,7 +211,7 @@ mod tests {
     #[test]
     fn none_is_fault_free_and_sorts_stably() {
         assert!(FaultPlan::none().is_fault_free());
-        let plan = FaultPlan {
+        let mut plan = FaultPlan {
             events: vec![
                 FaultEvent::StoreCorruption {
                     at: 9.0,
@@ -227,8 +226,8 @@ mod tests {
             profiling_step_budget: None,
             seed: 0,
         };
-        let sorted = plan.sorted_events();
-        assert_eq!(sorted[0].at(), 3.0);
-        assert_eq!(sorted[1].at(), 9.0);
+        plan.sort_events();
+        assert_eq!(plan.events[0].at(), 3.0);
+        assert_eq!(plan.events[1].at(), 9.0);
     }
 }

@@ -15,15 +15,16 @@
 //! deterministic faults at step boundaries of the simulated clock:
 //!
 //! * **Node crash** — resident jobs are evicted and re-admitted onto
-//!   surviving nodes with exponential backoff, resuming from their latest
-//!   lightweight [`Checkpoint`] (steps done + fitted profile keys; the
-//!   curves themselves live in the shared store).
+//!   surviving nodes with exponential backoff, resuming from the step count
+//!   of their latest lightweight [`Checkpoint`]. The curves live in the
+//!   shared store, not in the checkpoint: a re-admission looks up its
+//!   graph's keys there like any placement.
 //! * **Straggler** — a slowed node's measured step latency trips the
 //!   [`NodeHealth`] probe, and placement avoids flagged nodes until their
 //!   latency window recovers.
 //! * **Store corruption** — a deterministic fraction of the shared store
-//!   vanishes; jobs restoring from checkpoints whose keys were lost simply
-//!   re-profile.
+//!   vanishes; a later placement or re-admission whose keys were lost
+//!   simply re-profiles them.
 //! * **Profiling budget** — when re-profiling exceeds the plan's per-job
 //!   budget, the runtime degrades the unfinished keys to the TF-guide
 //!   baseline thread plan instead of failing, and the report records them.
@@ -32,7 +33,6 @@
 //! without chaos: the fault paths multiply by exactly 1.0 or never execute.
 
 use crate::chaos::{FaultEvent, FaultPlan, INITIAL_BACKOFF_SECS, MAX_BACKOFF_SECS};
-use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::job::{AdmissionQueue, AdmitError, JobId, JobSpec, QueuedJob};
 use crate::journal::{
     replay, write_atomic, Journal, JournalRecord, JOURNAL_FILE, JOURNAL_FORMAT, JOURNAL_VERSION,
@@ -59,7 +59,7 @@ use std::sync::Arc;
 /// jobs with its own runtime, and publishes curves under its own
 /// domain-tagged [`MachineSignature`] — a GPU node can never warm-start
 /// from KNL curves or vice versa.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum NodeBackend {
     /// A Knights-Landing manycore node driven by `nnrt_sched::Runtime`.
     #[default]
@@ -196,18 +196,37 @@ impl Default for FleetConfig {
     }
 }
 
+/// One lightweight recovery point for a job: the steps it had done and
+/// when. A crash-evicted job resumes from `steps_done`. `fitted_keys` is
+/// journaled with the checkpoint, but nothing reads it back: a re-admission
+/// looks up its graph's keys in the shared store, so keys that corruption
+/// ate in the meantime are simply re-profiled (or degraded to the baseline
+/// plan once the profiling budget runs out). A corrupted restore is a
+/// *performance* fault, never a correctness fault.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Checkpoint {
+    /// Training steps completed when the checkpoint was taken.
+    pub steps_done: u32,
+    /// Profile keys the job had fitted curves for in the shared store.
+    pub fitted_keys: Vec<OpKey>,
+    /// Simulated time the checkpoint was written.
+    pub at: f64,
+}
+
 /// A job resident on a node or awaiting re-admission. Its report is
 /// created once, at first placement (or by [`Fleet::recover`]), accumulates
-/// across admissions with `report.steps` counting the steps done, and moves
-/// into the fleet's completed list at the last step.
+/// across admissions with `report.steps` counting the steps done and
+/// `report.profiling_steps` the profiling budget spent, and moves into the
+/// fleet's completed list at the last step.
 struct RunningJob {
     spec: JobSpec,
     report: JobReport,
-    /// Keys with fitted curves in the shared store — the checkpoint payload.
+    /// Keys with fitted curves in the shared store, as of the job's last
+    /// placement.
     fitted_keys: Vec<OpKey>,
-    /// Profiling steps paid over the job's lifetime, cumulative across
-    /// re-admissions; compared against the plan's per-job budget.
-    budget_spent: u32,
+    /// The job's latest checkpoint; it travels with the job through
+    /// evictions and is dropped when the job completes.
+    checkpoint: Option<Checkpoint>,
 }
 
 impl RunningJob {
@@ -225,21 +244,35 @@ impl RunningJob {
             },
             spec,
             fitted_keys: Vec::new(),
-            budget_spent: 0,
+            checkpoint: None,
+        }
+    }
+}
+
+/// The device a node simulates, with the machine model its runtime needs.
+#[derive(Clone)]
+enum Device {
+    Knl(KnlCostModel),
+    Gpu(GpuSpec),
+    /// A cluster head over KNL members of this cost model.
+    Cluster(KnlCostModel),
+}
+
+impl Device {
+    fn backend(&self) -> NodeBackend {
+        match self {
+            Device::Knl(_) => NodeBackend::Knl,
+            Device::Gpu(_) => NodeBackend::Gpu,
+            Device::Cluster(_) => NodeBackend::Cluster,
         }
     }
 }
 
 struct Node {
-    backend: NodeBackend,
-    cost: KnlCostModel,
-    /// Device description for GPU nodes; unused (but cheap, it is `Copy`)
-    /// on KNL nodes.
-    gpu_spec: GpuSpec,
+    device: Device,
     signature: MachineSignature,
     clock: f64,
     residents: VecDeque<RunningJob>,
-    max_jobs: usize,
     /// The node takes no placements before this simulated time.
     down_until: f64,
     /// Accumulated downtime over the run, seconds.
@@ -256,24 +289,25 @@ impl Node {
     /// member machine plus the cluster shape, so its curves never
     /// warm-start single-node KNL jobs.
     fn new(backend: NodeBackend, cost: KnlCostModel, config: &FleetConfig) -> Self {
-        let gpu_spec = GpuSpec::p100();
-        Node {
-            backend,
-            signature: match backend {
-                NodeBackend::Knl => cost.signature(),
-                NodeBackend::Gpu => gpu_spec.signature(),
-                NodeBackend::Cluster => MachineSignature::of_cluster(
-                    cost.signature(),
+        let knl = cost.signature();
+        let (device, signature) = match backend {
+            NodeBackend::Knl => (Device::Knl(cost), knl),
+            NodeBackend::Gpu => (Device::Gpu(GpuSpec::p100()), GpuSpec::p100().signature()),
+            NodeBackend::Cluster => {
+                let signature = MachineSignature::of_cluster(
+                    knl,
                     config.cluster.nodes,
                     config.cluster.network.latency,
                     config.cluster.network.bandwidth,
-                ),
-            },
-            cost,
-            gpu_spec,
+                );
+                (Device::Cluster(cost), signature)
+            }
+        };
+        Node {
+            device,
+            signature,
             clock: 0.0,
             residents: VecDeque::new(),
-            max_jobs: config.max_jobs_per_node.max(1),
             down_until: 0.0,
             downtime: 0.0,
             slow_factor: 1.0,
@@ -531,7 +565,9 @@ pub struct JobReport {
 /// Whole-fleet statistics for one service run.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetReport {
-    /// Per-job reports, in completion order.
+    /// Per-job reports, in completion order: the order in which the service
+    /// loop ran each job's last step, always stepping the busy node whose
+    /// simulated clock is earliest.
     pub jobs: Vec<JobReport>,
     /// Nodes in the fleet.
     pub nodes: u32,
@@ -745,13 +781,16 @@ pub struct Fleet {
     queue: AdmissionQueue,
     next_id: u64,
     completed: Vec<JobReport>,
-    cold_steps_by_model: HashMap<String, u32>,
+    /// Profiling steps of the cold first job per (model, device class).
+    cold_steps_by_model: HashMap<(String, NodeBackend), u32>,
+    /// The armed plan, its events sorted by firing time; they fire through
+    /// `event_cursor`.
     plan: FaultPlan,
-    /// `plan.events` sorted by firing time; consumed through `event_cursor`.
-    events: Vec<FaultEvent>,
     event_cursor: usize,
     retries: Vec<RetryJob>,
-    checkpoints: CheckpointStore,
+    /// Checkpoints written over the run, plus those [`Fleet::recover`]
+    /// restored.
+    checkpoint_writes: u64,
     durable: Option<Durable>,
     /// Jobs completed in previous incarnations (populated by
     /// [`Fleet::recover`]); visible to status queries and journal rotation,
@@ -816,7 +855,8 @@ impl Fleet {
         Self::from_nodes(config, nodes, store)
     }
 
-    fn from_nodes(config: FleetConfig, nodes: Vec<Node>, store: Arc<ProfileStore>) -> Self {
+    fn from_nodes(mut config: FleetConfig, nodes: Vec<Node>, store: Arc<ProfileStore>) -> Self {
+        config.max_jobs_per_node = config.max_jobs_per_node.max(1);
         let obs = Arc::new(Obs::new(config.obs.clone()));
         let mut fleet = Fleet {
             queue: AdmissionQueue::new(config.queue_capacity),
@@ -827,10 +867,9 @@ impl Fleet {
             completed: Vec::new(),
             cold_steps_by_model: HashMap::new(),
             plan: FaultPlan::none(),
-            events: Vec::new(),
             event_cursor: 0,
             retries: Vec::new(),
-            checkpoints: CheckpointStore::new(),
+            checkpoint_writes: 0,
             durable: None,
             prior_completed: Vec::new(),
             obs,
@@ -977,25 +1016,23 @@ impl Fleet {
                 at: j.completed_at,
             });
         }
-        let mut live: Vec<(u64, &JobSpec, Whereabouts)> = Vec::new();
+        let mut live: Vec<(u64, &JobSpec, Whereabouts, Option<&Checkpoint>)> = Vec::new();
         for q in self.queue.iter() {
-            live.push((q.id.0, &q.spec, Whereabouts::Queued));
+            live.push((q.id.0, &q.spec, Whereabouts::Queued, None));
         }
         for (idx, node) in self.nodes.iter().enumerate() {
             for j in &node.residents {
-                live.push((j.report.id, &j.spec, Whereabouts::Resident(idx as u32)));
+                let at = Whereabouts::Resident(idx as u32);
+                live.push((j.report.id, &j.spec, at, j.checkpoint.as_ref()));
             }
         }
         for r in &self.retries {
-            live.push((
-                r.job.report.id,
-                &r.job.spec,
-                Whereabouts::Evicted(r.eligible_at),
-            ));
+            let at = Whereabouts::Evicted(r.eligible_at);
+            live.push((r.job.report.id, &r.job.spec, at, r.job.checkpoint.as_ref()));
         }
-        live.sort_by_key(|(id, _, _)| *id);
+        live.sort_by_key(|(id, ..)| *id);
         let mut graphs = GraphTable::default();
-        for (id, spec, whereabouts) in live {
+        for (id, spec, whereabouts, checkpoint) in live {
             let (graph, new) = graphs.intern(&spec.graph);
             recs.extend(new);
             recs.push(admit_record(id, spec, graph));
@@ -1006,7 +1043,7 @@ impl Fleet {
                 // only reads it as "this job was placed once".
                 Whereabouts::Evicted(at) => recs.push(JournalRecord::Evict { id, at }),
             }
-            if let Some(c) = self.checkpoints.latest(JobId(id)) {
+            if let Some(c) = checkpoint {
                 recs.push(JournalRecord::Checkpoint {
                     id,
                     steps_done: c.steps_done,
@@ -1092,8 +1129,8 @@ impl Fleet {
     /// Arms a fault plan for the next [`Fleet::run`]. Call before `run`;
     /// the fault-free plan ([`FaultPlan::none`]) is equivalent to never
     /// calling this.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.events = plan.sorted_events();
+    pub fn set_fault_plan(&mut self, mut plan: FaultPlan) {
+        plan.sort_events();
         self.event_cursor = 0;
         self.plan = plan;
     }
@@ -1260,8 +1297,9 @@ impl Fleet {
         let mut earliest = f64::INFINITY;
         let mut resident_jobs = 0usize;
         let mut resident_step_secs = 0.0;
+        let max_jobs = self.config.max_jobs_per_node;
         for n in &self.nodes {
-            let free = n.max_jobs.saturating_sub(n.residents.len());
+            let free = max_jobs.saturating_sub(n.residents.len());
             free_slots += free;
             resident_jobs += n.residents.len();
             resident_step_secs += n.residents.iter().map(|j| j.report.step_secs).sum::<f64>();
@@ -1309,11 +1347,12 @@ impl Fleet {
     /// flagged. Falls back to a flagged node when every healthy node is
     /// full — a slow node beats starving the queue.
     fn placement_node(&self, now: f64) -> Option<usize> {
+        let max_jobs = self.config.max_jobs_per_node;
         let pick = |allow_stragglers: bool| {
             self.nodes
                 .iter()
                 .enumerate()
-                .filter(|(_, n)| n.residents.len() < n.max_jobs && n.down_until <= now)
+                .filter(|(_, n)| n.residents.len() < max_jobs && n.down_until <= now)
                 .filter(|(_, n)| allow_stragglers || !n.health.is_straggler())
                 .min_by(|(ia, a), (ib, b)| {
                     a.residents
@@ -1377,11 +1416,7 @@ impl Fleet {
                 node: node_idx as u32,
             });
         }
-        let resume = self
-            .checkpoints
-            .latest(id)
-            .map(|c| c.steps_done)
-            .unwrap_or(0);
+        let resume = job.checkpoint.as_ref().map_or(0, |c| c.steps_done);
         if resume > 0 {
             job.report.checkpoint_restores += 1;
             self.obs
@@ -1411,10 +1446,9 @@ impl Fleet {
     /// to the node's clock, which first catches up with `now`; then the job
     /// becomes resident.
     fn prepare_on_node(&mut self, node_idx: usize, mut job: RunningJob, now: f64) {
-        let (signature, backend) = {
-            let node = &self.nodes[node_idx];
-            (node.signature, node.backend)
-        };
+        let signature = self.nodes[node_idx].signature;
+        let device = self.nodes[node_idx].device.clone();
+        let backend = device.backend();
         let id = JobId(job.report.id);
         let graph = &job.spec.graph;
         // The placement's one catalog: its keys drive the store lookup,
@@ -1426,17 +1460,16 @@ impl Fleet {
         let budget = self
             .plan
             .profiling_step_budget
-            .map_or(u32::MAX, |b| b.saturating_sub(job.budget_spent));
-        let (published, profiling_steps, degraded_keys, step_secs, chrome_trace) = match backend {
+            .map_or(u32::MAX, |b| b.saturating_sub(job.report.profiling_steps));
+        let (published, profiling_steps, degraded_keys, step_secs, chrome_trace) = match device {
             // A cluster head profiles exactly like a KNL node (its members
             // are KNLs running the per-node scheduler); the multi-node step
             // is then simulated on top of the measured single-node step.
-            NodeBackend::Knl | NodeBackend::Cluster => {
-                let node_cost = self.nodes[node_idx].cost.clone();
+            Device::Knl(cost) | Device::Cluster(cost) => {
                 let mut config = self.config.runtime;
                 config.seed = self.job_seed(id);
                 let mut runtime =
-                    Runtime::prepare_from_catalog(catalog, node_cost, config, &warm, budget, pool);
+                    Runtime::prepare_from_catalog(catalog, cost, config, &warm, budget, pool);
                 // Per-key climb events come from the merged outcome, which
                 // is in canonical key order for every worker count — never
                 // from the profiler's worker threads, whose interleaving is
@@ -1483,8 +1516,7 @@ impl Fleet {
             }
             // Cross-shape seeding is a KNL-profiler feature, so GPU jobs
             // leave the seeding counts alone.
-            NodeBackend::Gpu => {
-                let spec = self.nodes[node_idx].gpu_spec;
+            Device::Gpu(spec) => {
                 let mut config = self.config.gpu;
                 config.profile.seed = self.job_seed(id);
                 let runtime =
@@ -1549,10 +1581,9 @@ impl Fleet {
             // A fresh admission. The cold first job of each (model, device
             // class) sets the baseline profiling cost; later jobs report how
             // much they skipped.
-            let cold_key = format!("{}@{}", job.spec.model, backend.name());
             let cold_steps = *self
                 .cold_steps_by_model
-                .entry(cold_key)
+                .entry((job.spec.model.clone(), backend))
                 .or_insert(profiling_steps);
             job.report.profiling_steps_saved = cold_steps.saturating_sub(profiling_steps);
         }
@@ -1571,7 +1602,6 @@ impl Fleet {
         report.degraded_keys = degraded_keys;
         report.step_secs = step_secs;
         report.chrome_trace = chrome_trace;
-        job.budget_spent = job.budget_spent.saturating_add(profiling_steps);
 
         let node = &mut self.nodes[node_idx];
         node.clock = node.clock.max(now) + profiling_secs;
@@ -1652,7 +1682,7 @@ impl Fleet {
 
     /// Firing time of the next unfired fault, if any.
     fn pending_event_at(&self) -> Option<f64> {
-        self.events.get(self.event_cursor).map(|e| e.at())
+        self.plan.events.get(self.event_cursor).map(|e| e.at())
     }
 
     /// Earliest re-admission eligibility among evicted jobs, if any.
@@ -1662,7 +1692,7 @@ impl Fleet {
 
     /// Fires the next scheduled fault against the fleet.
     fn fire_next_event(&mut self) {
-        let event = self.events[self.event_cursor].clone();
+        let event = self.plan.events[self.event_cursor].clone();
         self.event_cursor += 1;
         match event {
             FaultEvent::NodeCrash {
@@ -1835,14 +1865,12 @@ impl Fleet {
         let interval = self.config.checkpoint_interval;
         if steps_done < job.spec.steps {
             if interval > 0 && steps_done.is_multiple_of(interval) {
-                self.checkpoints.save(
-                    id,
-                    Checkpoint {
-                        steps_done,
-                        fitted_keys: job.fitted_keys.clone(),
-                        at: clock,
-                    },
-                );
+                job.checkpoint = Some(Checkpoint {
+                    steps_done,
+                    fitted_keys: job.fitted_keys.clone(),
+                    at: clock,
+                });
+                self.checkpoint_writes += 1;
                 self.obs
                     .counter_add(Clock::Sim, "nnrt_checkpoint_writes_total", &[], 1);
                 self.obs.event(
@@ -1864,7 +1892,6 @@ impl Fleet {
             }
             self.nodes[node_idx].residents.push_back(job);
         } else {
-            self.checkpoints.remove(id);
             self.obs
                 .counter_add(Clock::Sim, "nnrt_jobs_completed_total", &[], 1);
             self.obs.observe(
@@ -1897,40 +1924,27 @@ impl Fleet {
         }
     }
 
-    /// Runs every queued, resident, and evicted job to completion and
-    /// reports. Faults from the armed plan fire in time order at step
-    /// boundaries of the simulated clock.
+    /// Runs every queued, resident, and evicted job to completion through
+    /// [`Fleet::tick`] and reports. Faults from the armed plan fire in time
+    /// order at step boundaries of the simulated clock.
     pub fn run(&mut self) -> FleetReport {
-        self.place_queued();
-        while self.tick_once() {
-            self.maybe_flush_durable();
-        }
+        while self.tick() {}
         // The drained fleet is itself a consistent cut: after this flush the
         // journal holds a Complete record for every job the run finished.
         self.flush_durable();
         self.report()
     }
 
-    /// Advances the fleet by one unit of work — placing freshly queued jobs,
-    /// then firing the next fault, re-admitting an eligible evicted job, or
-    /// executing one training step — and returns whether anything happened.
-    /// `false` means the fleet is fully drained and only a new submission
-    /// can create work. This is the incremental driver an external service
-    /// loop interleaves with command handling; a fleet drained exclusively
-    /// through `tick` follows the exact event order of [`Fleet::run`], so
-    /// chaos events, checkpoints, and the final report are preserved.
+    /// Advances the fleet by one unit of work — placing queued jobs on
+    /// free slots, then firing the next fault, re-admitting eligible
+    /// evicted jobs, or executing one training step — and returns whether
+    /// anything happened. `false` means the fleet is fully drained and only
+    /// a new submission can create work. This is the incremental driver an
+    /// external service loop interleaves with command handling.
+    /// [`Fleet::run`] is this loop, so a fleet drained through `tick` and
+    /// then [`Fleet::report`] gives `run`'s report by construction.
     pub fn tick(&mut self) -> bool {
         self.place_queued();
-        let progressed = self.tick_once();
-        if progressed {
-            self.maybe_flush_durable();
-        }
-        progressed
-    }
-
-    /// One iteration of the service loop (placement of new arrivals is the
-    /// caller's job). Returns `false` when the fleet is fully drained.
-    fn tick_once(&mut self) -> bool {
         let busy = self.next_busy_node();
         // The time at which the next thing happens.
         let frontier = match busy {
@@ -1950,18 +1964,15 @@ impl Fleet {
             self.fire_next_event();
             self.try_admit_retries(frontier);
             self.place_queued();
-            return true;
-        }
-        if self.pending_retry_at().is_some_and(|at| at <= frontier) {
+        } else if self.pending_retry_at().is_some_and(|at| at <= frontier) {
             self.try_admit_retries(frontier);
-            return true;
+        } else {
+            // `frontier` came from a pending event or retry unless a node
+            // is busy, and the branches above consume those.
+            let node_idx = busy.expect("idle fleet with nothing pending");
+            self.step_node(node_idx);
         }
-        let Some(node_idx) = busy else {
-            // `frontier` came from a pending event or retry, so one of
-            // the branches above must have consumed it.
-            unreachable!("idle fleet with nothing pending");
-        };
-        self.step_node(node_idx);
+        self.maybe_flush_durable();
         true
     }
 
@@ -2184,14 +2195,15 @@ impl Fleet {
         let mut jobs_requeued = Vec::new();
         for (id, job) in admitted {
             if job.placed {
-                if let Some(ckpt) = checkpoints.remove(&id) {
-                    fleet.checkpoints.save(JobId(id), ckpt);
-                }
                 // The retry path re-profiles on whatever node takes the job
-                // and resumes from the saved checkpoint, accounting the
-                // restart honestly as a retry.
+                // and resumes from the journaled checkpoint, accounting the
+                // restart honestly as a retry. A restored checkpoint counts
+                // as a write of this fleet's.
+                let mut running = RunningJob::new(JobId(id), job.spec, 0.0, 0.0);
+                running.checkpoint = checkpoints.remove(&id);
+                fleet.checkpoint_writes += u64::from(running.checkpoint.is_some());
                 fleet.retries.push(RetryJob {
-                    job: RunningJob::new(JobId(id), job.spec, 0.0, 0.0),
+                    job: running,
                     eligible_at: 0.0,
                     backoff_secs: INITIAL_BACKOFF_SECS,
                 });
@@ -2269,7 +2281,7 @@ impl Fleet {
             retries_total: jobs.iter().map(|j| j.retries as u64).sum(),
             checkpoint_restores_total: jobs.iter().map(|j| j.checkpoint_restores as u64).sum(),
             degraded_keys_total: jobs.iter().map(|j| j.degraded_keys as u64).sum(),
-            checkpoint_writes: self.checkpoints.writes(),
+            checkpoint_writes: self.checkpoint_writes,
             node_downtime_secs: self.nodes.iter().map(|n| n.downtime).collect(),
             durability_disabled: self.durability_disabled,
             metrics: self
@@ -2314,7 +2326,7 @@ impl Fleet {
                 node.residents.len() as f64,
             );
             self.obs.gauge_set(sim, "nnrt_node_utilization", &labels, {
-                node.residents.len() as f64 / node.max_jobs.max(1) as f64
+                node.residents.len() as f64 / self.config.max_jobs_per_node as f64
             });
             self.obs
                 .gauge_set(sim, "nnrt_node_clock_seconds", &labels, node.clock);

@@ -82,15 +82,13 @@ impl fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-/// A queued job: spec + identity + the queue tick it arrived at.
+/// A queued job: spec + identity + the simulated time it arrived at.
 #[derive(Debug, Clone)]
 pub struct QueuedJob {
     /// The job's fleet-unique id.
     pub id: JobId,
     /// The submitted spec.
     pub spec: JobSpec,
-    /// Submission order (0, 1, 2, …) — the FIFO tiebreaker.
-    pub seq: u64,
     /// Simulated fleet time at submission, seconds.
     pub submitted_at: f64,
 }
@@ -100,7 +98,6 @@ pub struct QueuedJob {
 pub struct AdmissionQueue {
     jobs: VecDeque<QueuedJob>,
     capacity: usize,
-    next_seq: u64,
     rejections: u64,
 }
 
@@ -110,7 +107,6 @@ impl AdmissionQueue {
         AdmissionQueue {
             jobs: VecDeque::new(),
             capacity,
-            next_seq: 0,
             rejections: 0,
         }
     }
@@ -157,10 +153,8 @@ impl AdmissionQueue {
         let job = QueuedJob {
             id,
             spec,
-            seq: self.next_seq,
             submitted_at: now,
         };
-        self.next_seq += 1;
         // The queue is sorted by rank, descending, so inserting after the
         // last job not ranked strictly lower keeps equal ranks in submission
         // order (stable FIFO within a class). Scanning from the back finds

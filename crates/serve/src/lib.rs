@@ -51,17 +51,15 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod checkpoint;
 pub mod fleet;
 pub mod job;
 pub mod journal;
 pub mod store;
 
 pub use chaos::{FaultEvent, FaultPlan, INITIAL_BACKOFF_SECS, MAX_BACKOFF_SECS};
-pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use fleet::{
-    DurabilityConfig, Fleet, FleetConfig, FleetReport, JobPhase, JobReport, JobStatus, NodeBackend,
-    PriorCompleted, RecoverError, RecoveryReport, DEFAULT_FLUSH_INTERVAL_SECS,
+    Checkpoint, DurabilityConfig, Fleet, FleetConfig, FleetReport, JobPhase, JobReport, JobStatus,
+    NodeBackend, PriorCompleted, RecoverError, RecoveryReport, DEFAULT_FLUSH_INTERVAL_SECS,
 };
 pub use job::{AdmissionQueue, AdmitError, JobId, JobSpec, QueuedJob};
 pub use journal::{

@@ -3,6 +3,7 @@
 //! crash with checkpoint/restart, straggler avoidance, profile-store
 //! corruption, and graceful degradation when profiling runs out of budget.
 
+use nnrt::obs::{Clock, EventKind};
 use nnrt::prelude::*;
 use nnrt::serve::{FaultEvent, FaultPlan, Fleet, FleetConfig, FleetReport, JobSpec};
 
@@ -249,4 +250,94 @@ fn seeded_plans_replay_identically_and_seeds_differ() {
         run(100),
         "different chaos seeds must produce different runs"
     );
+}
+
+/// `run()` drains through `tick()`, so a fleet drained by `run()` and one
+/// drained by `while tick() {}` plus `report()` agree byte for byte, report
+/// and sim event stream, under every fault plan. Crashes are where the two
+/// could part: a node coming back from downtime frees slots that only a
+/// placement on the next tick fills.
+#[test]
+fn run_and_tick_drains_agree_under_faults() {
+    // (jobs, nodes, slots per node, steps per job)
+    for (jobs, nodes, slots, steps) in [(12, 2, 2, 4), (8, 3, 1, 6), (6, 2, 1, 6)] {
+        let config = FleetConfig {
+            node_count: nodes,
+            max_jobs_per_node: slots,
+            checkpoint_interval: 1,
+            ..FleetConfig::default()
+        };
+        let horizon = dcgan_fleet(&config, jobs, steps).run().makespan_secs;
+        for seed in [1, 3, 9, 15, 99] {
+            let drain = |by_run: bool| {
+                let mut fleet = dcgan_fleet(&config, jobs, steps);
+                fleet.set_fault_plan(FaultPlan::from_seed(seed, nodes, horizon));
+                let report = if by_run {
+                    fleet.run()
+                } else {
+                    while fleet.tick() {}
+                    fleet.report()
+                };
+                (report.to_json(), fleet.obs().events_jsonl(Some(Clock::Sim)))
+            };
+            let (run, ticked) = (drain(true), drain(false));
+            let case = format!("{jobs} jobs, {nodes} nodes x {slots} slots, seed {seed}");
+            assert!(run.0 == ticked.0, "reports differ: {case}");
+            assert!(run.1 == ticked.1, "sim event streams differ: {case}");
+        }
+    }
+}
+
+/// A checkpoint travels with its job: evicted twice before it writes the
+/// next one, the job resumes from the same checkpoint both times.
+#[test]
+fn a_job_evicted_twice_resumes_from_its_checkpoint_both_times() {
+    let config = FleetConfig {
+        node_count: 2,
+        max_jobs_per_node: 1,
+        checkpoint_interval: 3,
+        ..FleetConfig::default()
+    };
+    let dry = dcgan_fleet(&config, 1, 12).run();
+    let (profiling, step) = (dry.jobs[0].profiling_secs, dry.jobs[0].step_secs);
+    let retries = |events: Vec<FaultEvent>| {
+        let mut fleet = dcgan_fleet(&config, 1, 12);
+        fleet.set_fault_plan(FaultPlan {
+            events,
+            profiling_step_budget: None,
+            seed: 0,
+        });
+        let report = fleet.run();
+        let retried: Vec<_> = fleet
+            .obs()
+            .events_snapshot(Some(Clock::Sim))
+            .into_iter()
+            .filter(|e| e.kind == EventKind::Retry)
+            .collect();
+        (report, retried)
+    };
+    // Node 0 crashes after step 5, past the step-3 checkpoint.
+    let first = FaultEvent::NodeCrash {
+        node: 0,
+        at: profiling + 4.5 * step,
+        down_secs: 1.0,
+    };
+    let (_, once) = retries(vec![first.clone()]);
+    assert_eq!(once.len(), 1);
+    // The node that took the job back crashes two steps later, before the
+    // step-6 checkpoint.
+    let second = FaultEvent::NodeCrash {
+        node: once[0].node.expect("a retry names its node"),
+        at: once[0].at + 1.5 * step,
+        down_secs: 1.0,
+    };
+    let (report, twice) = retries(vec![first, second]);
+    let details: Vec<&str> = twice.iter().map(|e| e.detail.as_str()).collect();
+    assert_eq!(details, ["resume from step 3", "resume from step 3"]);
+    let job = &report.jobs[0];
+    assert_eq!(
+        (job.steps, job.retries, job.checkpoint_restores),
+        (12, 2, 2)
+    );
+    assert_eq!(report.checkpoint_restores_total, 2);
 }

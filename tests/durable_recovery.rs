@@ -363,17 +363,17 @@ fn recovery_report_partitions_the_admitted_jobs() {
         let d = tmpdir("partition-cut");
         std::fs::write(d.join(JOURNAL_FILE), &journal[..cut]).expect("write prefix");
         std::fs::write(d.join(SNAPSHOT_FILE), &initial_snapshot).expect("write snapshot");
-        let (_, recovery) =
+        let (fleet, recovery) =
             Fleet::recover(config_with(Some(d.clone()))).expect("recovery succeeds");
 
-        let admitted: BTreeSet<u64> = replay(&journal[..cut])
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                JournalRecord::Admit { id, .. } => Some(*id),
-                _ => None,
-            })
-            .collect();
+        let records = replay(&journal[..cut]).records;
+        let ids_of = |keep: fn(&JournalRecord) -> Option<u64>| -> BTreeSet<u64> {
+            records.iter().filter_map(keep).collect()
+        };
+        let admitted = ids_of(|r| match r {
+            JournalRecord::Admit { id, .. } => Some(*id),
+            _ => None,
+        });
         let resumed: BTreeSet<u64> = recovery.jobs_resumed.iter().copied().collect();
         let requeued: BTreeSet<u64> = recovery.jobs_requeued.iter().copied().collect();
         let completed: BTreeSet<u64> = recovery.jobs_completed.iter().map(|j| j.id).collect();
@@ -391,6 +391,17 @@ fn recovery_report_partitions_the_admitted_jobs() {
             union, admitted,
             "resumed + requeued + completed must partition the admitted set"
         );
+        // Each resumed job carries its journaled checkpoint, and the
+        // recovered fleet counts every one it restored as a write.
+        let checkpointed = ids_of(|r| match r {
+            JournalRecord::Checkpoint { id, .. } => Some(*id),
+            _ => None,
+        });
+        let restored = checkpointed.difference(&completed).count() as u64;
+        assert!(checkpointed
+            .difference(&completed)
+            .all(|id| resumed.contains(id)));
+        assert_eq!(fleet.report().checkpoint_writes, restored, "cut at {cut}");
         std::fs::remove_dir_all(&d).ok();
     }
     std::fs::remove_dir_all(&dir).ok();
