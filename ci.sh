@@ -25,17 +25,23 @@ python3 perfbench/smoke_test.py --seconds 2
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-echo "== examples (each runs to completion and prints what README shows) =="
+echo "== examples and nnrt plan (stdout pinned byte for byte) =="
+# Each prints only simulated results, so its whole stdout is a pure
+# function of the code; tests/fixtures/stdout/ holds the expected text.
 cargo build --release --offline --examples
 for ex in quickstart resnet_training gpu_study; do
   ./target/release/examples/$ex > "$tmpdir/example-$ex.out" \
     || { echo "example $ex exited non-zero" >&2; exit 1; }
+  cmp "tests/fixtures/stdout/$ex.txt" "$tmpdir/example-$ex.out" \
+    || { echo "example $ex printed other output than tests/fixtures/stdout/$ex.txt" >&2; exit 1; }
 done
-grep -q "^speedup: " "$tmpdir/example-quickstart.out" \
-  || { echo "quickstart printed no speedup line" >&2; exit 1; }
-grep -q "^step 1: " "$tmpdir/example-resnet_training.out" \
-  || { echo "resnet_training printed no step 1 line" >&2; exit 1; }
-echo "examples ok (quickstart, resnet_training, gpu_study)"
+for args in "resnet50 16" "lstm 8"; do
+  name="plan-${args// /-}"
+  ./target/release/nnrt plan $args > "$tmpdir/$name.out"
+  cmp "tests/fixtures/stdout/$name.txt" "$tmpdir/$name.out" \
+    || { echo "nnrt plan $args printed other output than tests/fixtures/stdout/$name.txt" >&2; exit 1; }
+done
+echo "examples and plans unchanged (quickstart, resnet_training, gpu_study, plan resnet50 16, plan lstm 8)"
 
 echo "== paper records (sim-domain results pinned across commits) =="
 # The benches rewrite experiments/<id>.json; each regenerated record must

@@ -43,7 +43,7 @@ pub use feedback::InterferenceLog;
 pub use hillclimb::{ClimbRecord, Curve, FitOutcome, HillClimbConfig, HillClimbModel, KeyProfile};
 pub use measure::{per_key_seed, Measurer, OpCatalog};
 pub use oracle::OracleScheduler;
-pub use plan::{PerfModel, ThreadPlan};
+pub use plan::PerfModel;
 pub use profiler::ProfilerPool;
 pub use runtime::{Runtime, RuntimeConfig, StepReport};
 pub use tf_baseline::{manual_optimization, TfExecutor, TfExecutorConfig};

@@ -14,7 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 
 /// Per-graph cache of work profiles, indexed by node, by distinct operation
-/// and by op key.
+/// and by op key (a binary search of the sorted keys).
 ///
 /// A graph repeats operations (an LSTM unrolls one cell hundreds of
 /// times), so the catalog also numbers its *distinct operations* — equal
@@ -29,9 +29,11 @@ pub struct OpCatalog {
     op_of: Vec<u32>,
     /// Per distinct operation: its profile and its key's index in `keys`.
     ops: Vec<(WorkProfile, u32)>,
-    by_key: HashMap<OpKey, WorkProfile>,
-    counts: HashMap<OpKey, usize>,
+    /// The distinct keys, sorted.
     keys: Vec<OpKey>,
+    /// Per key, by its index in `keys`: the index in `ops` of the first
+    /// operation with that key, and the number of nodes with that key.
+    per_key: Vec<(u32, usize)>,
 }
 
 impl OpCatalog {
@@ -50,37 +52,41 @@ impl OpCatalog {
             first[index as usize].1 += 1;
             op_of.push(index);
         }
-        let mut by_key: HashMap<OpKey, WorkProfile> = HashMap::new();
-        let mut counts: HashMap<OpKey, usize> = HashMap::new();
-        let mut profiles = Vec::with_capacity(first.len());
-        for &(node, instances) in &first {
-            let op = graph.op(node);
-            let profile = nnrt_graph::work_profile(op.kind, &op.shape, &op.aux);
-            let key = op_key(op.kind, &op.shape);
-            by_key.entry(key.clone()).or_insert(profile);
-            *counts.entry(key).or_default() += instances;
-            profiles.push(profile);
-        }
-        let mut keys: Vec<OpKey> = by_key.keys().cloned().collect();
+        let mut keys: Vec<OpKey> = first
+            .iter()
+            .map(|&(node, _)| op_key(graph.op(node).kind, &graph.op(node).shape))
+            .collect();
         keys.sort();
+        keys.dedup();
+        let mut per_key = vec![(0, 0); keys.len()];
         let ops = first
             .iter()
-            .zip(profiles)
-            .map(|(&(node, _), profile)| {
+            .enumerate()
+            .map(|(index, &(node, instances))| {
                 let op = graph.op(node);
                 let key = keys
                     .binary_search_by(|k| (k.0, &k.1).cmp(&(op.kind, &op.shape)))
                     .expect("every operation's key is cataloged");
+                let (first_op, count) = &mut per_key[key];
+                if *count == 0 {
+                    *first_op = index as u32;
+                }
+                *count += instances;
+                let profile = nnrt_graph::work_profile(op.kind, &op.shape, &op.aux);
                 (profile, key as u32)
             })
             .collect();
         OpCatalog {
             op_of,
             ops,
-            by_key,
-            counts,
             keys,
+            per_key,
         }
+    }
+
+    /// Index of `key` in [`OpCatalog::keys`].
+    fn key_index(&self, key: &OpKey) -> Option<usize> {
+        self.keys.binary_search(key).ok()
     }
 
     /// Number of nodes of the cataloged graph.
@@ -89,7 +95,7 @@ impl OpCatalog {
     }
 
     /// Number of distinct operations (kind, input shape and attributes).
-    pub(crate) fn num_ops(&self) -> usize {
+    pub fn num_ops(&self) -> usize {
         self.ops.len()
     }
 
@@ -105,14 +111,20 @@ impl OpCatalog {
 
     /// Key of the operation with index `op`.
     pub fn op_key(&self, op: usize) -> &OpKey {
-        &self.keys[self.ops[op].1 as usize]
+        &self.keys[self.op_key_index(op)]
+    }
+
+    /// Index in [`OpCatalog::keys`] of the key of the operation with index
+    /// `op`.
+    pub(crate) fn op_key_index(&self, op: usize) -> usize {
+        self.ops[op].1 as usize
     }
 
     /// Number of instances of `key` in the graph (0 if absent). One
     /// profiling step observes every instance, so a key with many instances
     /// yields an effectively averaged, lower-noise measurement.
     pub(crate) fn key_count(&self, key: &OpKey) -> usize {
-        self.counts.get(key).copied().unwrap_or(0)
+        self.key_index(key).map_or(0, |k| self.per_key[k].1)
     }
 
     /// Profile of a node.
@@ -122,7 +134,8 @@ impl OpCatalog {
 
     /// Profile of an op key (any instance with that kind and shape).
     pub fn profile_of_key(&self, key: &OpKey) -> Option<&WorkProfile> {
-        self.by_key.get(key)
+        let first_op = self.per_key[self.key_index(key)?].0;
+        Some(self.op_profile(first_op as usize))
     }
 
     /// All distinct keys, sorted (deterministic iteration order).

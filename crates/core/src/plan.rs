@@ -8,10 +8,14 @@
 //!
 //! Non-tunable (Eigen) kinds always use the framework default (the paper only
 //! re-configures MKL-DNN ops).
+//!
+//! `planned` applies these rules once, when the runtime is prepared: its
+//! result is the planned column of the runtime's schedule table (see
+//! [`crate::scheduler`]), from which Strategies 3–4 work.
 
+use crate::runtime::RuntimeConfig;
 use nnrt_graph::{OpKey, OpKind};
 use nnrt_manycore::SharingMode;
-use std::collections::HashMap;
 
 /// A fitted performance model: predicts standalone execution time of an op
 /// key under any thread count and sharing mode.
@@ -27,99 +31,49 @@ pub trait PerfModel {
     fn candidates(&self, key: &OpKey, n: usize) -> Vec<(u32, SharingMode, f64)>;
 }
 
-/// Which concurrency-control strategy set is in force.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanPolicy {
-    /// Framework default: every op uses the user-set intra-op parallelism.
-    Default,
-    /// Strategy 1 alone: per-(kind, shape) optima.
-    PerShape,
-    /// Strategies 1+2: one thread count per kind, from its largest instance.
-    PerKindLargest,
-}
-
-/// The planned `(threads, mode)` for every key of a graph.
-#[derive(Debug, Clone)]
-pub struct ThreadPlan {
-    assignments: HashMap<OpKey, (u32, SharingMode, f64)>,
+/// The planned `(threads, mode)` of each of `keys`, in order: the column
+/// of the runtime's schedule table that Strategies 1–2 fill.
+///
+/// Without `config.s1` every key runs at the framework default
+/// `(default_intra, Compact)`; with `s1` alone each tunable key takes the
+/// model's optimum for it; with `s1` and `s2` each tunable kind takes the
+/// optimum of its largest-input instance (ties go to the first in `keys`).
+/// Non-tunable keys, and keys the model never saw, keep the default.
+pub(crate) fn planned(
+    model: &dyn PerfModel,
+    keys: &[OpKey],
+    config: &RuntimeConfig,
     default_intra: u32,
-    policy: PlanPolicy,
-}
-
-impl ThreadPlan {
-    /// Builds a plan for `keys` under `policy` using the fitted `model`.
-    /// `default_intra` is the framework setting for unplanned keys.
-    pub fn build(
-        model: &dyn PerfModel,
-        keys: &[OpKey],
-        policy: PlanPolicy,
-        default_intra: u32,
-    ) -> Self {
-        let mut assignments = HashMap::new();
-        match policy {
-            PlanPolicy::Default => {}
-            PlanPolicy::PerShape => {
-                for key in keys {
-                    if !key.0.is_tunable() {
-                        continue;
-                    }
-                    if let Some(best) = model.best(key) {
-                        assignments.insert(key.clone(), best);
-                    }
-                }
-            }
-            PlanPolicy::PerKindLargest => {
-                // Largest-input instance per kind.
-                let mut largest: HashMap<OpKind, &OpKey> = HashMap::new();
-                for key in keys {
-                    if !key.0.is_tunable() {
-                        continue;
-                    }
-                    let e = largest.entry(key.0).or_insert(key);
-                    if key.1.elements() > e.1.elements() {
-                        *e = key;
-                    }
-                }
-                let kind_best: HashMap<OpKind, (u32, SharingMode, f64)> = largest
-                    .iter()
-                    .filter_map(|(&kind, key)| model.best(key).map(|b| (kind, b)))
-                    .collect();
-                for key in keys {
-                    if let Some(&(threads, mode, _)) = kind_best.get(&key.0) {
-                        // The per-key predicted time still comes from the
-                        // model so Strategy 3 reasons about *this* shape.
-                        let t = model.predict(key, threads, mode).unwrap_or(f64::INFINITY);
-                        assignments.insert(key.clone(), (threads, mode, t));
-                    }
-                }
-            }
-        }
-        ThreadPlan {
-            assignments,
-            default_intra,
-            policy,
+) -> Vec<(u32, SharingMode)> {
+    let default = (default_intra, SharingMode::Compact);
+    let plan = |best: Option<(u32, SharingMode, f64)>| best.map_or(default, |(t, m, _)| (t, m));
+    if !config.s1 {
+        return vec![default; keys.len()];
+    }
+    if !config.s2 {
+        return keys
+            .iter()
+            .map(|key| plan(key.0.is_tunable().then(|| model.best(key)).flatten()))
+            .collect();
+    }
+    // Strategy 2: the largest-input instance of each tunable kind, indexed
+    // by `OpKind as usize`.
+    let mut largest: [Option<&OpKey>; OpKind::ALL.len()] = [None; OpKind::ALL.len()];
+    for key in keys.iter().filter(|key| key.0.is_tunable()) {
+        let slot = &mut largest[key.0 as usize];
+        if slot.is_none_or(|l| key.1.elements() > l.1.elements()) {
+            *slot = Some(key);
         }
     }
-
-    /// The policy this plan was built under.
-    pub fn policy(&self) -> PlanPolicy {
-        self.policy
-    }
-
-    /// Planned `(threads, mode)` for a key (framework default for unplanned
-    /// or non-tunable keys).
-    pub fn threads_for(&self, key: &OpKey) -> (u32, SharingMode) {
-        match self.assignments.get(key) {
-            Some(&(threads, mode, _)) => (threads, mode),
-            None => (self.default_intra, SharingMode::Compact),
-        }
-    }
+    let per_kind = largest.map(|key| plan(key.and_then(|key| model.best(key))));
+    keys.iter().map(|key| per_kind[key.0 as usize]).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nnrt_graph::Shape;
+    use std::collections::HashMap;
 
     /// A fake model with a fixed optimum per key.
     struct Fake(HashMap<OpKey, (u32, SharingMode, f64)>);
@@ -154,35 +108,42 @@ mod tests {
         Fake(m)
     }
 
+    fn plan(s1: bool, s2: bool, default_intra: u32) -> Vec<(u32, SharingMode)> {
+        let config = RuntimeConfig {
+            s1,
+            s2,
+            ..Default::default()
+        };
+        planned(&fake(), &keys(), &config, default_intra)
+    }
+
     #[test]
     fn per_shape_uses_each_keys_optimum() {
-        let plan = ThreadPlan::build(&fake(), &keys(), PlanPolicy::PerShape, 68);
-        assert_eq!(plan.threads_for(&keys()[0]).0, 26);
-        assert_eq!(plan.threads_for(&keys()[1]).0, 68);
+        let plan = plan(true, false, 68);
+        assert_eq!(plan[0].0, 26);
+        assert_eq!(plan[1].0, 68);
     }
 
     #[test]
     fn per_kind_largest_unifies_thread_counts() {
-        let plan = ThreadPlan::build(&fake(), &keys(), PlanPolicy::PerKindLargest, 68);
+        let plan = plan(true, true, 68);
         // The (32,8,8,2048) instance is the largest Conv2D: its optimum (68)
         // applies to both Conv2D keys.
-        assert_eq!(plan.threads_for(&keys()[0]).0, 68);
-        assert_eq!(plan.threads_for(&keys()[1]).0, 68);
+        assert_eq!(plan[0].0, 68);
+        assert_eq!(plan[1].0, 68);
     }
 
     #[test]
     fn non_tunable_kinds_stay_default() {
-        let plan = ThreadPlan::build(&fake(), &keys(), PlanPolicy::PerShape, 68);
         // Tile is an Eigen op: never re-planned.
-        assert_eq!(plan.threads_for(&keys()[2]), (68, SharingMode::Compact));
+        assert_eq!(plan(true, false, 68)[2], (68, SharingMode::Compact));
+        assert_eq!(plan(true, true, 68)[2], (68, SharingMode::Compact));
     }
 
     #[test]
-    fn default_policy_plans_nothing() {
-        let plan = ThreadPlan::build(&fake(), &keys(), PlanPolicy::Default, 34);
-        for k in keys() {
-            assert_eq!(plan.threads_for(&k), (34, SharingMode::Compact));
+    fn without_strategy_1_nothing_is_planned() {
+        for s2 in [false, true] {
+            assert_eq!(plan(false, s2, 34), vec![(34, SharingMode::Compact); 3]);
         }
-        assert_eq!(plan.policy(), PlanPolicy::Default);
     }
 }

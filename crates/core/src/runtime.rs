@@ -3,18 +3,20 @@
 //! A training job runs `TS` steps; the first few are *profiling steps* in
 //! which the hill-climbing performance model is fitted, and every later step
 //! executes under Strategies 1–4. [`Runtime::prepare`] performs the profiling
-//! phase, [`Runtime::run_step`] executes one training step and returns a
-//! [`StepReport`].
+//! phase and then builds the schedule table — each key's Strategy 1–2 plan,
+//! each operation's planned launch, Strategy-3 candidates and serial time —
+//! once; [`Runtime::run_step`] executes one training step from that table
+//! and returns a [`StepReport`].
 
 use crate::exec::ExecContext;
 use crate::feedback::InterferenceLog;
 use crate::hillclimb::{FitOutcome, HillClimbConfig, HillClimbModel};
 use crate::measure::{Measurer, OpCatalog};
-use crate::plan::{PerfModel, PlanPolicy, ThreadPlan};
+use crate::plan::PerfModel;
 use crate::profiler::ProfilerPool;
-use crate::scheduler::StepScheduler;
+use crate::scheduler::Schedule;
 use nnrt_graph::{DataflowGraph, OpKind};
-use nnrt_manycore::{CostModel, EngineEvent, KnlCostModel, NoiseModel};
+use nnrt_manycore::{EngineEvent, KnlCostModel, NoiseModel, SharingMode};
 use serde::{Deserialize, Serialize};
 
 /// Which strategies the runtime applies (the paper's ablation of Figure 3).
@@ -145,7 +147,9 @@ pub struct Runtime {
     /// The model set by [`Runtime::prepare_with_model`]; when present,
     /// scheduling uses it instead of `model`.
     custom_model: Option<Box<dyn PerfModel>>,
-    plan: ThreadPlan,
+    /// Built from the catalog, the directing model and `config` when the
+    /// runtime is prepared; every step reads it.
+    schedule: Schedule,
     record_trace: bool,
     feedback: InterferenceLog,
     /// What the profiling phase achieved: newly fitted keys, keys degraded
@@ -155,7 +159,7 @@ pub struct Runtime {
 
 impl Runtime {
     /// Profiles `graph` (the paper's first few training steps) with the
-    /// hill-climbing model and builds the thread plan. This is the
+    /// hill-climbing model and builds the schedule table. This is the
     /// expensive, once-per-model phase; its cost is
     /// `model().profiling_steps` simulated steps.
     pub fn prepare(graph: &DataflowGraph, cost: KnlCostModel, config: RuntimeConfig) -> Self {
@@ -178,7 +182,7 @@ impl Runtime {
     ///   of `0` profiles nothing: the whole graph runs under the baseline
     ///   plan;
     /// * the independent per-key climbs are sharded across `pool`'s
-    ///   workers. The fitted model, the thread plan, and every step report
+    ///   workers. The fitted model, the schedule table, and every step report
     ///   are **byte-identical for every worker count** (per-key seeded
     ///   measurers; see [`crate::profiler`]) — only the wall-clock time of
     ///   the profiling phase changes.
@@ -222,14 +226,14 @@ impl Runtime {
             profiling_budget,
             &pool,
         );
-        let plan = Self::build_plan(&model, &catalog, &config, &cost);
+        let schedule = Schedule::new(&catalog, &model, &config, &cost);
         Runtime {
             config,
             cost,
             catalog,
             model,
             custom_model: None,
-            plan,
+            schedule,
             record_trace: false,
             feedback: InterferenceLog::new(),
             outcome,
@@ -248,35 +252,18 @@ impl Runtime {
         perf_model: Box<dyn PerfModel>,
     ) -> Self {
         let catalog = OpCatalog::new(graph);
-        let plan = Self::build_plan(perf_model.as_ref(), &catalog, &config, &cost);
+        let schedule = Schedule::new(&catalog, perf_model.as_ref(), &config, &cost);
         Runtime {
             config,
             cost,
             catalog,
             model: HillClimbModel::default(),
             custom_model: Some(perf_model),
-            plan,
+            schedule,
             record_trace: false,
             feedback: InterferenceLog::new(),
             outcome: FitOutcome::default(),
         }
-    }
-
-    /// The thread plan `config`'s strategies give; unplanned ops take the
-    /// framework default of one thread per core (68 on the paper's KNL).
-    fn build_plan(
-        model: &dyn PerfModel,
-        catalog: &OpCatalog,
-        config: &RuntimeConfig,
-        cost: &KnlCostModel,
-    ) -> ThreadPlan {
-        let policy = match (config.s1, config.s2) {
-            (true, true) => PlanPolicy::PerKindLargest,
-            (true, false) => PlanPolicy::PerShape,
-            _ => PlanPolicy::Default,
-        };
-        let default_intra = cost.topology().num_cores();
-        ThreadPlan::build(model, catalog.keys(), policy, default_intra)
     }
 
     /// Enables event-trace recording in step reports (Figure 4).
@@ -295,9 +282,12 @@ impl Runtime {
         self.custom_model.as_deref().unwrap_or(&self.model)
     }
 
-    /// The thread plan in force.
-    pub fn plan(&self) -> &ThreadPlan {
-        &self.plan
+    /// The planned `(threads, mode)` of each key of [`Runtime::catalog`],
+    /// in the order of its [`OpCatalog::keys`]: Strategy 1–2's per-key
+    /// optimum or per-kind count, or the framework default of one thread
+    /// per core where no strategy plans the key.
+    pub fn planned(&self) -> &[(u32, SharingMode)] {
+        self.schedule.planned()
     }
 
     /// Keys whose profiling was truncated by the budget passed to
@@ -339,15 +329,12 @@ impl Runtime {
             "run_step graph must match the prepared catalog"
         );
         let mut ctx = ExecContext::new(graph, &self.catalog, &self.cost, self.record_trace);
-        let scheduler = StepScheduler::new(
-            &ctx,
-            &self.plan,
-            self.perf_model(),
-            &self.config,
-            &self.feedback,
-        );
+        let model = self.perf_model();
         loop {
-            while let Some(decision) = scheduler.next_launch(&ctx) {
+            while let Some(decision) =
+                self.schedule
+                    .next_launch(&ctx, model, &self.config, &self.feedback)
+            {
                 ctx.launch(decision.launch, decision.predicted, decision.nominal);
             }
             if !ctx.advance() {

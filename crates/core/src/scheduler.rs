@@ -19,14 +19,19 @@
 //!   of the busy cores.
 //! * Fallback — when the machine is idle and nothing fits "without
 //!   decreasing system throughput", the most time-consuming ready op runs.
+//!
+//! Everything these rules need to know about an operation apart from the
+//! step's state — its planned launch, candidates and serial time — sits in
+//! the `Schedule` table the runtime builds once when it is prepared; a
+//! poll indexes it by the ready node's operation number.
 
 use crate::exec::{ExecContext, Launch};
 use crate::feedback::InterferenceLog;
 use crate::measure::OpCatalog;
-use crate::plan::{PerfModel, ThreadPlan};
+use crate::plan::{self, PerfModel};
 use crate::runtime::RuntimeConfig;
-use nnrt_graph::{NodeId, OpKind};
-use nnrt_manycore::{CostModel, SharingMode, SlotPreference};
+use nnrt_graph::{NodeId, OpKey, OpKind};
+use nnrt_manycore::{CostModel, KnlCostModel, SharingMode, SlotPreference, WorkProfile};
 use std::cell::OnceCell;
 use std::ops::Range;
 
@@ -45,12 +50,13 @@ struct Config {
     /// The performance model's predicted seconds.
     predicted: f64,
     /// The cost model's solo seconds, computed the first time a node of
-    /// the operation launches with this configuration.
+    /// the operation launches with this configuration and kept for every
+    /// later step.
     nominal: OnceCell<f64>,
 }
 
 /// What the scheduler needs to know about one operation — a kind, input
-/// shape and attributes — during a step.
+/// shape and attributes.
 struct OpPlan {
     /// The Strategy-2 planned configuration.
     planned: Config,
@@ -58,65 +64,56 @@ struct OpPlan {
     /// metric.
     serial: f64,
     /// Where this operation's Strategy-3 candidates sit in
-    /// [`StepScheduler::candidates`], in the order they are tried.
+    /// [`Schedule::candidates`], in the order they are tried.
     candidates: Range<usize>,
 }
 
-/// The co-run scheduler for one training step. `deny` is the
-/// interference-feedback log (§III-D discussion): a ready op never co-runs
-/// with a kind it has been observed to clash with.
+/// The runtime's schedule table: every answer Strategies 1–4 give about
+/// an operation that does not depend on the state of a step.
 ///
-/// The plan, the model and the graph are fixed while a step runs, and every
-/// node is ready at some point of it, so each operation's planned
-/// configuration, candidates and serial time are derived once, up front,
-/// rather than on every poll while a node waits — and once per distinct
-/// operation of the catalog, since nodes running the same operation get
-/// the same answers.
-pub(crate) struct StepScheduler<'a> {
-    plan: &'a ThreadPlan,
-    model: &'a dyn PerfModel,
-    cfg: &'a RuntimeConfig,
-    deny: &'a InterferenceLog,
-    catalog: &'a OpCatalog,
-    /// Per distinct operation of `catalog`, by its index.
+/// The catalog, the model and the configuration are fixed once the runtime
+/// is prepared, so the table is built then and every step reads it: each
+/// key's planned configuration, and each distinct operation's planned
+/// launch, Strategy-3 candidates and serial time — once per operation of
+/// the catalog, since nodes running the same operation get the same
+/// answers. [`Schedule::next_launch`] makes one step's decisions from it.
+pub(crate) struct Schedule {
+    /// Per key of the catalog, by its index: the Strategy 1–2 planned
+    /// `(threads, mode)`.
+    planned: Vec<(u32, SharingMode)>,
+    /// Per distinct operation of the catalog, by its index.
     ops: Vec<OpPlan>,
     candidates: Vec<Config>,
 }
 
-impl<'a> StepScheduler<'a> {
-    /// Derives every operation's scheduling inputs for a step over `ctx`'s
-    /// graph.
+impl Schedule {
+    /// Derives the table for `catalog` from the fitted `model` under
+    /// `cfg`'s strategies on the machine `cost` models. Unplanned keys take
+    /// the framework default of one thread per core (68 on the paper's
+    /// KNL).
     pub fn new(
-        ctx: &ExecContext<'a>,
-        plan: &'a ThreadPlan,
-        model: &'a dyn PerfModel,
-        cfg: &'a RuntimeConfig,
-        deny: &'a InterferenceLog,
+        catalog: &OpCatalog,
+        model: &dyn PerfModel,
+        cfg: &RuntimeConfig,
+        cost: &KnlCostModel,
     ) -> Self {
-        let catalog = ctx.catalog;
-        let mut sched = StepScheduler {
-            plan,
-            model,
-            cfg,
-            deny,
-            catalog,
-            ops: Vec::with_capacity(catalog.num_ops()),
-            candidates: Vec::new(),
-        };
-        let topo = ctx.engine.topology();
+        let topo = cost.topology();
         let max_threads = topo.num_cores() * topo.smt_per_core;
+        let planned = plan::planned(model, catalog.keys(), cfg, topo.num_cores());
+        let mut ops = Vec::with_capacity(catalog.num_ops());
+        let mut candidates = Vec::new();
         for op in 0..catalog.num_ops() {
             let key = catalog.op_key(op);
             let profile = catalog.op_profile(op);
-            let (planned_threads, mode) = plan.threads_for(key);
+            let (planned_threads, mode) = planned[catalog.op_key_index(op)];
             let threads = planned_threads.min(max_threads).max(1);
             let predicted = model
                 .predict(key, threads, mode)
-                .unwrap_or_else(|| ctx.cost.solo_time(profile, threads, mode));
+                .unwrap_or_else(|| cost.solo_time(profile, threads, mode));
             let serial = model
                 .predict(key, 1, SharingMode::Compact)
-                .unwrap_or_else(|| ctx.cost.solo_time(profile, 1, SharingMode::Compact));
-            let mut cands = sched.candidate_set(ctx, op, (planned_threads, mode));
+                .unwrap_or_else(|| cost.solo_time(profile, 1, SharingMode::Compact));
+            let mut cands = candidate_set(key, profile, model, cfg, cost, (planned_threads, mode));
             if cfg.prefer_fewest_threads {
                 // Fewest threads first: maximize room for further co-runs
                 // (the paper picks 18 threads over the faster 20).
@@ -124,29 +121,46 @@ impl<'a> StepScheduler<'a> {
             } else {
                 cands.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
             }
-            let start = sched.candidates.len();
-            sched
-                .candidates
-                .extend(cands.into_iter().map(|(t, m, p)| Config::new(t, m, p)));
-            sched.ops.push(OpPlan {
+            let start = candidates.len();
+            candidates.extend(cands.into_iter().map(|(t, m, p)| Config::new(t, m, p)));
+            ops.push(OpPlan {
                 planned: Config::new(threads, mode, predicted),
                 serial,
-                candidates: start..sched.candidates.len(),
+                candidates: start..candidates.len(),
             });
         }
-        sched
+        Schedule {
+            planned,
+            ops,
+            candidates,
+        }
     }
 
-    fn op(&self, node: NodeId) -> &OpPlan {
-        &self.ops[self.catalog.op_index(node)]
+    /// The planned `(threads, mode)` of each key of the catalog, in the
+    /// order of [`OpCatalog::keys`].
+    pub fn planned(&self) -> &[(u32, SharingMode)] {
+        &self.planned
     }
 
-    /// Picks the next launch, or `None` to wait for a completion.
-    pub fn next_launch(&self, ctx: &ExecContext<'_>) -> Option<Decision> {
+    fn op(&self, ctx: &ExecContext<'_>, node: NodeId) -> &OpPlan {
+        &self.ops[ctx.catalog.op_index(node)]
+    }
+
+    /// Picks the next launch, or `None` to wait for a completion. `model`
+    /// and `cfg` must be the ones the table was built from. `deny` is the
+    /// interference-feedback log (§III-D discussion): a ready op never
+    /// co-runs with a kind it has been observed to clash with.
+    pub fn next_launch(
+        &self,
+        ctx: &ExecContext<'_>,
+        model: &dyn PerfModel,
+        cfg: &RuntimeConfig,
+        deny: &InterferenceLog,
+    ) -> Option<Decision> {
         let mut ready = ctx.tracker.ready().peekable();
         let first = *ready.peek()?;
         // The kinds running now, needed only to consult a non-empty log.
-        let running_kinds: Vec<OpKind> = if self.deny.is_empty() {
+        let running_kinds: Vec<OpKind> = if deny.is_empty() {
             Vec::new()
         } else {
             ctx.engine
@@ -155,9 +169,9 @@ impl<'a> StepScheduler<'a> {
                 .collect()
         };
         let allowed =
-            |kind: OpKind| -> bool { running_kinds.iter().all(|&r| !self.deny.is_denied(kind, r)) };
+            |kind: OpKind| -> bool { running_kinds.iter().all(|&r| !deny.is_denied(kind, r)) };
 
-        if !self.cfg.s3 {
+        if !cfg.s3 {
             // Serial discipline (inter-op = 1): FIFO with planned thread counts.
             if ctx.engine.num_running() > 0 {
                 return None;
@@ -170,8 +184,8 @@ impl<'a> StepScheduler<'a> {
             // Idle machine: run the most time-consuming ready op (fallback rule).
             let node = ready
                 .max_by(|&a, &b| {
-                    let ta = self.op(a).planned.predicted;
-                    let tb = self.op(b).planned.predicted;
+                    let ta = self.op(ctx, a).planned.predicted;
+                    let tb = self.op(ctx, b).planned.predicted;
                     ta.partial_cmp(&tb).unwrap()
                 })
                 .expect("ready non-empty");
@@ -186,7 +200,7 @@ impl<'a> StepScheduler<'a> {
                 if !allowed(ctx.graph.op(node).kind) {
                     continue;
                 }
-                for cand in &self.candidates[self.op(node).candidates.clone()] {
+                for cand in &self.candidates[self.op(ctx, node).candidates.clone()] {
                     if cand.threads <= free && cand.predicted <= max_remaining {
                         return Some(self.decision(ctx, node, cand, SlotPreference::Primary));
                     }
@@ -196,7 +210,7 @@ impl<'a> StepScheduler<'a> {
 
         // Strategy 4: a full-width op owns every core; co-run the smallest ready
         // ops on the spare hardware threads.
-        if self.cfg.s4 && free == 0 {
+        if cfg.s4 && free == 0 {
             let full_width = ctx.engine.topology().num_cores();
             let ht_room = ctx.engine.ht_capacity();
             if ht_room > 0 {
@@ -210,17 +224,17 @@ impl<'a> StepScheduler<'a> {
                         .ready()
                         .filter(|&n| allowed(ctx.graph.op(n).kind))
                         .min_by(|&a, &b| {
-                            let ta = self.op(a).serial;
-                            let tb = self.op(b).serial;
+                            let ta = self.op(ctx, a).serial;
+                            let tb = self.op(ctx, b).serial;
                             ta.partial_cmp(&tb).unwrap()
                         })?;
-                    let op = self.catalog.op_index(node);
-                    let key = self.catalog.op_key(op);
-                    let (planned_threads, _) = self.plan.threads_for(key);
-                    let threads = planned_threads.min(ht_room).max(1);
-                    let predicted = self
-                        .model
-                        .predict(key, threads, SharingMode::Compact)
+                    let op = ctx.catalog.op_index(node);
+                    // `ht_room` never exceeds the core count, so clamping
+                    // the planned launch's threads (already clamped to the
+                    // machine's contexts) gives the planned count's clamp.
+                    let threads = self.ops[op].planned.threads.min(ht_room).max(1);
+                    let predicted = model
+                        .predict(ctx.catalog.op_key(op), threads, SharingMode::Compact)
                         .unwrap_or(self.ops[op].serial);
                     // Throughput guards: the scavenger must not outlast the
                     // running ops, and the wide op must keep (an estimated)
@@ -229,7 +243,7 @@ impl<'a> StepScheduler<'a> {
                     // individual operations" — exactly what the paper's
                     // discussion says the runtime should avoid.
                     let max_remaining = ctx.predicted_max_remaining().unwrap_or(0.0);
-                    let small = self.catalog.op_profile(op);
+                    let small = ctx.catalog.op_profile(op);
                     let wide_ok = ctx
                         .widest_running_profile()
                         .map(|wide| {
@@ -258,7 +272,12 @@ impl<'a> StepScheduler<'a> {
 
     /// Decision for launching `node` with its planned configuration.
     fn planned_decision(&self, ctx: &ExecContext<'_>, node: NodeId) -> Decision {
-        self.decision(ctx, node, &self.op(node).planned, SlotPreference::Primary)
+        self.decision(
+            ctx,
+            node,
+            &self.op(ctx, node).planned,
+            SlotPreference::Primary,
+        )
     }
 
     /// Decision for launching `node` with `config` in `slot`.
@@ -284,44 +303,42 @@ impl<'a> StepScheduler<'a> {
             nominal,
         }
     }
+}
 
-    /// The candidate set of operation `op` whose plan is `planned`, with
-    /// the S2-consistency override applied, fastest first.
-    fn candidate_set(
-        &self,
-        ctx: &ExecContext<'_>,
-        op: usize,
-        (planned_threads, planned_mode): (u32, SharingMode),
-    ) -> Vec<(u32, SharingMode, f64)> {
-        let key = self.catalog.op_key(op);
-        let profile = self.catalog.op_profile(op);
-        if !key.0.is_tunable() {
-            // Eigen ops: the framework default is the only option.
-            let predicted = self
-                .model
-                .predict(key, planned_threads, planned_mode)
-                .unwrap_or_else(|| ctx.cost.solo_time(profile, planned_threads, planned_mode));
-            return vec![(planned_threads, planned_mode, predicted)];
-        }
-        let mut cands = self.model.candidates(key, self.cfg.candidates);
-        if cands.is_empty() {
-            let predicted = ctx.cost.solo_time(profile, planned_threads, planned_mode);
-            return vec![(planned_threads, planned_mode, predicted)];
-        }
-        for cand in &mut cands {
-            if cand.0.abs_diff(planned_threads) > self.cfg.s2_tolerance {
-                // Disruptive concurrency change: fall back to the planned count.
-                let t = self
-                    .model
-                    .predict(key, planned_threads, planned_mode)
-                    .unwrap_or(cand.2);
-                *cand = (planned_threads, planned_mode, t);
-            }
-        }
-        cands.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
-        cands.dedup_by_key(|c| c.0);
-        cands
+/// The candidate set of the operation with `key` and `profile` whose plan
+/// is `planned`, with the S2-consistency override applied, fastest first.
+fn candidate_set(
+    key: &OpKey,
+    profile: &WorkProfile,
+    model: &dyn PerfModel,
+    cfg: &RuntimeConfig,
+    cost: &KnlCostModel,
+    (planned_threads, planned_mode): (u32, SharingMode),
+) -> Vec<(u32, SharingMode, f64)> {
+    if !key.0.is_tunable() {
+        // Eigen ops: the framework default is the only option.
+        let predicted = model
+            .predict(key, planned_threads, planned_mode)
+            .unwrap_or_else(|| cost.solo_time(profile, planned_threads, planned_mode));
+        return vec![(planned_threads, planned_mode, predicted)];
     }
+    let mut cands = model.candidates(key, cfg.candidates);
+    if cands.is_empty() {
+        let predicted = cost.solo_time(profile, planned_threads, planned_mode);
+        return vec![(planned_threads, planned_mode, predicted)];
+    }
+    for cand in &mut cands {
+        if cand.0.abs_diff(planned_threads) > cfg.s2_tolerance {
+            // Disruptive concurrency change: fall back to the planned count.
+            let t = model
+                .predict(key, planned_threads, planned_mode)
+                .unwrap_or(cand.2);
+            *cand = (planned_threads, planned_mode, t);
+        }
+    }
+    cands.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
+    cands.dedup_by_key(|c| c.0);
+    cands
 }
 
 impl Config {
@@ -341,7 +358,6 @@ mod tests {
     use crate::exec::ExecContext;
     use crate::hillclimb::{HillClimbConfig, HillClimbModel};
     use crate::measure::{Measurer, OpCatalog};
-    use crate::plan::{PlanPolicy, ThreadPlan};
     use nnrt_graph::{DataflowGraph, OpAux, OpInstance, OpKind, Shape};
     use nnrt_manycore::{KnlCostModel, NoiseModel};
 
@@ -364,43 +380,41 @@ mod tests {
         g
     }
 
-    fn fitted(g: &DataflowGraph) -> (OpCatalog, HillClimbModel, ThreadPlan, KnlCostModel) {
+    fn fitted(g: &DataflowGraph) -> (OpCatalog, HillClimbModel, KnlCostModel) {
         let catalog = OpCatalog::new(g);
         let cost = KnlCostModel::knl();
         let mut m = Measurer::new(cost.clone(), NoiseModel::none(), 3);
         let model = HillClimbModel::fit(&catalog, &mut m, HillClimbConfig::default());
-        let plan = ThreadPlan::build(&model, catalog.keys(), PlanPolicy::PerKindLargest, 68);
-        (catalog, model, plan, cost)
+        (catalog, model, cost)
     }
 
     #[test]
     fn serial_discipline_launches_one_at_a_time() {
         let g = pair_graph();
-        let (catalog, model, plan, cost) = fitted(&g);
+        let (catalog, model, cost) = fitted(&g);
         let cfg = RuntimeConfig::s12_only();
         let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
-        let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
-        let d1 = sched.next_launch(&ctx).expect("first launch");
+        let schedule = Schedule::new(&catalog, &model, &cfg, &cost);
+        let next = |ctx: &ExecContext<'_>| schedule.next_launch(ctx, &model, &cfg, &deny);
+        let d1 = next(&ctx).expect("first launch");
         ctx.launch(d1.launch, d1.predicted, d1.nominal);
-        assert!(
-            sched.next_launch(&ctx).is_none(),
-            "serial mode must not co-run"
-        );
+        assert!(next(&ctx).is_none(), "serial mode must not co-run");
         assert!(ctx.advance());
-        assert!(sched.next_launch(&ctx).is_some());
+        assert!(next(&ctx).is_some());
     }
 
     #[test]
     fn corun_launches_a_fitting_sibling() {
         let g = pair_graph();
-        let (catalog, model, plan, cost) = fitted(&g);
+        let (catalog, model, cost) = fitted(&g);
         let cfg = RuntimeConfig::default();
         let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
-        let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
+        let schedule = Schedule::new(&catalog, &model, &cfg, &cost);
+        let next = |ctx: &ExecContext<'_>| schedule.next_launch(ctx, &model, &cfg, &deny);
         // Idle machine: most time-consuming op launches with planned threads.
-        let d1 = sched.next_launch(&ctx).expect("first");
+        let d1 = next(&ctx).expect("first");
         let p1 = d1.launch.threads;
         assert!(
             p1 < 68,
@@ -409,7 +423,7 @@ mod tests {
         let pred = d1.predicted;
         ctx.launch(d1.launch, pred, d1.nominal);
         // The sibling fits into the leftover cores (same predicted time).
-        let d2 = sched.next_launch(&ctx).expect("sibling co-runs");
+        let d2 = next(&ctx).expect("sibling co-runs");
         assert!(d2.launch.threads <= 68 - p1);
         assert_eq!(d2.launch.slot, SlotPreference::Primary);
     }
@@ -421,13 +435,14 @@ mod tests {
         let mut g = DataflowGraph::new();
         g.add(conv(Shape::nhwc(4, 8, 8, 64)), &[]); // tiny
         g.add(conv(Shape::nhwc(64, 17, 17, 512)), &[]); // huge
-        let (catalog, model, plan, cost) = fitted(&g);
+        let (catalog, model, cost) = fitted(&g);
         let cfg = RuntimeConfig::default();
         let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
-        let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
+        let schedule = Schedule::new(&catalog, &model, &cfg, &cost);
+        let next = |ctx: &ExecContext<'_>| schedule.next_launch(ctx, &model, &cfg, &deny);
         // Idle-machine rule: the HUGE op launches first (most time-consuming).
-        let d1 = sched.next_launch(&ctx).expect("first");
+        let d1 = next(&ctx).expect("first");
         assert_eq!(
             ctx.graph.op(d1.launch.node).shape,
             Shape::nhwc(64, 17, 17, 512)
@@ -435,7 +450,7 @@ mod tests {
         let pred = d1.predicted;
         ctx.launch(d1.launch, pred, d1.nominal);
         // The tiny op fits and finishes earlier: it may co-run.
-        if let Some(d2) = sched.next_launch(&ctx) {
+        if let Some(d2) = next(&ctx) {
             assert!(d2.predicted <= pred);
         }
     }
@@ -443,21 +458,22 @@ mod tests {
     #[test]
     fn s2_tolerance_overrides_distant_candidates() {
         let g = pair_graph();
-        let (catalog, model, plan, cost) = fitted(&g);
+        let (catalog, model, cost) = fitted(&g);
         let ctx = ExecContext::new(&g, &catalog, &cost, false);
         let tight = RuntimeConfig {
             s2_tolerance: 0,
             ..Default::default()
         };
         let deny = InterferenceLog::new();
-        let d = StepScheduler::new(&ctx, &plan, &model, &tight, &deny)
-            .next_launch(&ctx)
+        let schedule = Schedule::new(&catalog, &model, &tight, &cost);
+        let d = schedule
+            .next_launch(&ctx, &model, &tight, &deny)
             .expect("launch");
         let key = nnrt_graph::op_key(
             ctx.graph.op(d.launch.node).kind,
             &ctx.graph.op(d.launch.node).shape,
         );
-        let (planned, _) = plan.threads_for(&key);
+        let (planned, _) = schedule.planned()[catalog.keys().binary_search(&key).unwrap()];
         assert_eq!(
             d.launch.threads, planned,
             "tolerance 0 must pin to the plan"
@@ -471,12 +487,12 @@ mod tests {
             OpInstance::new(OpKind::Tile, Shape::nhwc(32, 32, 32, 64)),
             &[],
         );
-        let (catalog, model, plan, cost) = fitted(&g);
+        let (catalog, model, cost) = fitted(&g);
         let ctx = ExecContext::new(&g, &catalog, &cost, false);
         let cfg = RuntimeConfig::default();
         let deny = InterferenceLog::new();
-        let d = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny)
-            .next_launch(&ctx)
+        let d = Schedule::new(&catalog, &model, &cfg, &cost)
+            .next_launch(&ctx, &model, &cfg, &deny)
             .expect("launch");
         assert_eq!(d.launch.threads, 68, "non-tunable kinds run at the default");
     }
@@ -486,15 +502,16 @@ mod tests {
         let mut g = DataflowGraph::new();
         let a = g.add(conv(Shape::nhwc(8, 8, 8, 64)), &[]);
         g.add(conv(Shape::nhwc(8, 8, 8, 64)), &[a]); // depends on a
-        let (catalog, model, plan, cost) = fitted(&g);
+        let (catalog, model, cost) = fitted(&g);
         let cfg = RuntimeConfig::default();
         let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
-        let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
-        let d = sched.next_launch(&ctx).unwrap();
+        let schedule = Schedule::new(&catalog, &model, &cfg, &cost);
+        let next = |ctx: &ExecContext<'_>| schedule.next_launch(ctx, &model, &cfg, &deny);
+        let d = next(&ctx).unwrap();
         ctx.launch(d.launch, d.predicted, d.nominal);
         // The successor is not ready while its predecessor runs.
-        assert!(sched.next_launch(&ctx).is_none());
+        assert!(next(&ctx).is_none());
     }
 
     #[test]
@@ -509,25 +526,27 @@ mod tests {
         for _ in 0..3 {
             g.add(conv(Shape::nhwc(2, 4, 4, 16)), &[]);
         }
-        let (catalog, model, plan, cost) = fitted(&g);
+        let (catalog, model, cost) = fitted(&g);
         let cfg = RuntimeConfig::default();
         let deny = InterferenceLog::new();
         let mut ctx = ExecContext::new(&g, &catalog, &cost, false);
-        let sched = StepScheduler::new(&ctx, &plan, &model, &cfg, &deny);
+        let schedule = Schedule::new(&catalog, &model, &cfg, &cost);
+        let next = |ctx: &ExecContext<'_>| schedule.next_launch(ctx, &model, &cfg, &deny);
         // Launch the wide op (it is the most time-consuming).
-        let d = sched.next_launch(&ctx).unwrap();
+        let d = next(&ctx).unwrap();
         assert_eq!(d.launch.threads, 68);
         ctx.launch(d.launch, d.predicted, d.nominal);
         // Free cores = 0; any further launch must be an HT scavenger.
-        if let Some(d2) = sched.next_launch(&ctx) {
+        if let Some(d2) = next(&ctx) {
             assert_eq!(d2.launch.slot, SlotPreference::HyperThread);
         }
         // With S4 disabled, nothing launches at all.
         let no_s4 = RuntimeConfig::s123();
         let mut ctx2 = ExecContext::new(&g, &catalog, &cost, false);
-        let sched = StepScheduler::new(&ctx2, &plan, &model, &no_s4, &deny);
-        let d = sched.next_launch(&ctx2).unwrap();
+        let schedule = Schedule::new(&catalog, &model, &no_s4, &cost);
+        let next = |ctx: &ExecContext<'_>| schedule.next_launch(ctx, &model, &no_s4, &deny);
+        let d = next(&ctx2).unwrap();
         ctx2.launch(d.launch, d.predicted, d.nominal);
-        assert!(sched.next_launch(&ctx2).is_none());
+        assert!(next(&ctx2).is_none());
     }
 }

@@ -3,8 +3,8 @@
 
 use nnrt_graph::{DataflowGraph, OpAux, OpInstance, OpKind, Shape};
 use nnrt_manycore::{KnlCostModel, NoiseModel, SharingMode};
-use nnrt_sched::plan::{PerfModel, PlanPolicy, ThreadPlan};
-use nnrt_sched::{HillClimbConfig, HillClimbModel, Measurer, OpCatalog};
+use nnrt_sched::plan::PerfModel;
+use nnrt_sched::{HillClimbConfig, HillClimbModel, Measurer, OpCatalog, Runtime, RuntimeConfig};
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = OpKind> {
@@ -19,6 +19,10 @@ fn arb_kind() -> impl Strategy<Value = OpKind> {
 }
 
 fn catalog_of(ops: Vec<(OpKind, usize, usize)>) -> OpCatalog {
+    OpCatalog::new(&graph_of(ops))
+}
+
+fn graph_of(ops: Vec<(OpKind, usize, usize)>) -> DataflowGraph {
     let mut g = DataflowGraph::new();
     for (kind, hw, c) in ops {
         g.add(
@@ -30,7 +34,7 @@ fn catalog_of(ops: Vec<(OpKind, usize, usize)>) -> OpCatalog {
             &[],
         );
     }
-    OpCatalog::new(&g)
+    g
 }
 
 proptest! {
@@ -90,14 +94,20 @@ proptest! {
     fn per_kind_plan_unifies_thread_counts(
         ops in proptest::collection::vec((arb_kind(), 2usize..=24, 1usize..=48), 2..=8),
     ) {
-        let catalog = catalog_of(ops);
+        let graph = graph_of(ops);
+        let catalog = OpCatalog::new(&graph);
         let mut m = Measurer::new(KnlCostModel::knl(), NoiseModel::none(), 3);
         let model = HillClimbModel::fit(&catalog, &mut m, HillClimbConfig::default());
-        let plan = ThreadPlan::build(&model, catalog.keys(), PlanPolicy::PerKindLargest, 68);
+        let rt = Runtime::prepare_with_model(
+            &graph,
+            KnlCostModel::knl(),
+            RuntimeConfig::default(),
+            Box::new(model),
+        );
+        prop_assert_eq!(rt.catalog().keys(), catalog.keys());
         use std::collections::HashMap;
         let mut per_kind: HashMap<OpKind, u32> = HashMap::new();
-        for key in catalog.keys() {
-            let (threads, _) = plan.threads_for(key);
+        for (key, &(threads, _)) in catalog.keys().iter().zip(rt.planned()) {
             prop_assert!((1..=68).contains(&threads));
             if key.0.is_tunable() {
                 if let Some(&prev) = per_kind.get(&key.0) {

@@ -7,11 +7,14 @@
 //!
 //! The digests in `fixtures/step_golden.txt` are FNV-1a over the bit
 //! patterns of `total_secs`, every `NodeTiming` and every `per_kind` row;
-//! the `trace` rows digest the engine's event trace of one step instead.
+//! the `trace` rows digest the engine's event trace of one step instead,
+//! the `repeat` rows a second step on the same runtime, and the `plan-*`
+//! rows every catalog key's planned `(threads, mode)` under Strategies 1+2,
+//! Strategy 1 alone and neither.
 //! On a mismatch the failure message prints the full recomputed table.
 
 use nnrt_graph::DataflowGraph;
-use nnrt_manycore::{EventKind, KnlCostModel};
+use nnrt_manycore::{EventKind, KnlCostModel, SharingMode};
 use nnrt_sched::{OpCatalog, Runtime, RuntimeConfig, StepReport, TfExecutor, TfExecutorConfig};
 
 const GOLDEN: &str = include_str!("fixtures/step_golden.txt");
@@ -81,6 +84,26 @@ fn trace_digest(report: &StepReport) -> u64 {
     h.0
 }
 
+/// Digest of the planned `(threads, mode)` of every key of the runtime's
+/// catalog, in catalog order, with the key itself.
+fn plan_digest(rt: &Runtime) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(rt.catalog().keys().len() as u64);
+    for (key, &(threads, mode)) in rt.catalog().keys().iter().zip(rt.planned()) {
+        h.bytes(format!("{:?}", key.0).as_bytes());
+        h.u64(key.1 .0.len() as u64);
+        for &dim in &key.1 .0 {
+            h.u64(dim as u64);
+        }
+        h.u64(threads as u64);
+        h.u64(match mode {
+            SharingMode::Compact => 0,
+            SharingMode::Scatter => 1,
+        });
+    }
+    h.0
+}
+
 /// The `nnrt serve` job mix: each model at the batch size the fleet runs.
 fn serve_mix() -> Vec<(&'static str, DataflowGraph)> {
     vec![
@@ -96,6 +119,8 @@ fn serve_mix() -> Vec<(&'static str, DataflowGraph)> {
 fn computed() -> Vec<(String, String, u64)> {
     let cost = KnlCostModel::knl();
     let mut rows = Vec::new();
+    // Rows added after the step rows, so those keep their fixture lines.
+    let mut later = Vec::new();
     for (model, graph) in serve_mix() {
         for (name, config) in [
             ("default", RuntimeConfig::default()),
@@ -105,6 +130,13 @@ fn computed() -> Vec<(String, String, u64)> {
             let mut rt = Runtime::prepare(&graph, cost.clone(), config);
             let step = digest(&rt.run_step(&graph));
             rows.push((model.to_string(), name.to_string(), step));
+            // The runtime keeps nothing of a step: a second one repeats it.
+            let again = digest(&rt.run_step(&graph));
+            assert_eq!(again, step, "{model} under {name}: second step moved");
+            if name == "default" {
+                later.push((model.to_string(), "repeat".to_string(), again));
+                later.push((model.to_string(), "plan-s12".to_string(), plan_digest(&rt)));
+            }
             if model == "dcgan/16" && name == "default" {
                 // The Figure 4 trace: recording it must not move the step.
                 rt.record_trace(true);
@@ -133,7 +165,27 @@ fn computed() -> Vec<(String, String, u64)> {
             let report = TfExecutor::new(cfg).run_step(&graph, &catalog, &cost);
             rows.push((model.to_string(), name.to_string(), digest(&report)));
         }
+        for (name, config) in [
+            (
+                "plan-s1",
+                RuntimeConfig {
+                    s2: false,
+                    ..Default::default()
+                },
+            ),
+            (
+                "plan-none",
+                RuntimeConfig {
+                    s1: false,
+                    ..Default::default()
+                },
+            ),
+        ] {
+            let rt = Runtime::prepare(&graph, cost.clone(), config);
+            later.push((model.to_string(), name.to_string(), plan_digest(&rt)));
+        }
     }
+    rows.extend(later);
     rows
 }
 

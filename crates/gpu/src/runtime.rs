@@ -228,7 +228,6 @@ pub struct GpuRuntime {
     config: GpuRuntimeConfig,
     profile: GpuProfile,
     launches: Vec<StreamLaunch>,
-    keys: Vec<OpKey>,
 }
 
 impl GpuRuntime {
@@ -260,24 +259,23 @@ impl GpuRuntime {
         let model = GpuModel::new(spec);
         let profile =
             GpuProfile::fit_missing_pooled(&model, catalog, config.profile, warm, budget, pool);
-        let mut launches = Vec::with_capacity(catalog.num_nodes());
-        let mut keys = Vec::with_capacity(catalog.num_nodes());
-        for node in 0..catalog.num_nodes() {
-            let op = catalog.op_index(NodeId(node as u32));
-            let key = catalog.op_key(op).clone();
-            let kernel = kernel_for(key.0, catalog.op_profile(op));
-            launches.push(StreamLaunch {
-                kernel,
-                config: profile.config_for(&key),
-            });
-            keys.push(key);
-        }
+        let per_op: Vec<StreamLaunch> = (0..catalog.num_ops())
+            .map(|op| {
+                let key = catalog.op_key(op);
+                StreamLaunch {
+                    kernel: kernel_for(key.0, catalog.op_profile(op)),
+                    config: profile.config_for(key),
+                }
+            })
+            .collect();
+        let launches = (0..catalog.num_nodes())
+            .map(|node| per_op[catalog.op_index(NodeId(node as u32))])
+            .collect();
         GpuRuntime {
             model,
             config,
             profile,
             launches,
-            keys,
         }
     }
 
@@ -394,11 +392,6 @@ impl GpuRuntime {
     /// Keys the profiling budget degraded to default launch configs.
     pub fn degraded_keys(&self) -> &[OpKey] {
         self.profile.degraded_keys()
-    }
-
-    /// The `(kind, shape)` key of each node, in node order.
-    pub fn keys(&self) -> &[OpKey] {
-        &self.keys
     }
 }
 

@@ -200,7 +200,8 @@ pub struct SubmitSpec {
     pub name: String,
     /// Model family, resolved via [`nnrt_models::by_name`].
     pub model: String,
-    /// Batch size; `0` uses the model's paper-default batch.
+    /// Batch size; `0` uses the model's paper-default batch. The server
+    /// refuses a batch above 4096 with [`ErrorKind::BadRequest`].
     pub batch: u64,
     /// Training steps to run.
     pub steps: u32,

@@ -94,6 +94,11 @@ pub const CONNECTION_RETRY_SECS: f64 = 0.5;
 /// submission but not kept.
 const GRAPH_CACHE_CAP: usize = 64;
 
+/// Largest batch a submission may ask for. The batch scales every tensor
+/// shape of the graph, and a shape's element count is a product of its
+/// dimensions: far past this bound that product overflows.
+const MAX_BATCH: u64 = 4096;
+
 /// When the fleet executes queued work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DrainPolicy {
@@ -575,6 +580,13 @@ impl Reactor {
 
     /// Resolves the model, names the job, and admits it.
     fn submit(&mut self, spec: SubmitSpec) -> Response {
+        if spec.batch > MAX_BATCH {
+            return Response::Error(ErrorFrame {
+                kind: ErrorKind::BadRequest,
+                message: format!("batch {} exceeds the limit of {MAX_BATCH}", spec.batch),
+                retry_after_secs: None,
+            });
+        }
         let graph_key = (spec.model.clone(), spec.batch);
         let graph = match self.graphs.get(&graph_key) {
             Some(g) => g.clone(),
@@ -655,5 +667,35 @@ mod tests {
             assert!(server.graphs.len() <= GRAPH_CACHE_CAP);
         }
         assert_eq!(server.graphs.len(), GRAPH_CACHE_CAP);
+    }
+
+    #[test]
+    fn oversized_batches_are_refused_before_a_graph_is_built() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+        let mut server = Reactor::new(
+            listener,
+            Fleet::new(FleetConfig::default()),
+            ServerConfig::default(),
+        )
+        .expect("reactor");
+        for batch in [MAX_BATCH + 1, 1 << 40, 1 << 62, u64::MAX] {
+            let spec = SubmitSpec {
+                batch,
+                ..SubmitSpec::new("resnet50")
+            };
+            match server.submit(spec) {
+                Response::Error(frame) => assert_eq!(frame.kind, ErrorKind::BadRequest),
+                other => panic!("batch {batch} must be refused, got {other:?}"),
+            }
+        }
+        assert!(
+            server.graphs.is_empty(),
+            "no graph built for a refused batch"
+        );
+        let spec = SubmitSpec {
+            batch: MAX_BATCH,
+            ..SubmitSpec::new("dcgan")
+        };
+        assert!(matches!(server.submit(spec), Response::Submitted { .. }));
     }
 }

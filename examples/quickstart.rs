@@ -75,8 +75,7 @@ fn main() {
 
     // 4. What the runtime decided, per op kind.
     println!("\nchosen intra-op parallelism per key:");
-    for key in catalog.keys() {
-        let (threads, mode) = runtime.plan().threads_for(key);
+    for (key, &(threads, mode)) in runtime.catalog().keys().iter().zip(runtime.planned()) {
         println!(
             "  {:24} {}  -> {threads} threads ({mode:?})",
             key.0.to_string(),

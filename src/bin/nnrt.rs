@@ -1120,11 +1120,10 @@ fn run_model_command(cmd: &str, spec: &ModelSpec) {
                 spec.name
             );
             let mut seen = std::collections::BTreeSet::new();
-            for key in catalog.keys() {
+            for (key, &(threads, mode)) in rt.catalog().keys().iter().zip(rt.planned()) {
                 if !key.0.is_tunable() || !seen.insert(key.0) {
                     continue;
                 }
-                let (threads, mode) = rt.plan().threads_for(key);
                 println!(
                     "  {:24} -> {threads:2} threads ({mode:?})",
                     key.0.to_string()
