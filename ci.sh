@@ -10,6 +10,9 @@ cargo fmt --check
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (warnings denied: no broken intra-doc link) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release --offline
 cargo test -q --offline

@@ -7,8 +7,9 @@
 //! are independent, which keeps the search `O(2n)` instead of `O(n²)`. The
 //! sampled points of the two axis walks are stored as a [`KeyProfile`]
 //! curve pair (`compact` = threads/block axis, `scatter` = #blocks axis), so
-//! GPU profiles flow through the shared [`ProfileStore`] schema unchanged —
-//! they are simply keyed under a GPU [`MachineSignature`], which the
+//! GPU profiles flow through the shared `nnrt_serve::ProfileStore` schema
+//! unchanged — they are simply keyed under a GPU
+//! [`MachineSignature`](nnrt_manycore::MachineSignature), which the
 //! domain-tagged hash guarantees can never collide with a KNL one.
 //!
 //! Determinism contract: each key's measurement stream is seeded by

@@ -5,8 +5,9 @@
 //! parameter's all-reduce the moment the producer finishes, long before the
 //! rest of the backward pass completes. This module is the graph-builder
 //! pass that recovers those bindings from an already-built training graph —
-//! every optimizer-update op ([`OpKind::is_param_update`]) is tagged with
-//! its gradient-producing predecessor and the parameter's byte volume.
+//! every optimizer-update op
+//! ([`OpKind::is_param_update`](crate::OpKind::is_param_update)) is tagged
+//! with its gradient-producing predecessor and the parameter's byte volume.
 
 use crate::graph::{DataflowGraph, NodeId};
 use serde::{Deserialize, Serialize};

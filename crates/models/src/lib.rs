@@ -59,6 +59,12 @@ pub fn paper_models() -> Vec<ModelSpec> {
     vec![resnet50(64), dcgan(64), inception_v3(16), lstm(20)]
 }
 
+/// Largest batch a model is built at through a user-facing surface: the
+/// RPC server and the `nnrt` CLI refuse a batch above it. The batch scales
+/// every tensor shape of the graph, and a shape's element count is a
+/// product of its dimensions: far past this bound that product overflows.
+pub const MAX_BATCH: usize = 4096;
+
 /// Looks a built-in model up by its CLI/RPC name (common aliases included),
 /// building it at `batch` — or at the model's paper-default batch size when
 /// `batch` is `None`. Returns `None` for unknown names; this is the single

@@ -13,9 +13,9 @@
 //!   [`Request`]/[`Response`] messages; a typed error taxonomy whose
 //!   `Saturated` frames carry the fleet's concrete `retry_after_secs`
 //!   backpressure hint over the wire.
-//! * [`poll`] — a small vendored readiness poller (epoll on Linux, a
-//!   portable `poll(2)` fallback), so one thread can multiplex thousands of
-//!   nonblocking sockets.
+//! * [`poll`] — a small vendored readiness poller over `poll(2)`, so one
+//!   thread can multiplex every nonblocking socket (each wait costs
+//!   O(watched sockets)).
 //! * [`server`] — [`FleetServer`]: one reactor thread owns every socket
 //!   and the [`nnrt_serve::Fleet`]. It drives each connection as a
 //!   pipelining state machine (read-accumulate → decode a bounded number of

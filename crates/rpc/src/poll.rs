@@ -1,21 +1,23 @@
-//! A small vendored readiness poller: epoll on Linux, `poll(2)` elsewhere.
+//! A small vendored readiness poller over `poll(2)`.
 //!
 //! This is the kernel-facing part of the RPC server's reactor — the piece
-//! that multiplexes thousands of nonblocking sockets onto its one thread,
-//! the same scheduling discipline the paper applies to operators (many
-//! ready units, few execution resources). It is deliberately tiny:
-//! level-triggered readiness only, `usize` tokens, no timers, no ownership
-//! of the file descriptors it watches. The workspace vendors no `libc`
-//! crate, so the syscalls are declared directly against the platform libc
-//! that every Rust binary already links.
+//! that multiplexes nonblocking sockets onto its one thread, the same
+//! scheduling discipline the paper applies to operators (many ready units,
+//! few execution resources). It is deliberately tiny: level-triggered
+//! readiness only, `usize` tokens, no timers, no ownership of the file
+//! descriptors it watches. The workspace vendors no `libc` crate, so the one
+//! syscall is declared directly against the platform libc that every Rust
+//! binary already links.
 //!
-//! Two backends behind one [`Poller`] type:
-//!
-//! * **epoll** (Linux): O(ready) wakeups — the fleet's front door scales to
-//!   thousands of mostly-idle connections.
-//! * **`poll(2)`** (any Unix, and the explicit [`Poller::portable`]
-//!   constructor): O(watched) per wait, standards-portable, and the fallback
-//!   if `epoll_create1` is unavailable at runtime.
+//! Cost: each [`Poller::wait`] hands the kernel the whole watched set and
+//! scans all of it for results, so a wait is O(watched fds), not O(ready
+//! fds), and `register`/`reregister`/`deregister` find an fd by a linear
+//! scan. One backend is enough because the O(ready) one measured no better:
+//! the poller once also ran on Linux epoll, and the `rpc_load` bench's
+//! 256/1,024/2,048-connection sweep read the same on either backend (each
+//! ranged over 64k–148k jobs/s from run to run, wider than any difference
+//! between them), as did the two-connection `rpc-open` workload. `poll(2)`
+//! is POSIX, so this one backend builds on every Unix without a `cfg` fork.
 
 use std::io;
 use std::os::raw::{c_int, c_short, c_ulong};
@@ -33,20 +35,12 @@ pub struct PollEvent {
     /// The token the fd was registered under.
     pub token: usize,
     /// The fd is readable (includes EOF and error conditions, so a read
-    /// will not block and will surface the condition).
+    /// will not block and will surface the condition). An event that is
+    /// not readable reports writability.
     pub readable: bool,
-    /// The fd is writable.
-    pub writable: bool,
-    /// The peer hung up or the fd errored.
-    pub hangup: bool,
 }
 
-// --- libc declarations -----------------------------------------------------
-//
-// Every Rust binary links the platform C library; these are the handful of
-// symbols the poller needs, declared by hand because the container vendors
-// no `libc` crate.
-
+/// The C library's `struct pollfd`.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
 struct PollFd {
@@ -65,48 +59,10 @@ const EINTR: i32 = 4;
 
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-    #[cfg(target_os = "linux")]
-    fn close(fd: c_int) -> c_int;
 }
 
-#[cfg(target_os = "linux")]
-mod epoll_sys {
-    use super::c_int;
-
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-
-    /// The kernel's `struct epoll_event`; packed on x86-64 (the one ABI
-    /// where the kernel chose no padding).
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Debug, Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-    }
-}
-
-/// `Duration` → the millisecond argument `poll`/`epoll_wait` take. Rounds
-/// up so a 100 µs timeout does not busy-spin at 0 ms; `None` blocks.
+/// `Duration` → the millisecond argument `poll` takes. Rounds up so a
+/// 100 µs timeout does not busy-spin at 0 ms; `None` blocks.
 fn timeout_ms(timeout: Option<Duration>) -> c_int {
     match timeout {
         None => -1,
@@ -118,127 +74,50 @@ fn timeout_ms(timeout: Option<Duration>) -> c_int {
     }
 }
 
-// --- epoll backend ---------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-struct Epoll {
-    epfd: RawFd,
-    buf: Vec<epoll_sys::EpollEvent>,
+/// `poll(2)` event bits for `interest`.
+fn mask(interest: u8) -> c_short {
+    let mut m = 0;
+    if interest & READABLE != 0 {
+        m |= POLLIN;
+    }
+    if interest & WRITABLE != 0 {
+        m |= POLLOUT;
+    }
+    m
 }
 
-#[cfg(target_os = "linux")]
-impl Epoll {
-    fn new() -> io::Result<Epoll> {
-        let epfd = unsafe { epoll_sys::epoll_create1(epoll_sys::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Epoll {
-            epfd,
-            buf: vec![epoll_sys::EpollEvent { events: 0, data: 0 }; 1024],
-        })
-    }
-
-    fn mask(interest: u8) -> u32 {
-        let mut m = epoll_sys::EPOLLRDHUP;
-        if interest & READABLE != 0 {
-            m |= epoll_sys::EPOLLIN;
-        }
-        if interest & WRITABLE != 0 {
-            m |= epoll_sys::EPOLLOUT;
-        }
-        m
-    }
-
-    fn ctl(&mut self, op: c_int, fd: RawFd, token: usize, interest: u8) -> io::Result<()> {
-        let mut ev = epoll_sys::EpollEvent {
-            events: Self::mask(interest),
-            data: token as u64,
-        };
-        let rc = unsafe { epoll_sys::epoll_ctl(self.epfd, op, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
-        let n = unsafe {
-            epoll_sys::epoll_wait(
-                self.epfd,
-                self.buf.as_mut_ptr(),
-                self.buf.len() as c_int,
-                timeout_ms(timeout),
-            )
-        };
-        if n < 0 {
-            let e = io::Error::last_os_error();
-            if e.raw_os_error() == Some(EINTR) {
-                return Ok(());
-            }
-            return Err(e);
-        }
-        for i in 0..n as usize {
-            let ev = self.buf[i];
-            let bits = ev.events;
-            let hangup =
-                bits & (epoll_sys::EPOLLHUP | epoll_sys::EPOLLERR | epoll_sys::EPOLLRDHUP) != 0;
-            out.push(PollEvent {
-                token: ev.data as usize,
-                readable: bits & epoll_sys::EPOLLIN != 0 || hangup,
-                writable: bits & epoll_sys::EPOLLOUT != 0,
-                hangup,
-            });
-        }
-        // A full buffer means more events may be pending; grow so the next
-        // wait drains them in one call.
-        if n as usize == self.buf.len() {
-            let len = self.buf.len() * 2;
-            self.buf
-                .resize(len, epoll_sys::EpollEvent { events: 0, data: 0 });
-        }
-        Ok(())
-    }
+fn not_registered() -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, "fd not registered")
 }
 
-#[cfg(target_os = "linux")]
-impl Drop for Epoll {
-    fn drop(&mut self) {
-        unsafe { close(self.epfd) };
-    }
-}
-
-// --- poll(2) backend -------------------------------------------------------
-
-struct Portable {
+/// A level-triggered readiness poller over raw fds and `usize` tokens.
+///
+/// The poller never owns the fds it watches — callers keep their
+/// `TcpListener`/`TcpStream` handles alive and deregister before
+/// closing. Registering the same fd twice is an error; use
+/// [`Poller::reregister`] to change interest.
+pub struct Poller {
+    /// The watched set, in the layout `poll(2)` reads.
     fds: Vec<PollFd>,
+    /// `tokens[i]` is the token of `fds[i]`.
     tokens: Vec<usize>,
 }
 
-impl Portable {
-    fn new() -> Portable {
-        Portable {
+impl Poller {
+    /// An empty poller.
+    pub fn new() -> io::Result<Poller> {
+        Ok(Poller {
             fds: Vec::new(),
             tokens: Vec::new(),
-        }
-    }
-
-    fn mask(interest: u8) -> c_short {
-        let mut m = 0;
-        if interest & READABLE != 0 {
-            m |= POLLIN;
-        }
-        if interest & WRITABLE != 0 {
-            m |= POLLOUT;
-        }
-        m
+        })
     }
 
     fn position(&self, fd: RawFd) -> Option<usize> {
         self.fds.iter().position(|p| p.fd == fd)
     }
 
-    fn register(&mut self, fd: RawFd, token: usize, interest: u8) -> io::Result<()> {
+    /// Starts watching `fd` under `token` for `interest` bits.
+    pub fn register(&mut self, fd: RawFd, token: usize, interest: u8) -> io::Result<()> {
         if self.position(fd).is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
@@ -247,36 +126,37 @@ impl Portable {
         }
         self.fds.push(PollFd {
             fd,
-            events: Self::mask(interest),
+            events: mask(interest),
             revents: 0,
         });
         self.tokens.push(token);
         Ok(())
     }
 
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: u8) -> io::Result<()> {
-        match self.position(fd) {
-            Some(i) => {
-                self.fds[i].events = Self::mask(interest);
-                self.tokens[i] = token;
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-        }
+    /// Changes the interest bits (and token) of an already-watched `fd`.
+    pub fn reregister(&mut self, fd: RawFd, token: usize, interest: u8) -> io::Result<()> {
+        let i = self.position(fd).ok_or_else(not_registered)?;
+        self.fds[i].events = mask(interest);
+        self.tokens[i] = token;
+        Ok(())
     }
 
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self.position(fd) {
-            Some(i) => {
-                self.fds.swap_remove(i);
-                self.tokens.swap_remove(i);
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-        }
+    /// Stops watching `fd`. Call before closing the fd.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        let i = self.position(fd).ok_or_else(not_registered)?;
+        self.fds.swap_remove(i);
+        self.tokens.swap_remove(i);
+        Ok(())
     }
 
-    fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
+    /// Blocks until at least one watched fd is ready or `timeout` elapses
+    /// (`None` blocks indefinitely), appending readiness to `out`. `out` is
+    /// cleared first; an interrupted wait (EINTR) returns empty, not an
+    /// error.
+    pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
+        out.clear();
+        // SAFETY: `fds` is a live, exclusively borrowed array of `len`
+        // `struct pollfd`s, which `poll` only reads and writes in place.
         let n = unsafe {
             poll(
                 self.fds.as_mut_ptr(),
@@ -294,170 +174,144 @@ impl Portable {
         if n == 0 {
             return Ok(());
         }
-        for (i, p) in self.fds.iter_mut().enumerate() {
-            let bits = p.revents;
-            p.revents = 0;
-            if bits == 0 {
-                continue;
-            }
-            let hangup = bits & (POLLHUP | POLLERR | POLLNVAL) != 0;
-            out.push(PollEvent {
-                token: self.tokens[i],
-                readable: bits & POLLIN != 0 || hangup,
-                writable: bits & POLLOUT != 0,
-                hangup,
-            });
-        }
-        Ok(())
-    }
-}
-
-// --- the unified poller ----------------------------------------------------
-
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll(Epoll),
-    Portable(Portable),
-}
-
-/// A level-triggered readiness poller over raw fds and `usize` tokens.
-///
-/// The poller never owns the fds it watches — callers keep their
-/// `TcpListener`/`TcpStream` handles alive and deregister before
-/// closing. Registering the same fd twice is an error; use
-/// [`Poller::reregister`] to change interest.
-pub struct Poller {
-    backend: Backend,
-}
-
-impl Poller {
-    /// The platform's best backend: epoll on Linux (falling back to
-    /// `poll(2)` if the kernel refuses), `poll(2)` elsewhere.
-    pub fn new() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            if let Ok(ep) = Epoll::new() {
-                return Ok(Poller {
-                    backend: Backend::Epoll(ep),
+        for (p, &token) in self.fds.iter_mut().zip(&self.tokens) {
+            let bits = std::mem::take(&mut p.revents);
+            if bits != 0 {
+                out.push(PollEvent {
+                    token,
+                    readable: bits & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0,
                 });
             }
         }
-        Self::portable()
-    }
-
-    /// The portable `poll(2)` backend, explicitly — O(watched) per wait,
-    /// but POSIX-universal. Exists so tests exercise both code paths on
-    /// one machine.
-    pub fn portable() -> io::Result<Poller> {
-        Ok(Poller {
-            backend: Backend::Portable(Portable::new()),
-        })
-    }
-
-    /// Which backend this poller runs on (`"epoll"` or `"poll"`).
-    pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(_) => "epoll",
-            Backend::Portable(_) => "poll",
-        }
-    }
-
-    /// Starts watching `fd` under `token` for `interest` bits.
-    pub fn register(&mut self, fd: RawFd, token: usize, interest: u8) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(ep) => ep.ctl(epoll_sys::EPOLL_CTL_ADD, fd, token, interest),
-            Backend::Portable(p) => p.register(fd, token, interest),
-        }
-    }
-
-    /// Changes the interest bits (and token) of an already-watched `fd`.
-    pub fn reregister(&mut self, fd: RawFd, token: usize, interest: u8) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(ep) => ep.ctl(epoll_sys::EPOLL_CTL_MOD, fd, token, interest),
-            Backend::Portable(p) => p.reregister(fd, token, interest),
-        }
-    }
-
-    /// Stops watching `fd`. Call before closing the fd.
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(ep) => ep.ctl(epoll_sys::EPOLL_CTL_DEL, fd, 0, 0),
-            Backend::Portable(p) => p.deregister(fd),
-        }
-    }
-
-    /// Blocks until at least one watched fd is ready or `timeout` elapses
-    /// (`None` blocks indefinitely), appending readiness to `out`. `out` is
-    /// cleared first; an interrupted wait (EINTR) returns empty, not an
-    /// error.
-    pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
-        out.clear();
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(ep) => ep.wait(out, timeout),
-            Backend::Portable(p) => p.wait(out, timeout),
-        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
+    use std::io::{Read as _, Write as _};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
-    fn pollers() -> Vec<Poller> {
-        vec![Poller::new().unwrap(), Poller::portable().unwrap()]
+    /// Long enough that a ready fd always reports within it.
+    const READY: Option<Duration> = Some(Duration::from_secs(5));
+    /// Short window in which an idle fd must stay silent.
+    const IDLE: Option<Duration> = Some(Duration::from_millis(50));
+
+    /// `n` connected (client, nonblocking server-side) socket pairs.
+    fn pairs(n: usize) -> Vec<(TcpStream, TcpStream)> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        (0..n)
+            .map(|_| {
+                let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let (server, _) = listener.accept().unwrap();
+                server.set_nonblocking(true).unwrap();
+                (client, server)
+            })
+            .collect()
+    }
+
+    fn tokens(events: &[PollEvent]) -> Vec<usize> {
+        let mut t: Vec<usize> = events.iter().map(|e| e.token).collect();
+        t.sort_unstable();
+        t
+    }
+
+    /// Waits until exactly the sorted tokens `want` are ready, all readable.
+    /// Bytes written to several peers may land over more than one wait, so
+    /// each earlier wait may see only part of `want`, never anything else.
+    fn wait_for(poller: &mut Poller, want: &[usize]) {
+        let mut events = Vec::new();
+        for _ in 0..100 {
+            poller.wait(&mut events, READY).unwrap();
+            let got = tokens(&events);
+            assert!(got.iter().all(|t| want.contains(t)), "{got:?} ⊄ {want:?}");
+            assert!(events.iter().all(|e| e.readable), "{events:?}");
+            if got == want {
+                return;
+            }
+        }
+        panic!("tokens {want:?} never all became ready");
     }
 
     #[test]
     fn socket_readability_and_writability() {
-        for mut poller in pollers() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            server.set_nonblocking(true).unwrap();
+        let mut poller = Poller::new().unwrap();
+        let (mut client, mut server) = pairs(1).pop().unwrap();
+        let fd = server.as_raw_fd();
+        let mut events = Vec::new();
 
-            // A fresh connected socket with an empty send buffer: writable,
-            // not readable.
-            poller
-                .register(server.as_raw_fd(), 42, READABLE | WRITABLE)
-                .unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            let ev = events.iter().find(|e| e.token == 42).expect("an event");
-            assert!(ev.writable && !ev.readable, "{}", poller.backend_name());
+        // A fresh connected socket with an empty send buffer wakes a
+        // READABLE | WRITABLE registration, and not as readable.
+        poller.register(fd, 42, READABLE | WRITABLE).unwrap();
+        poller.wait(&mut events, READY).unwrap();
+        let ev = events.iter().find(|e| e.token == 42).expect("an event");
+        assert!(!ev.readable, "an idle socket is writable, not readable");
 
-            // Bytes from the peer flip it readable; interest narrowed to
-            // READABLE stops reporting writable.
-            client.write_all(b"ping").unwrap();
-            poller.reregister(server.as_raw_fd(), 42, READABLE).unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            let ev = events.iter().find(|e| e.token == 42).expect("an event");
-            assert!(ev.readable && !ev.writable, "{}", poller.backend_name());
+        // Narrowed to READABLE, the idle socket stays silent until the peer
+        // writes.
+        poller.reregister(fd, 42, READABLE).unwrap();
+        poller.wait(&mut events, IDLE).unwrap();
+        assert!(events.is_empty(), "idle READABLE socket woke: {events:?}");
+        client.write_all(b"ping").unwrap();
+        poller.wait(&mut events, READY).unwrap();
+        assert_eq!(tokens(&events), [42]);
+        assert!(events[0].readable);
 
-            // Peer close: readable (EOF) and flagged as hangup by at least
-            // one of the condition bits once the read side drains.
-            drop(client);
+        // Drained, it is silent again; a peer close then reads as readable.
+        let mut buf = [0u8; 4];
+        server.read_exact(&mut buf).unwrap();
+        poller.wait(&mut events, IDLE).unwrap();
+        assert!(events.is_empty(), "drained socket woke: {events:?}");
+        drop(client);
+        poller.wait(&mut events, READY).unwrap();
+        assert!(events.iter().any(|e| e.token == 42 && e.readable));
+        poller.deregister(fd).unwrap();
+    }
+
+    #[test]
+    fn deregistering_one_socket_keeps_the_others() {
+        let mut poller = Poller::new().unwrap();
+        let mut socks = pairs(3);
+        for (token, (_, server)) in socks.iter().enumerate() {
             poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
+                .register(server.as_raw_fd(), token, READABLE)
                 .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 42 && e.readable),
-                "{}",
-                poller.backend_name()
-            );
-            poller.deregister(server.as_raw_fd()).unwrap();
         }
+        let mut events = Vec::new();
+
+        // Removing the first entry moves the last one into its slot.
+        poller.deregister(socks[0].1.as_raw_fd()).unwrap();
+        socks[0].0.write_all(b"x").unwrap();
+        poller.wait(&mut events, IDLE).unwrap();
+        assert!(events.is_empty(), "a deregistered fd woke: {events:?}");
+
+        socks[2].0.write_all(b"x").unwrap();
+        wait_for(&mut poller, &[2]);
+        socks[1].0.write_all(b"x").unwrap();
+        wait_for(&mut poller, &[1, 2]);
+
+        // The moved entry is still found by its fd.
+        poller
+            .reregister(socks[2].1.as_raw_fd(), 7, READABLE)
+            .unwrap();
+        wait_for(&mut poller, &[1, 7]);
+    }
+
+    #[test]
+    fn registration_errors() {
+        let mut poller = Poller::new().unwrap();
+        let (_client, server) = pairs(1).pop().unwrap();
+        let fd = server.as_raw_fd();
+        poller.register(fd, 0, READABLE).unwrap();
+        let twice = poller.register(fd, 1, READABLE).unwrap_err();
+        assert_eq!(twice.kind(), io::ErrorKind::AlreadyExists);
+        poller.deregister(fd).unwrap();
+        let unknown = poller.deregister(fd).unwrap_err();
+        assert_eq!(unknown.kind(), io::ErrorKind::NotFound);
+        let unknown = poller.reregister(fd, 0, READABLE).unwrap_err();
+        assert_eq!(unknown.kind(), io::ErrorKind::NotFound);
     }
 
     #[test]

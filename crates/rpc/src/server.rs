@@ -3,7 +3,7 @@
 //! ```text
 //!  reactor thread (one: owns every socket and the Fleet)
 //!  ┌───────────────────────────────────────────────────────────────┐
-//!  │ poller: epoll / poll(2)                                       │
+//!  │ poller: poll(2)                                               │
 //!  │   ├─ listener readable ─▶ accept → register conn              │
 //!  │   └─ conn readable/writable, or frames left from last turn    │
 //!  │        ─▶ per-connection machine: read-accumulate             │
@@ -16,14 +16,15 @@
 //!
 //! One thread owns every socket and the `Fleet`: a request is decoded,
 //! handled and answered on the thread that read it, with no channel or lock
-//! in between. The reactor multiplexes thousands of connections through a
+//! in between. The reactor multiplexes every connection through a
 //! readiness poller ([`crate::poll`]); each connection is a state machine
-//! ([`crate::conn`]) that accumulates bytes, decodes length-prefixed frames
-//! and write-drains its outbox when the socket accepts bytes. One turn
-//! handles at most [`ServerConfig::pipeline_depth`] requests per
-//! connection, so one client's burst holds the others off for at most a
-//! turn; a connection that still holds complete frames is revisited on the
-//! next turn without waiting for the poller.
+//! (the private `conn` module) that accumulates bytes, decodes
+//! length-prefixed frames and write-drains its outbox when the socket
+//! accepts bytes. One turn handles at most
+//! [`ServerConfig::pipeline_depth`] requests per connection, so one
+//! client's burst holds the others off for at most a turn; a connection
+//! that still holds complete frames is revisited on the next turn without
+//! waiting for the poller.
 //!
 //! Connections are *pipelined*: a client may send many frames without
 //! awaiting responses, and responses leave in request order because each is
@@ -52,6 +53,7 @@ use crate::conn::Connection;
 use crate::poll::{PollEvent, Poller, READABLE};
 use crate::protocol::{ErrorFrame, ErrorKind, Request, Response, SnapshotInfo, SubmitSpec};
 use nnrt_graph::DataflowGraph;
+use nnrt_models::MAX_BATCH;
 use nnrt_obs::{Clock, EventKind, Obs};
 use nnrt_serve::{AdmitError, Fleet, FleetConfig, JobId, JobSpec};
 use std::collections::HashMap;
@@ -93,11 +95,6 @@ pub const CONNECTION_RETRY_SECS: f64 = 0.5;
 /// client-chosen, so past the cap a new key's graph is built for its
 /// submission but not kept.
 const GRAPH_CACHE_CAP: usize = 64;
-
-/// Largest batch a submission may ask for. The batch scales every tensor
-/// shape of the graph, and a shape's element count is a product of its
-/// dimensions: far past this bound that product overflows.
-const MAX_BATCH: u64 = 4096;
 
 /// When the fleet executes queued work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -580,7 +577,7 @@ impl Reactor {
 
     /// Resolves the model, names the job, and admits it.
     fn submit(&mut self, spec: SubmitSpec) -> Response {
-        if spec.batch > MAX_BATCH {
+        if spec.batch > MAX_BATCH as u64 {
             return Response::Error(ErrorFrame {
                 kind: ErrorKind::BadRequest,
                 message: format!("batch {} exceeds the limit of {MAX_BATCH}", spec.batch),
@@ -678,7 +675,7 @@ mod tests {
             ServerConfig::default(),
         )
         .expect("reactor");
-        for batch in [MAX_BATCH + 1, 1 << 40, 1 << 62, u64::MAX] {
+        for batch in [MAX_BATCH as u64 + 1, 1 << 40, 1 << 62, u64::MAX] {
             let spec = SubmitSpec {
                 batch,
                 ..SubmitSpec::new("resnet50")
@@ -693,7 +690,7 @@ mod tests {
             "no graph built for a refused batch"
         );
         let spec = SubmitSpec {
-            batch: MAX_BATCH,
+            batch: MAX_BATCH as u64,
             ..SubmitSpec::new("dcgan")
         };
         assert!(matches!(server.submit(spec), Response::Submitted { .. }));

@@ -82,12 +82,14 @@
 //! ```
 //!
 //! Models: `resnet50` (batch 64), `dcgan` (64), `inception` (16), `lstm` (20),
-//! and beyond the paper: `transformer` (8).
+//! and beyond the paper: `transformer` (8). A batch outside 1..=4096
+//! (`nnrt_models::MAX_BATCH`) is a usage error.
 //!
 //! Exit codes: 0 success, 1 usage, 2 unknown command, 3 unknown model,
 //! 4 RPC failure (server unreachable, rejection, or protocol error),
 //! 5 recovery failure (unreadable durable directory or corrupt journal).
 
+use nnrt::models::MAX_BATCH;
 use nnrt::prelude::*;
 use nnrt::rpc::{
     ClientError, DrainPolicy, ErrorKind, FleetServer, RetryPolicy, RpcClient, ServerConfig,
@@ -360,7 +362,16 @@ fn main() -> ExitCode {
             let Some(name) = args.get(1) else {
                 return usage();
             };
-            let batch = args.get(2).and_then(|b| b.parse().ok());
+            let batch = match args.get(2) {
+                None => None,
+                Some(b) => match b.parse() {
+                    Ok(n) if (1..=MAX_BATCH).contains(&n) => Some(n),
+                    _ => {
+                        eprintln!("batch must be an integer in 1..={MAX_BATCH}, got '{b}'");
+                        return ExitCode::from(EXIT_USAGE);
+                    }
+                },
+            };
             let Some(spec) = model_by_name(name, batch) else {
                 eprintln!("unknown model '{name}'");
                 eprintln!("{}", usage_text());
